@@ -1,0 +1,402 @@
+"""OD flow series construction, filtering, normalization, and windowing.
+
+The pipeline turns raw trip records into a ``[T, N, N]`` count tensor on a
+fixed time grid, drops bins outside metro operating hours, fits a single
+reversible z-score on the training portion, and slices the series into
+(history, horizon) window pairs split chronologically 7:1:2.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+SERIES_MAGIC = b"UMODODS1"
+SERIES_VERSION = 1
+SECONDS_PER_DAY = 86400
+
+
+class IngestionError(ValueError):
+    """Raised for trip records that cannot be placed in the series."""
+
+
+class ConfigurationError(ValueError):
+    """Raised for infeasible pipeline settings."""
+
+
+class SeriesFormatError(ValueError):
+    """Raised when a series container cannot be parsed."""
+
+
+@dataclass(frozen=True)
+class TripRecord:
+    origin: str
+    destination: str
+    timestamp: int  # seconds since epoch, UTC
+
+
+@dataclass
+class ODSeries:
+    """Network-wide OD flow counts on a regular time grid.
+
+    ``flows[t, i, j]`` counts trips from station ``i`` to station ``j``
+    during bin ``t``. When ``operating_window`` is set the grid holds only
+    the in-window bins of each day, indexed consecutively.
+    """
+
+    stations: list[str]
+    start_time: int
+    granularity: int
+    flows: np.ndarray  # [T, N, N] float64
+    operating_window: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        self.flows = np.asarray(self.flows, dtype=np.float64)
+        if self.flows.ndim != 3:
+            raise ConfigurationError(f"flows must be [T, N, N], got {self.flows.shape}")
+        n = len(self.stations)
+        if self.flows.shape[1] != n or self.flows.shape[2] != n:
+            raise ConfigurationError(
+                f"flows {self.flows.shape} does not match {n} stations"
+            )
+
+    @property
+    def n_stations(self) -> int:
+        return len(self.stations)
+
+    @property
+    def n_bins(self) -> int:
+        return self.flows.shape[0]
+
+    @property
+    def bins_per_day(self) -> int:
+        if self.operating_window is None:
+            return SECONDS_PER_DAY // self.granularity
+        start_h, end_h = self.operating_window
+        return (end_h - start_h) * 3600 // self.granularity
+
+
+@dataclass
+class NormStats:
+    """Global scalar z-score statistics, fit on the training split only."""
+
+    mean: float
+    std: float
+    used_fallback: bool = False  # std was degenerate and clamped to 1
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+
+    def invert(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64) * self.std + self.mean
+
+
+@dataclass
+class WindowSample:
+    """One normalized (history, horizon) pair anchored at bin ``t_anchor``."""
+
+    x: np.ndarray  # [H, E, F]
+    y: np.ndarray  # [P, E, F]
+    t_anchor: int  # absolute index of the last history bin
+
+
+@dataclass
+class SyntheticSpec:
+    """Deterministic generator settings for metro-like count data."""
+
+    n_stations: int
+    days: int
+    granularity: int = 1800
+    seed: int = 0
+    pair_amplitudes: np.ndarray | None = None  # [N, N] base rates
+    daily_profile: np.ndarray | None = None  # multiplier per bin-of-day
+    noise_std: float = 0.0
+    operating_window: tuple[int, int] | None = (6, 23)
+
+
+# ---------------------------------------------------------------------------
+# ingestion
+
+
+def build_od_series(trips, stations, start_time: int, end_time: int,
+                    granularity: int) -> tuple[ODSeries, int]:
+    """Bin trip records into an ODSeries.
+
+    Bins are half-open ``[start, start + granularity)``, so a boundary
+    timestamp lands in the later bin. Returns the series and the count of
+    records dropped for falling outside ``[start_time, end_time)``.
+    """
+    if start_time >= end_time:
+        raise ConfigurationError("start_time must precede end_time")
+    span = end_time - start_time
+    if span % granularity != 0 or span < granularity:
+        raise ConfigurationError(
+            f"granularity {granularity} does not tile the span of {span} seconds"
+        )
+    stations = list(stations)
+    index = {s: k for k, s in enumerate(stations)}
+    n = len(stations)
+    t_total = span // granularity
+    flows = np.zeros((t_total, n, n), dtype=np.float64)
+    dropped = 0
+    for pos, trip in enumerate(trips):
+        if trip.origin not in index:
+            raise IngestionError(f"unknown origin station {trip.origin!r} at record {pos}")
+        if trip.destination not in index:
+            raise IngestionError(
+                f"unknown destination station {trip.destination!r} at record {pos}"
+            )
+        if not (start_time <= trip.timestamp < end_time):
+            dropped += 1
+            continue
+        t = (trip.timestamp - start_time) // granularity
+        flows[t, index[trip.origin], index[trip.destination]] += 1.0
+    series = ODSeries(stations, start_time, granularity, flows)
+    return series, dropped
+
+
+def read_trips_with_lines(path) -> list[tuple[TripRecord, int]]:
+    """Parse delimited trip text, keeping each record's source line number.
+
+    Format: ``origin,destination,unix_timestamp`` per line, optional header.
+    """
+    trips = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if lineno == 1 and parts and not _is_int(parts[-1]):
+                continue  # optional header
+            if len(parts) != 3 or not _is_int(parts[2]):
+                raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
+            trips.append((TripRecord(parts[0], parts[1], int(parts[2])), lineno))
+    return trips
+
+
+def read_trips(path) -> list[TripRecord]:
+    return [t for t, _ in read_trips_with_lines(path)]
+
+
+def _is_int(s: str) -> bool:
+    try:
+        int(s)
+        return True
+    except ValueError:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# filtering / normalization / windowing
+
+
+def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSeries:
+    """Drop bins whose start hour falls outside ``[start_hour, end_hour)``.
+
+    Remaining bins are re-indexed consecutively and the window is recorded
+    on the returned series.
+    """
+    start_h, end_h = window
+    if series.operating_window is not None:
+        raise ConfigurationError("series already carries an operating window")
+    if not (0 <= start_h < end_h <= 24):
+        raise ConfigurationError(f"bad operating window {window}")
+    if (start_h * 3600) % series.granularity or (end_h * 3600) % series.granularity:
+        raise ConfigurationError(
+            f"window {window} does not align with {series.granularity}s bins"
+        )
+    if (start_h, end_h) == (0, 24):
+        return ODSeries(series.stations, series.start_time, series.granularity,
+                        series.flows.copy(), operating_window=(0, 24))
+    t = np.arange(series.n_bins)
+    second_of_day = (series.start_time + t * series.granularity) % SECONDS_PER_DAY
+    keep = (second_of_day >= start_h * 3600) & (second_of_day < end_h * 3600)
+    return ODSeries(series.stations, series.start_time, series.granularity,
+                    series.flows[keep], operating_window=(start_h, end_h))
+
+
+def fit_normalizer(series: ODSeries, train_fraction: float) -> NormStats:
+    """Fit global mean/std over the first ``floor(frac * T)`` bins."""
+    if not (0.0 < train_fraction <= 1.0):
+        raise ConfigurationError(f"train_fraction {train_fraction} out of (0, 1]")
+    n_train = int(series.n_bins * train_fraction)
+    if n_train < 1:
+        raise ConfigurationError("training portion is empty")
+    chunk = series.flows[:n_train]
+    mean = float(chunk.mean())
+    std = float(chunk.std())  # population formula
+    if std <= 0.0:
+        return NormStats(mean=mean, std=1.0, used_fallback=True)
+    return NormStats(mean=mean, std=std)
+
+
+def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int):
+    """Chronological split plus sliding windows that never cross a boundary.
+
+    ``flows`` is any ``[T, E, F]`` array (the station-rows view ``[T, N, N]``
+    or a pair view ``[T, K, 1]``). Returns (train, val, test) lists of
+    WindowSample with ``len_split - H - P + 1`` samples each.
+    """
+    if H < 1 or P < 1:
+        raise ConfigurationError("H and P must be >= 1")
+    flows = np.asarray(flows, dtype=np.float64)
+    t_total = flows.shape[0]
+    r_train, r_val, r_test = ratios
+    if abs(r_train + r_val + r_test - 1.0) > 1e-9:
+        raise ConfigurationError(f"split ratios {ratios} do not sum to 1")
+    n_train = int(t_total * r_train)
+    n_val = int(t_total * r_val)
+    n_test = t_total - n_train - n_val
+    bounds = [("train", 0, n_train), ("val", n_train, n_train + n_val),
+              ("test", n_train + n_val, t_total)]
+    need = H + P
+    for name, lo, hi in bounds:
+        if hi - lo < need:
+            raise ConfigurationError(
+                f"{name} split has {hi - lo} bins but needs at least {need} (H={H}, P={P})"
+            )
+    norm = stats.apply(flows)
+    out = []
+    for _, lo, hi in bounds:
+        samples = []
+        # anchor t = index of the last history bin (absolute)
+        for t in range(lo + H - 1, hi - P):
+            samples.append(WindowSample(
+                x=norm[t - H + 1:t + 1].copy(),
+                y=norm[t + 1:t + P + 1].copy(),
+                t_anchor=t,
+            ))
+        out.append(samples)
+    return tuple(out)
+
+
+def split_lengths(t_total: int, ratios=(0.7, 0.1, 0.2)) -> tuple[int, int, int]:
+    n_train = int(t_total * ratios[0])
+    n_val = int(t_total * ratios[1])
+    return n_train, n_val, t_total - n_train - n_val
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+
+
+def synth_generate(spec: SyntheticSpec) -> ODSeries:
+    """Deterministic metro-like counts: per-pair rate x daily profile + noise.
+
+    ``flows[t, i, j] = round(max(0, amp[i, j] * profile[t mod bpd] + eps))``
+    with ``eps ~ N(0, noise_std)`` drawn from a generator seeded by
+    ``spec.seed``. Only in-window bins are emitted.
+    """
+    n = spec.n_stations
+    if spec.operating_window is not None:
+        start_h, end_h = spec.operating_window
+        bpd = (end_h - start_h) * 3600 // spec.granularity
+    else:
+        bpd = SECONDS_PER_DAY // spec.granularity
+    rng = np.random.default_rng(spec.seed)
+    amps = spec.pair_amplitudes
+    if amps is None:
+        amps = rng.uniform(2.0, 12.0, size=(n, n))
+    else:
+        amps = np.asarray(amps, dtype=np.float64)
+        if amps.shape != (n, n):
+            raise ConfigurationError(f"pair_amplitudes {amps.shape} != ({n}, {n})")
+    profile = spec.daily_profile
+    if profile is None:
+        profile = two_peak_profile(bpd)
+    else:
+        profile = np.asarray(profile, dtype=np.float64)
+        if profile.shape != (bpd,):
+            raise ConfigurationError(
+                f"daily_profile has {profile.shape[0]} bins, expected {bpd}"
+            )
+    t_total = spec.days * bpd
+    base = amps[None, :, :] * profile[:, None, None]  # [bpd, N, N]
+    flows = np.empty((t_total, n, n), dtype=np.float64)
+    for day in range(spec.days):
+        noise = rng.normal(0.0, spec.noise_std, size=(bpd, n, n)) if spec.noise_std > 0 \
+            else 0.0
+        flows[day * bpd:(day + 1) * bpd] = np.round(np.maximum(0.0, base + noise))
+    return ODSeries(
+        stations=[f"S{k:02d}" for k in range(n)],
+        start_time=0,
+        granularity=spec.granularity,
+        flows=flows,
+        operating_window=spec.operating_window,
+    )
+
+
+def two_peak_profile(bins_per_day: int) -> np.ndarray:
+    """Morning/evening commute profile with exactly two local maxima."""
+    b = np.arange(bins_per_day, dtype=np.float64)
+    am = 0.30 * bins_per_day
+    pm = 0.70 * bins_per_day
+    width = bins_per_day / 12.0
+    profile = (0.35
+               + 1.00 * np.exp(-0.5 * ((b - am) / width) ** 2)
+               + 0.85 * np.exp(-0.5 * ((b - pm) / width) ** 2))
+    return profile
+
+
+# ---------------------------------------------------------------------------
+# series container
+
+
+def dump_series(series: ODSeries, path) -> None:
+    """Write the binary series container (magic, metadata block, raw floats)."""
+    meta = {
+        "version": SERIES_VERSION,
+        "stations": series.stations,
+        "start_time": series.start_time,
+        "granularity": series.granularity,
+        "dims": list(series.flows.shape),
+        "operating_window": list(series.operating_window)
+        if series.operating_window else None,
+    }
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(SERIES_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(series.flows.astype("<f8").tobytes())
+
+
+def load_series(path) -> ODSeries:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    magic = raw[:8]
+    if magic != SERIES_MAGIC:
+        raise SeriesFormatError(f"bad magic at byte 0: {magic!r}")
+    if len(raw) < 12:
+        raise SeriesFormatError(f"truncated header at byte {len(raw)}")
+    (meta_len,) = struct.unpack_from("<I", raw, 8)
+    meta_end = 12 + meta_len
+    if len(raw) < meta_end:
+        raise SeriesFormatError(f"truncated metadata at byte {len(raw)}")
+    try:
+        meta = json.loads(raw[12:meta_end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SeriesFormatError(f"unparsable metadata at byte 12: {exc}") from exc
+    if meta.get("version") != SERIES_VERSION:
+        raise SeriesFormatError(
+            f"unsupported series version {meta.get('version')!r}, expected {SERIES_VERSION}"
+        )
+    dims = tuple(meta["dims"])
+    expected = meta_end + 8 * int(np.prod(dims))
+    if len(raw) != expected:
+        raise SeriesFormatError(
+            f"payload ends at byte {len(raw)}, expected {expected}"
+        )
+    flows = np.frombuffer(raw[meta_end:], dtype="<f8").reshape(dims).copy()
+    window = meta.get("operating_window")
+    return ODSeries(
+        stations=list(meta["stations"]),
+        start_time=int(meta["start_time"]),
+        granularity=int(meta["granularity"]),
+        flows=flows,
+        operating_window=tuple(window) if window else None,
+    )

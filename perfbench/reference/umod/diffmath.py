@@ -1,0 +1,417 @@
+"""Dense float64 tensors with reverse-mode gradients.
+
+Every forward operation records its parents together with a closed-form
+adjoint, so ``backward()`` on a scalar walks the graph once in reverse
+topological order. Broadcasting is deliberately restricted to leading-axis
+expansion (a smaller operand whose shape is a suffix of the larger one),
+which keeps every adjoint a plain sum over the expanded axes.
+
+Conventions:
+  * relu'(0) == 0
+  * softmax is computed with max-subtraction, so huge logits stay finite
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+class DimensionError(ValueError):
+    """Raised when operand shapes are incompatible."""
+
+
+class NumericError(ArithmeticError):
+    """Raised when a computation produces or receives non-finite values."""
+
+
+class Tensor:
+    """A float64 array plus an optional gradient accumulator.
+
+    ``parents`` holds ``(tensor, adjoint_fn)`` pairs; ``adjoint_fn`` maps the
+    upstream gradient to this parent's gradient contribution. Leaf tensors
+    (no parents) receive accumulated gradients in ``.grad`` after
+    ``backward()``.
+    """
+
+    __slots__ = ("data", "grad", "parents")
+
+    def __init__(self, data, parents=()):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.parents = tuple(parents)
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def size(self):
+        return self.data.size
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def zero_grad(self):
+        self.grad = None
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape})"
+
+    def backward(self):
+        """Accumulate gradients of this scalar into every reachable tensor."""
+        if self.data.size != 1:
+            raise DimensionError(
+                f"backward() needs a scalar, got shape {self.data.shape}"
+            )
+        topo = _toposort(self)
+        pending = {id(self): np.ones_like(self.data)}
+        for node in topo:
+            g = pending.pop(id(node), None)
+            if g is None:
+                continue
+            node.grad = g if node.grad is None else node.grad + g
+            for parent, adjoint in node.parents:
+                pg = adjoint(g)
+                key = id(parent)
+                if key in pending:
+                    pending[key] = pending[key] + pg
+                else:
+                    pending[key] = pg
+
+
+def _toposort(root: Tensor) -> list[Tensor]:
+    # Iterative DFS; returns nodes in reverse topological order.
+    order: list[Tensor] = []
+    state: dict[int, int] = {}  # 0 = entered, 1 = done
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        key = id(node)
+        if state.get(key) == 1:
+            stack.pop()
+            continue
+        if key not in state:
+            state[key] = 0
+            for parent, _ in node.parents:
+                if state.get(id(parent)) != 1:
+                    stack.append(parent)
+        else:
+            state[key] = 1
+            order.append(node)
+            stack.pop()
+    order.reverse()
+    return order
+
+
+class Parameter:
+    """Named learnable tensor with Adam moment buffers."""
+
+    def __init__(self, name: str, value) -> None:
+        self.name = name
+        self.value = Tensor(value)
+        self.first_moment = np.zeros_like(self.value.data)
+        self.second_moment = np.zeros_like(self.value.data)
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    def __repr__(self):
+        return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum upstream gradient over axes added by leading-axis expansion."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    return g
+
+
+def _check_suffix(a_shape: tuple, b_shape: tuple, op: str):
+    small, big = (a_shape, b_shape) if len(a_shape) <= len(b_shape) else (b_shape, a_shape)
+    if big[len(big) - len(small):] != small:
+        raise DimensionError(f"{op}: shapes {a_shape} and {b_shape} are incompatible")
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_suffix(a.shape, b.shape, "add")
+    out = a.data + b.data
+    return Tensor(out, [
+        (a, lambda g: _unbroadcast(g, a.shape)),
+        (b, lambda g: _unbroadcast(g, b.shape)),
+    ])
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_suffix(a.shape, b.shape, "sub")
+    return Tensor(a.data - b.data, [
+        (a, lambda g: _unbroadcast(g, a.shape)),
+        (b, lambda g: _unbroadcast(-g, b.shape)),
+    ])
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_suffix(a.shape, b.shape, "mul")
+    return Tensor(a.data * b.data, [
+        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+    ])
+
+
+def scale(a, c: float) -> Tensor:
+    a = _as_tensor(a)
+    c = float(c)
+    return Tensor(a.data * c, [(a, lambda g: g * c)])
+
+
+def relu(a) -> Tensor:
+    a = _as_tensor(a)
+    mask = a.data > 0.0  # relu'(0) == 0 by convention
+    return Tensor(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+
+
+def absolute(a) -> Tensor:
+    a = _as_tensor(a)
+    sign = np.sign(a.data)  # subgradient 0 at 0
+    return Tensor(np.abs(a.data), [(a, lambda g: g * sign)])
+
+
+def elementwise(op_kind: str, *operands) -> Tensor:
+    """Dispatch table over the pointwise operations."""
+    table = {"relu": relu, "add": add, "sub": sub, "mul": mul, "scale": scale}
+    if op_kind not in table:
+        raise ValueError(f"unknown elementwise op {op_kind!r}")
+    return table[op_kind](*operands)
+
+
+# ---------------------------------------------------------------------------
+# reductions
+
+
+def sum_all(a) -> Tensor:
+    a = _as_tensor(a)
+    return Tensor(a.data.sum(), [(a, lambda g: np.broadcast_to(g, a.shape).copy())])
+
+
+def mean_all(a) -> Tensor:
+    a = _as_tensor(a)
+    n = a.data.size
+    return Tensor(a.data.mean(), [
+        (a, lambda g: np.broadcast_to(g / n, a.shape).copy())
+    ])
+
+
+# ---------------------------------------------------------------------------
+# layout
+
+
+def reshape(a, shape) -> Tensor:
+    a = _as_tensor(a)
+    shape = tuple(int(s) for s in shape)
+    if math.prod(shape) != a.data.size:
+        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
+    old = a.shape
+    return Tensor(a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
+
+
+def transpose(a, axes=None) -> Tensor:
+    a = _as_tensor(a)
+    if axes is None:
+        axes = tuple(reversed(range(a.data.ndim)))
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+    return Tensor(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
+
+
+def concat_last(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape[:-1] != b.shape[:-1]:
+        raise DimensionError(
+            f"concat_last: shapes {a.shape} and {b.shape} differ off the last axis"
+        )
+    split = a.shape[-1]
+    return Tensor(np.concatenate([a.data, b.data], axis=-1), [
+        (a, lambda g: g[..., :split]),
+        (b, lambda g: g[..., split:]),
+    ])
+
+
+def slice_time(a, start: int, stop: int, axis: int = 0) -> Tensor:
+    a = _as_tensor(a)
+    n = a.shape[axis]
+    if not (0 <= start < stop <= n):
+        raise DimensionError(f"slice_time: [{start}:{stop}] out of range for axis of {n}")
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+
+    def adjoint(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return full
+
+    return Tensor(a.data[idx], [(a, adjoint)])
+
+
+def expand_leading(a, n: int) -> Tensor:
+    """Repeat a tensor along a new leading axis of extent ``n``."""
+    a = _as_tensor(a)
+    out = np.broadcast_to(a.data, (n,) + a.shape).copy()
+    return Tensor(out, [(a, lambda g: g.sum(axis=0))])
+
+
+def reshape_ops(op_kind: str, *args, **kwargs) -> Tensor:
+    table = {
+        "reshape": reshape,
+        "transpose": transpose,
+        "concat_last": concat_last,
+        "slice_time": slice_time,
+    }
+    if op_kind not in table:
+        raise ValueError(f"unknown reshape op {op_kind!r}")
+    return table[op_kind](*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+
+
+def matmul(a, b) -> Tensor:
+    """Batched matrix product over the last two axes.
+
+    Either operand may have extra leading batch axes; a 2-d weight matrix on
+    the right is the common case and its gradient sums over the batch.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise DimensionError(f"matmul: operands must be >=2-d, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
+    out = a.data @ b.data
+
+    def grad_a(g):
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        return _unbroadcast(ga, a.shape)
+
+    def grad_b(g):
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        if gb.shape != b.shape:
+            gb = gb.sum(axis=tuple(range(gb.ndim - len(b.shape))))
+        return gb
+
+    return Tensor(out, [(a, grad_a), (b, grad_b)])
+
+
+def linear(x, W, b=None) -> Tensor:
+    """x @ W + b with the weight applied to the last axis of x."""
+    x = _as_tensor(x)
+    Wt = W.value if isinstance(W, Parameter) else _as_tensor(W)
+    if x.shape[-1] != Wt.shape[0]:
+        raise DimensionError(
+            f"linear: input {x.shape} does not match weight {Wt.shape}"
+        )
+    out = matmul(x, Wt)
+    if b is not None:
+        bt = b.value if isinstance(b, Parameter) else _as_tensor(b)
+        out = add(out, bt)
+    return out
+
+
+def softmax_last(x) -> Tensor:
+    """Row-wise softmax over the last axis, max-subtracted for stability."""
+    x = _as_tensor(x)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def adjoint(g):
+        inner = (g * s).sum(axis=-1, keepdims=True)
+        return s * (g - inner)
+
+    return Tensor(s, [(x, adjoint)])
+
+
+def scaled_dot_attention(Q, K, V):
+    """Scaled dot-product attention over the last two axes.
+
+    Q, K, V share a shape ``[..., T, d]``. Returns ``(O, A)`` where
+    ``A = softmax(Q K^T / sqrt(d))`` and ``O = A V``; both stay on the
+    gradient graph.
+    """
+    Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
+    if Q.shape != K.shape or Q.shape != V.shape:
+        raise DimensionError(
+            f"attention: Q {Q.shape}, K {K.shape}, V {V.shape} must match"
+        )
+    d = Q.shape[-1]
+    scores = scale(matmul(Q, transpose(K, _swap_last2(K))), 1.0 / math.sqrt(d))
+    A = softmax_last(scores)
+    O = matmul(A, V)
+    return O, A
+
+
+def _swap_last2(t: Tensor):
+    axes = list(range(t.data.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    return axes
+
+
+# ---------------------------------------------------------------------------
+# gradient verification
+
+
+def finite_diff_check(loss_fn, params, eps: float = 1e-5) -> float:
+    """Compare analytic gradients of ``loss_fn`` against central differences.
+
+    ``loss_fn`` maps the parameter list to a scalar Tensor and must be
+    deterministic. Returns the max over all parameter entries of
+    ``|analytic - numeric| / max(1, |numeric|)``.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for p in params:
+        p.value.zero_grad()
+    out = loss_fn(params)
+    if not np.isfinite(out.data).all():
+        raise NumericError("loss is not finite")
+    out.backward()
+    analytic = {
+        p.name: (p.value.grad.copy() if p.value.grad is not None
+                 else np.zeros_like(p.value.data))
+        for p in params
+    }
+
+    max_err = 0.0
+    for p in params:
+        flat = p.value.data.reshape(-1)
+        aflat = analytic[p.name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(loss_fn(params).data)
+            flat[i] = orig - eps
+            f_minus = float(loss_fn(params).data)
+            flat[i] = orig
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                raise NumericError("loss is not finite during perturbation")
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(aflat[i] - numeric) / max(1.0, abs(numeric))
+            if err > max_err:
+                max_err = err
+    return max_err
