@@ -177,13 +177,9 @@ def _metrics_lines(label: str, rep: ev.MetricsReport) -> str:
 
 def _prepare(cp):
     series = _load_series_from_config(cp)
-    stats = dt.fit_normalizer(series, 0.7)
+    stats = dt.fit_normalizer(series, dt.SPLIT[0])
     model_config = _model_config(cp, series)
-    if model_config.entity_mode == md.TOP_K_PAIRS:
-        _, flows = md.flatten_pairs(series, model_config.top_k)
-    else:
-        flows = series.flows
-    return series, stats, model_config, flows
+    return series, stats, model_config, md.entity_flows(series, model_config)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,7 @@ def cmd_train(args) -> int:
         series, stats, model_config, flows = _prepare(cp)
         train_config = _train_config(cp)
         train_s, val_s, test_s = dt.split_and_window(
-            flows, stats, (0.7, 0.1, 0.2),
+            flows, stats, dt.SPLIT,
             model_config.history, model_config.horizon)
     except (dt.ConfigurationError, dt.SeriesFormatError) as exc:
         return _fail(str(exc))
@@ -291,7 +287,7 @@ def cmd_eval(args) -> int:
         params, model_config = md.load_checkpoint(args.checkpoint)
         series, stats, _, flows = _prepare(cp)
         train_s, val_s, test_s = dt.split_and_window(
-            flows, stats, (0.7, 0.1, 0.2),
+            flows, stats, dt.SPLIT,
             model_config.history, model_config.horizon)
     except (md.CheckpointError, dt.ConfigurationError,
             dt.SeriesFormatError) as exc:
@@ -301,8 +297,9 @@ def cmd_eval(args) -> int:
     lines = [_metrics_lines("model", ev.compute_metrics(preds, targets, stats))]
     for kind in (args.baseline or []):
         baseline = ev.fit_baseline(
-            kind, series=series, stats=stats, train_samples=train_s,
-            val_samples=val_s, train_config=_train_config(cp))
+            kind, series=series, flows=flows, stats=stats,
+            train_samples=train_s, val_samples=val_s,
+            train_config=_train_config(cp))
         bp = baseline.predict(test_s)
         lines.append(_metrics_lines(kind, ev.compute_metrics(bp, targets, stats)))
     body = "label,mae,rmse,mape_percent,n_total,n_mape_used\n" + "\n".join(lines) + "\n"

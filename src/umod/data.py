@@ -3,7 +3,7 @@
 The pipeline turns raw trip records into a ``[T, N, N]`` count tensor on a
 fixed time grid, drops bins outside metro operating hours, fits a single
 reversible z-score on the training portion, and slices the series into
-(history, horizon) window pairs split chronologically 7:1:2.
+(history, horizon) window pairs split chronologically by ``SPLIT``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 SERIES_MAGIC = b"UMODODS1"
 SERIES_VERSION = 1
 SECONDS_PER_DAY = 86400
+SPLIT = (0.7, 0.1, 0.2)  # chronological train : val : test fractions
 
 
 class IngestionError(ValueError):
@@ -178,10 +179,6 @@ def read_trips_with_lines(path) -> list[tuple[TripRecord, int]]:
     return trips
 
 
-def read_trips(path) -> list[TripRecord]:
-    return [t for t, _ in read_trips_with_lines(path)]
-
-
 def _is_int(s: str) -> bool:
     try:
         int(s)
@@ -219,7 +216,7 @@ def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSerie
                     series.flows[keep], operating_window=(start_h, end_h))
 
 
-def fit_normalizer(series: ODSeries, train_fraction: float) -> NormStats:
+def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormStats:
     """Fit global mean/std over the first ``floor(frac * T)`` bins."""
     if not (0.0 < train_fraction <= 1.0):
         raise ConfigurationError(f"train_fraction {train_fraction} out of (0, 1]")
@@ -248,9 +245,7 @@ def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int
     r_train, r_val, r_test = ratios
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
         raise ConfigurationError(f"split ratios {ratios} do not sum to 1")
-    n_train = int(t_total * r_train)
-    n_val = int(t_total * r_val)
-    n_test = t_total - n_train - n_val
+    n_train, n_val, _ = split_lengths(t_total, ratios)
     bounds = [("train", 0, n_train), ("val", n_train, n_train + n_val),
               ("test", n_train + n_val, t_total)]
     need = H + P
@@ -274,7 +269,7 @@ def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int
     return tuple(out)
 
 
-def split_lengths(t_total: int, ratios=(0.7, 0.1, 0.2)) -> tuple[int, int, int]:
+def split_lengths(t_total: int, ratios=SPLIT) -> tuple[int, int, int]:
     n_train = int(t_total * ratios[0])
     n_val = int(t_total * ratios[1])
     return n_train, n_val, t_total - n_train - n_val

@@ -192,14 +192,6 @@ def absolute(a) -> Tensor:
     return Tensor(np.abs(a.data), [(a, lambda g: g * sign)])
 
 
-def elementwise(op_kind: str, *operands) -> Tensor:
-    """Dispatch table over the pointwise operations."""
-    table = {"relu": relu, "add": add, "sub": sub, "mul": mul, "scale": scale}
-    if op_kind not in table:
-        raise ValueError(f"unknown elementwise op {op_kind!r}")
-    return table[op_kind](*operands)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -274,18 +266,6 @@ def expand_leading(a, n: int) -> Tensor:
     a = _as_tensor(a)
     out = np.broadcast_to(a.data, (n,) + a.shape).copy()
     return Tensor(out, [(a, lambda g: g.sum(axis=0))])
-
-
-def reshape_ops(op_kind: str, *args, **kwargs) -> Tensor:
-    table = {
-        "reshape": reshape,
-        "transpose": transpose,
-        "concat_last": concat_last,
-        "slice_time": slice_time,
-    }
-    if op_kind not in table:
-        raise ValueError(f"unknown reshape op {op_kind!r}")
-    return table[op_kind](*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

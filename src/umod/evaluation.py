@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diffmath as dm
 from . import model as m
 from . import training as tr
-from .data import (ConfigurationError, NormStats, ODSeries, split_and_window,
-                   split_lengths)
+from .data import (SPLIT, ConfigurationError, NormStats, ODSeries,
+                   split_and_window, split_lengths)
 
 HP_GRID = [(6, 2), (6, 4), (2, 2), (4, 4), (6, 6), (2, 4), (2, 6)]
 DIM_VALUES = [4, 8, 16, 32, 64]
@@ -112,6 +113,15 @@ class HistoricalAverageBaseline:
         return np.stack(out)
 
 
+def _mlp_forward(x, params: m.ModelParams, out_shape: tuple) -> dm.Tensor:
+    """Flattened window -> ReLU hidden layer -> ``[B, *out_shape]`` forecast."""
+    batch = x.shape[0]
+    flat = dm.reshape(dm.Tensor(x), (batch, int(np.prod(x.shape[1:]))))
+    h = dm.relu(dm.linear(flat, params["W1"], params["b1"]))
+    out = dm.linear(h, params["W2"], params["b2"])
+    return dm.reshape(out, (batch,) + out_shape)
+
+
 class PlainMLPBaseline:
     """Two-layer network on the flattened window, trained like the main model."""
 
@@ -119,97 +129,49 @@ class PlainMLPBaseline:
         self.hidden = hidden
         self.seed = seed
         self.params = None
-        self.shape_in = None
         self.shape_out = None
 
     def fit(self, train_samples, val_samples,
             train_config: tr.TrainConfig) -> "PlainMLPBaseline":
-        from . import diffmath as dm
         s0 = train_samples[0]
-        self.shape_in = s0.x.shape
         self.shape_out = s0.y.shape
-        n_in = int(np.prod(self.shape_in))
-        n_out = int(np.prod(self.shape_out))
+        n_in, n_out = s0.x.size, s0.y.size
         rng = np.random.default_rng(self.seed)
-
-        def xavier(fi, fo, shape):
-            bound = math.sqrt(6.0 / (fi + fo))
-            return rng.uniform(-bound, bound, size=shape)
-
-        params = [
-            dm.Parameter("W1", xavier(n_in, self.hidden, (n_in, self.hidden))),
+        self.params = m.ModelParams([
+            dm.Parameter("W1", m._xavier(rng, n_in, self.hidden, (n_in, self.hidden))),
             dm.Parameter("b1", np.zeros(self.hidden)),
-            dm.Parameter("W2", xavier(self.hidden, n_out, (self.hidden, n_out))),
+            dm.Parameter("W2", m._xavier(rng, self.hidden, n_out, (self.hidden, n_out))),
             dm.Parameter("b2", np.zeros(n_out)),
-        ]
-        self.params = params
-
-        best_val = float("inf")
-        best = {p.name: p.value.data.copy() for p in params}
-        bad = 0
-        step = 0
-        for epoch in range(1, train_config.max_epochs + 1):
-            order = np.random.default_rng(
-                [train_config.shuffle_seed, epoch]).permutation(len(train_samples))
-            for lo in range(0, len(order), train_config.batch_size):
-                batch = [train_samples[i] for i in order[lo:lo + train_config.batch_size]]
-                x, y = tr.stack_batch(batch)
-                for p in params:
-                    p.value.zero_grad()
-                out = self._forward(x)
-                batch_loss = tr.loss(out, y, train_config.loss_kind)
-                batch_loss.backward()
-                step += 1
-                tr.adam_step(params, train_config, step)
-            xv, yv = tr.stack_batch(val_samples)
-            val = float(tr.loss(self._forward(xv), yv, train_config.loss_kind).data)
-            if val < best_val:
-                best_val = val
-                best = {p.name: p.value.data.copy() for p in params}
-                bad = 0
-            else:
-                bad += 1
-                if bad >= train_config.patience:
-                    break
-        for p in params:
-            p.value.data[...] = best[p.name]
+        ])
+        tr.train(self.shape_out, self.params, train_samples, val_samples,
+                 train_config, forward=_mlp_forward)
         return self
-
-    def _forward(self, x: np.ndarray):
-        from . import diffmath as dm
-        batch = x.shape[0]
-        flat = dm.reshape(dm.Tensor(x), (batch, int(np.prod(self.shape_in))))
-        h = dm.relu(dm.linear(flat, self.params[0], self.params[1]))
-        out = dm.linear(h, self.params[2], self.params[3])
-        return dm.reshape(out, (batch,) + self.shape_out)
 
     def predict(self, samples) -> np.ndarray:
         if self.params is None:
             raise RuntimeError("plain_mlp baseline queried before fit")
-        x, _ = tr.stack_batch(samples)
-        return self._forward(x).data
+        return tr.predict(self.shape_out, self.params, samples, forward=_mlp_forward)
 
 
-def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats,
+def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
                  train_samples=None, val_samples=None,
-                 train_config: tr.TrainConfig | None = None,
-                 train_fraction: float = 0.7, seed: int = 0):
-    """Build and fit one of the reference predictors on training data only."""
+                 train_config: tr.TrainConfig | None = None, seed: int = 0):
+    """Build and fit one of the reference predictors on training data only.
+
+    ``flows`` is the ``[T, E, F]`` entity view the samples were cut from
+    (``model.entity_flows``); it defaults to the station rows of ``series``.
+    """
     if kind == "last_value":
         return LastValueBaseline()
     if kind == "historical_average":
-        n_train = split_lengths(series.n_bins)[0]
         return HistoricalAverageBaseline().fit(
-            series.flows, n_train, series.bins_per_day, stats)
+            series.flows if flows is None else flows,
+            split_lengths(series.n_bins)[0], series.bins_per_day, stats)
     if kind == "plain_mlp":
         if train_samples is None or val_samples is None or train_config is None:
             raise ConfigurationError("plain_mlp needs train/val samples and a config")
         return PlainMLPBaseline(seed=seed).fit(train_samples, val_samples, train_config)
     raise ConfigurationError(f"unknown baseline kind {kind!r}")
-
-
-def baseline_predict(baseline, samples) -> np.ndarray:
-    return baseline.predict(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +182,7 @@ def _train_and_score(series: ODSeries, model_config: m.ModelConfig,
                      train_config: tr.TrainConfig, stats: NormStats):
     """Train a fresh model for one harness row and return test metrics."""
     train_s, val_s, test_s = split_and_window(
-        series.flows, stats, (0.7, 0.1, 0.2),
+        m.entity_flows(series, model_config), stats, SPLIT,
         model_config.history, model_config.horizon)
     params = m.init_params(model_config)
     params, report = tr.train(model_config, params, train_s, val_s, train_config)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import diffmath as dm
-from .data import ODSeries, ConfigurationError
+from .data import SPLIT, ODSeries, ConfigurationError
 
 CHECKPOINT_MAGIC = b"UMODCKPT"
 CHECKPOINT_VERSION = 1
@@ -244,7 +244,7 @@ def forward(x, params: ModelParams, config: ModelConfig,
 # pair view
 
 
-def flatten_pairs(series: ODSeries, k: int, train_fraction: float = 0.7):
+def flatten_pairs(series: ODSeries, k: int, train_fraction: float = SPLIT[0]):
     """Pick the K busiest OD pairs by training-split mean flow.
 
     Ties break toward the lower (origin index, destination index). Returns
@@ -264,6 +264,13 @@ def flatten_pairs(series: ODSeries, k: int, train_fraction: float = 0.7):
     cols = np.array([j for _, j in pairs])
     view = series.flows[:, rows, cols][:, :, None]  # [T, K, 1]
     return pairs, view
+
+
+def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
+    """The ``[T, E, F]`` view the model forecasts: station rows or top-K pairs."""
+    if config.entity_mode == TOP_K_PAIRS:
+        return flatten_pairs(series, config.top_k)[1]
+    return series.flows
 
 
 # ---------------------------------------------------------------------------

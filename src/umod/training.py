@@ -107,13 +107,16 @@ def stack_batch(samples: list[WindowSample]):
 def train(config: m.ModelConfig, params: m.ModelParams,
           train_samples: list[WindowSample], val_samples: list[WindowSample],
           train_config: TrainConfig,
-          epoch_callback=None) -> tuple[m.ModelParams, TrainReport]:
+          epoch_callback=None, forward=None) -> tuple[m.ModelParams, TrainReport]:
     """Run the training loop and return the best-validation parameters.
 
     ``epoch_callback(record)`` fires after every epoch (used for logging).
+    ``forward(x, params, config)`` is the network to fit; it defaults to
+    ``model.forward``, and ``config`` is passed to it untouched.
     """
     if not train_samples or not val_samples:
         raise ValueError("need at least one training and one validation sample")
+    forward = forward or m.forward
     report = TrainReport()
     best_val = float("inf")
     best_snap = params.snapshot()
@@ -130,7 +133,7 @@ def train(config: m.ModelConfig, params: m.ModelParams,
             batch = [train_samples[i] for i in order[lo:lo + train_config.batch_size]]
             x, y = stack_batch(batch)
             params.zero_grad()
-            out = m.forward(x, params, config)
+            out = forward(x, params, config)
             batch_loss = loss(out, y, train_config.loss_kind)
             if not np.isfinite(batch_loss.data):
                 report.stop_reason = "numeric_error"
@@ -141,7 +144,8 @@ def train(config: m.ModelConfig, params: m.ModelParams,
             total += float(batch_loss.data) * len(batch)
             count += len(batch)
         train_loss = total / count
-        val_loss = evaluate_loss(config, params, val_samples, train_config)
+        val_loss = evaluate_loss(config, params, val_samples, train_config,
+                                 forward=forward)
         record = EpochRecord(epoch, train_loss, val_loss,
                              time.perf_counter() - e0)
         report.epochs.append(record)
@@ -166,24 +170,27 @@ def train(config: m.ModelConfig, params: m.ModelParams,
 
 def evaluate_loss(config: m.ModelConfig, params: m.ModelParams,
                   samples: list[WindowSample], train_config: TrainConfig,
-                  batch_size: int = 64) -> float:
+                  batch_size: int = 64, forward=None) -> float:
     """Forward-only loss over a sample list (no gradient, no state change)."""
+    forward = forward or m.forward
     total = 0.0
     count = 0
     for lo in range(0, len(samples), batch_size):
         batch = samples[lo:lo + batch_size]
         x, y = stack_batch(batch)
-        out = m.forward(x, params, config)
+        out = forward(x, params, config)
         total += float(loss(out, y, train_config.loss_kind).data) * len(batch)
         count += len(batch)
     return total / count
 
 
 def predict(config: m.ModelConfig, params: m.ModelParams,
-            samples: list[WindowSample], batch_size: int = 64) -> np.ndarray:
+            samples: list[WindowSample], batch_size: int = 64,
+            forward=None) -> np.ndarray:
     """Stacked forward predictions for a sample list: [S, P, E, d_o]."""
+    forward = forward or m.forward
     chunks = []
     for lo in range(0, len(samples), batch_size):
         x, _ = stack_batch(samples[lo:lo + batch_size])
-        chunks.append(m.forward(x, params, config).data)
+        chunks.append(forward(x, params, config).data)
     return np.concatenate(chunks, axis=0)

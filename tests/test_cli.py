@@ -38,6 +38,15 @@ def run_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def pairs_config(tmp_path):
+    path = tmp_path / "pairs.ini"
+    model = "[model]\nentity_mode = top_k_pairs\ntop_k = 4\n"
+    path.write_text(SMALL_RUN.replace("[model]\n", model)
+                    + f"\n[run]\noutput_dir = {tmp_path / 'run'}\n")
+    return path
+
+
 class TestSynth:
     def test_writes_series(self, tmp_path, capsys):
         spec = tmp_path / "spec.ini"
@@ -179,6 +188,16 @@ class TestEval:
         assert len(lines) == 3  # header, model, baseline
         assert lines[2].startswith("last_value,")
 
+    def test_baselines_on_pair_view(self, pairs_config, tmp_path, capsys):
+        assert cli.main(["train", str(pairs_config)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "run" / "model.ckpt"),
+                         str(pairs_config), "--baseline", "historical_average",
+                         "--baseline", "last_value", "--baseline", "plain_mlp"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [l.split(",")[0] for l in lines[1:]] == [
+            "model", "historical_average", "last_value", "plain_mlp"]
+
     def test_missing_checkpoint_exits_2(self, run_config, tmp_path):
         assert cli.main(["eval", str(tmp_path / "missing.ckpt"),
                          str(run_config)]) == 2
@@ -198,6 +217,12 @@ class TestSweep:
         table = path.read_text().strip().split("\n")
         assert len(table) == 6  # header + 5 values
         assert all(row.split(",")[2] == "3" for row in table[1:])  # d_input fixed
+
+    def test_hp_sweep_on_pair_view(self, pairs_config, tmp_path):
+        assert cli.main(["sweep", "hp", str(pairs_config)]) == 0
+        table = (tmp_path / "run" / "hp_sweep.csv").read_text().strip().split("\n")
+        assert table[0].startswith("H,P,mae")
+        assert len(table) > 1
 
     def test_sweep_requires_output_dir(self, tmp_path):
         cfg = tmp_path / "run.ini"

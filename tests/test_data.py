@@ -253,11 +253,12 @@ class TestTripText:
     def test_reads_with_optional_header(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text("origin,destination,timestamp\nA,B,100\nB,A,200\n")
-        trips = dt.read_trips(path)
-        assert trips == [dt.TripRecord("A", "B", 100), dt.TripRecord("B", "A", 200)]
+        trips = dt.read_trips_with_lines(path)
+        assert trips == [(dt.TripRecord("A", "B", 100), 2),
+                         (dt.TripRecord("B", "A", 200), 3)]
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text("A,B,100\nA,B\n")
         with pytest.raises(dt.IngestionError, match="line 2"):
-            dt.read_trips(path)
+            dt.read_trips_with_lines(path)

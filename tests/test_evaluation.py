@@ -115,8 +115,8 @@ def small_series(days=8, n=3, noise=0.0, seed=0):
 
 
 def windows(series, h=2, p=2):
-    stats = dt.fit_normalizer(series, 0.7)
-    return stats, dt.split_and_window(series.flows, stats, (0.7, 0.1, 0.2), h, p)
+    stats = dt.fit_normalizer(series)
+    return stats, dt.split_and_window(series.flows, stats, dt.SPLIT, h, p)
 
 
 class TestBaselines:
@@ -149,6 +149,28 @@ class TestBaselines:
                                    train_config=tc)
         preds = baseline.predict(test)
         assert preds.shape == (len(test), 2, 3, 3)
+
+    def test_plain_mlp_refit_is_bit_identical(self):
+        series = small_series(noise=0.4, seed=4)
+        stats, (train, val, test) = windows(series)
+        tc = tr.TrainConfig(max_epochs=3, patience=3, batch_size=8)
+        a = ev.PlainMLPBaseline(seed=1).fit(train, val, tc).predict(test)
+        b = ev.PlainMLPBaseline(seed=1).fit(train, val, tc).predict(test)
+        assert np.array_equal(a, b)
+
+    def test_plain_mlp_keeps_best_validation_weights(self):
+        # At lr 0.01 the second epoch raises the validation loss on this
+        # series, so the two-epoch fit must restore its epoch-1 weights.
+        series = small_series(noise=0.4, seed=4)
+        stats, (train, val, test) = windows(series)
+
+        def fitted_val_loss(epochs):
+            tc = tr.TrainConfig(max_epochs=epochs, patience=2, batch_size=8, lr=0.01)
+            mlp = ev.PlainMLPBaseline().fit(train, val, tc)
+            return tr.evaluate_loss(mlp.shape_out, mlp.params, val, tc,
+                                    forward=ev._mlp_forward)
+
+        assert fitted_val_loss(2) <= fitted_val_loss(1)
 
     def test_unfitted_query_errors(self):
         with pytest.raises(RuntimeError):
