@@ -70,6 +70,9 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
     if data.get("series"):
         return dt.load_series(data["series"])
     if data.get("trips"):
+        missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
+        if missing:
+            raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
         series, _ = _ingest(data["trips"], data["stations"],
                             int(data["start_time"]), int(data["end_time"]),
                             int(data.get("granularity", 1800)),
@@ -175,10 +178,11 @@ def _metrics_lines(label: str, rep: ev.MetricsReport) -> str:
             f"{rep.n_total},{rep.n_mape_used}")
 
 
-def _prepare(cp):
+def _prepare(cp, model_config=None):
+    """Series, normalizer, model config (the INI's unless given) and its entity view."""
     series = _load_series_from_config(cp)
     stats = dt.fit_normalizer(series, dt.SPLIT[0])
-    model_config = _model_config(cp, series)
+    model_config = model_config or _model_config(cp, series)
     return series, stats, model_config, md.entity_flows(series, model_config)
 
 
@@ -187,8 +191,6 @@ def _prepare(cp):
 
 
 def cmd_synth(args) -> int:
-    if not os.path.exists(args.spec):
-        return _fail(f"spec file not found: {args.spec}", EXIT_USAGE)
     cp = _read_config(args.spec)
     try:
         spec = _synthetic_spec(cp)
@@ -223,37 +225,25 @@ def _ingest(trips_path, stations_path, start_time, end_time, granularity,
 
 
 def cmd_ingest(args) -> int:
-    for path in (args.trips, args.stations):
-        if not os.path.exists(path):
-            return _fail(f"input file not found: {path}", EXIT_USAGE)
     window = tuple(args.window) if args.window else None
-    try:
-        series, dropped = _ingest(args.trips, args.stations, args.start,
-                                  args.end, args.granularity, window)
-        dt.dump_series(series, args.out)
-    except (dt.IngestionError, dt.ConfigurationError) as exc:
-        return _fail(str(exc))
+    series, dropped = _ingest(args.trips, args.stations, args.start,
+                              args.end, args.granularity, window)
+    dt.dump_series(series, args.out)
     print(f"stations={series.n_stations} bins={series.n_bins} "
           f"total_flow={series.flows.sum():.0f} dropped={dropped}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    if not os.path.exists(args.config):
-        return _fail(f"config file not found: {args.config}", EXIT_USAGE)
     cp = _read_config(args.config)
     run_dir = args.output_dir or (cp.get("run", "output_dir", fallback=None))
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    try:
-        series, stats, model_config, flows = _prepare(cp)
-        train_config = _train_config(cp)
-        train_s, val_s, test_s = dt.split_and_window(
-            flows, stats, dt.SPLIT,
-            model_config.history, model_config.horizon)
-    except (dt.ConfigurationError, dt.SeriesFormatError) as exc:
-        return _fail(str(exc))
+    series, stats, model_config, flows = _prepare(cp)
+    train_config = _train_config(cp)
+    train_s, val_s, test_s = dt.split_and_window(
+        flows, stats, dt.SPLIT, model_config.history, model_config.horizon)
     os.makedirs(run_dir, exist_ok=True)
     _write_resolved(os.path.join(run_dir, "resolved.ini"), cp, series,
                     model_config, train_config)
@@ -279,19 +269,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    for path in (args.checkpoint, args.config):
-        if not os.path.exists(path):
-            return _fail(f"file not found: {path}", EXIT_USAGE)
     cp = _read_config(args.config)
-    try:
-        params, model_config = md.load_checkpoint(args.checkpoint)
-        series, stats, _, flows = _prepare(cp)
-        train_s, val_s, test_s = dt.split_and_window(
-            flows, stats, dt.SPLIT,
-            model_config.history, model_config.horizon)
-    except (md.CheckpointError, dt.ConfigurationError,
-            dt.SeriesFormatError) as exc:
-        return _fail(str(exc))
+    params, model_config = md.load_checkpoint(args.checkpoint)
+    series, stats, _, flows = _prepare(cp, model_config)
+    train_s, val_s, test_s = dt.split_and_window(
+        flows, stats, dt.SPLIT, model_config.history, model_config.horizon)
     preds = tr.predict(model_config, params, test_s)
     targets = np.stack([s.y for s in test_s])
     lines = [_metrics_lines("model", ev.compute_metrics(preds, targets, stats))]
@@ -311,32 +293,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not os.path.exists(args.config):
-        return _fail(f"config file not found: {args.config}", EXIT_USAGE)
     cp = _read_config(args.config)
     run_dir = args.output_dir or cp.get("run", "output_dir", fallback=None)
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    try:
-        series, stats, model_config, _ = _prepare(cp)
-        train_config = _train_config(cp)
-        os.makedirs(run_dir, exist_ok=True)
-        if args.kind == "hp":
-            result = ev.run_hp_sweep(series, stats, model_config, train_config)
-            out_name = "hp_sweep.csv"
-        elif args.kind == "ablate":
-            result = ev.run_ablations(
-                series, stats, model_config, train_config,
-                embedding_dump_path=os.path.join(run_dir, "adaptive_embedding.bin"))
-            out_name = "ablations.csv"
-        else:
-            axis = "adaptive_dim" if args.axis == "adaptive" else "input_dim"
-            result = ev.run_dim_sweep(series, stats, model_config, train_config,
-                                      axis=axis)
-            out_name = f"dim_sweep_{axis}.csv"
-    except (dt.ConfigurationError, dt.SeriesFormatError) as exc:
-        return _fail(str(exc))
+    series, stats, model_config, _ = _prepare(cp)
+    train_config = _train_config(cp)
+    os.makedirs(run_dir, exist_ok=True)
+    if args.kind == "hp":
+        result = ev.run_hp_sweep(series, stats, model_config, train_config)
+        out_name = "hp_sweep.csv"
+    elif args.kind == "ablate":
+        result = ev.run_ablations(
+            series, stats, model_config, train_config,
+            embedding_dump_path=os.path.join(run_dir, "adaptive_embedding.bin"))
+        out_name = "ablations.csv"
+    else:
+        axis = "adaptive_dim" if args.axis == "adaptive" else "input_dim"
+        result = ev.run_dim_sweep(series, stats, model_config, train_config,
+                                  axis=axis)
+        out_name = f"dim_sweep_{axis}.csv"
     out_path = os.path.join(run_dir, out_name)
     ev.write_sweep(out_path, result)
     _print_sweep_summary(result)
@@ -398,7 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except FileNotFoundError as exc:
+        return _fail(f"file not found: {exc.filename}", EXIT_USAGE)
+    except (dt.ConfigurationError, dt.IngestionError, dt.SeriesFormatError,
+            md.CheckpointError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

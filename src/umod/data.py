@@ -9,6 +9,8 @@ reversible z-score on the training portion, and slices the series into
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -338,12 +340,76 @@ def two_peak_profile(bins_per_day: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# series container
+# binary containers: series, checkpoints and embedding dumps
+
+
+def write_container(path, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic (8 B) | u32 LE header length | JSON header | payload``.
+
+    The header is UTF-8 JSON with sorted keys and holds ``"version"``; the
+    payload is each array in turn as little-endian float64. Arrays are written
+    one at a time, so the payload is never joined into one buffer.
+    """
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for a in arrays:
+            fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
+
+
+def read_container(path, magic: bytes, version: int, shapes, error):
+    """Read a file written by ``write_container``; returns (header, arrays).
+
+    ``shapes(header)`` lists the shape of each array the header promises; a
+    KeyError, TypeError or ValueError from it means a missing or ill-typed key.
+    Every defect of the file raises ``error``, the caller's exception type.
+    """
+    def fail(msg: str) -> Exception:
+        return error(f"{path}: {msg}")
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12:
+            raise fail(f"truncated file: {size} bytes, the preamble needs 12")
+        if head[:8] != magic:
+            raise fail(f"bad magic at byte 0: {head[:8]!r}, expected {magic!r}")
+        (header_len,) = struct.unpack("<I", head[8:])
+        if 12 + header_len > size:
+            raise fail(f"header runs to byte {12 + header_len}, "
+                       f"past the end of the file at byte {size}")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise fail(f"unparsable header at byte 12: {exc}") from exc
+        if not isinstance(header, dict):
+            raise fail("header at byte 12 is not a JSON object")
+        if header.get("version") != version:
+            raise fail(f"unsupported version {header.get('version')!r}, expected {version}")
+        try:
+            dims = [list(shape) for shape in shapes(header)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise fail(f"bad header: {type(exc).__name__}: {exc}") from exc
+        if not all(type(d) is int and d >= 0 for shape in dims for d in shape):
+            raise fail(f"bad header: array shapes {dims} are not lists of counts")
+        counts = [math.prod(shape) for shape in dims]
+        expected = 12 + header_len + 8 * sum(counts)
+        if size != expected:
+            raise fail(f"payload ends at byte {size}, expected {expected}")
+        arrays = []
+        for shape, count in zip(dims, counts):
+            try:
+                arrays.append(np.fromfile(fh, dtype="<f8", count=count).reshape(shape))
+            except ValueError as exc:
+                raise fail(f"bad header: array shape {shape}: {exc}") from exc
+    return header, arrays
 
 
 def dump_series(series: ODSeries, path) -> None:
-    """Write the binary series container (magic, metadata block, raw floats)."""
-    meta = {
+    """Write the ``UMODODS1`` series container: metadata header, ``[T, N, N]`` flows."""
+    header = {
         "version": SERIES_VERSION,
         "stations": series.stations,
         "start_time": series.start_time,
@@ -352,46 +418,22 @@ def dump_series(series: ODSeries, path) -> None:
         "operating_window": list(series.operating_window)
         if series.operating_window else None,
     }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(SERIES_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(series.flows.astype("<f8").tobytes())
+    write_container(path, SERIES_MAGIC, header, [series.flows])
 
 
 def load_series(path) -> ODSeries:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = raw[:8]
-    if magic != SERIES_MAGIC:
-        raise SeriesFormatError(f"bad magic at byte 0: {magic!r}")
-    if len(raw) < 12:
-        raise SeriesFormatError(f"truncated header at byte {len(raw)}")
-    (meta_len,) = struct.unpack_from("<I", raw, 8)
-    meta_end = 12 + meta_len
-    if len(raw) < meta_end:
-        raise SeriesFormatError(f"truncated metadata at byte {len(raw)}")
+    header, (flows,) = read_container(path, SERIES_MAGIC, SERIES_VERSION,
+                                      lambda h: [h["dims"]], SeriesFormatError)
     try:
-        meta = json.loads(raw[12:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SeriesFormatError(f"unparsable metadata at byte 12: {exc}") from exc
-    if meta.get("version") != SERIES_VERSION:
+        stations, window = header["stations"], header["operating_window"]
+        numbers = [header["start_time"], header["granularity"], *(window or [])]
+        if not (isinstance(stations, list) and all(isinstance(s, str) for s in stations)
+                and all(type(v) is int for v in numbers)
+                and (window is None or len(window) == 2)):
+            raise TypeError("stations must be names; start_time, granularity and "
+                            "operating_window integers")
+        return ODSeries(stations, header["start_time"], header["granularity"], flows,
+                        operating_window=tuple(window) if window else None)
+    except (KeyError, TypeError, ConfigurationError) as exc:
         raise SeriesFormatError(
-            f"unsupported series version {meta.get('version')!r}, expected {SERIES_VERSION}"
-        )
-    dims = tuple(meta["dims"])
-    expected = meta_end + 8 * int(np.prod(dims))
-    if len(raw) != expected:
-        raise SeriesFormatError(
-            f"payload ends at byte {len(raw)}, expected {expected}"
-        )
-    flows = np.frombuffer(raw[meta_end:], dtype="<f8").reshape(dims).copy()
-    window = meta.get("operating_window")
-    return ODSeries(
-        stations=list(meta["stations"]),
-        start_time=int(meta["start_time"]),
-        granularity=int(meta["granularity"]),
-        flows=flows,
-        operating_window=tuple(window) if window else None,
-    )
+            f"{path}: bad series header: {type(exc).__name__}: {exc}") from exc

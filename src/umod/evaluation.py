@@ -15,12 +15,13 @@ import numpy as np
 from . import diffmath as dm
 from . import model as m
 from . import training as tr
-from .data import (SPLIT, ConfigurationError, NormStats, ODSeries,
-                   split_and_window, split_lengths)
+from .data import (SPLIT, ConfigurationError, NormStats, ODSeries, read_container,
+                   split_and_window, split_lengths, write_container)
 
 HP_GRID = [(6, 2), (6, 4), (2, 2), (4, 4), (6, 6), (2, 4), (2, 6)]
 DIM_VALUES = [4, 8, 16, 32, 64]
 EMBEDDING_MAGIC = b"UMODEMB1"
+EMBEDDING_VERSION = 1
 
 BASELINE_KINDS = ("historical_average", "last_value", "plain_mlp")
 
@@ -286,23 +287,13 @@ def write_sweep(path, result: SweepResult) -> None:
 
 
 def dump_embedding(path, tensor: np.ndarray) -> None:
-    """Embedding container: magic, shape header, little-endian float64 body."""
-    import struct
+    """``UMODEMB1`` container: the shape in the header, then the values."""
     tensor = np.asarray(tensor, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<I", tensor.ndim))
-        fh.write(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-        fh.write(tensor.astype("<f8").tobytes())
+    write_container(path, EMBEDDING_MAGIC,
+                    {"version": EMBEDDING_VERSION, "shape": list(tensor.shape)}, [tensor])
 
 
 def load_embedding(path) -> np.ndarray:
-    import struct
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != EMBEDDING_MAGIC:
-        raise ConfigurationError(f"bad embedding magic {raw[:8]!r}")
-    (ndim,) = struct.unpack_from("<I", raw, 8)
-    shape = struct.unpack_from(f"<{ndim}Q", raw, 12)
-    body = raw[12 + 8 * ndim:]
-    return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+    _, (tensor,) = read_container(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                                  lambda h: [h["shape"]], ConfigurationError)
+    return tensor

@@ -14,18 +14,16 @@ busiest OD pairs as scalar series.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import diffmath as dm
-from .data import SPLIT, ODSeries, ConfigurationError
+from .data import SPLIT, ODSeries, ConfigurationError, read_container, write_container
 
 CHECKPOINT_MAGIC = b"UMODCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 STATION_ROWS = "station_rows"
 TOP_K_PAIRS = "top_k_pairs"
@@ -53,6 +51,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.entity_mode not in (STATION_ROWS, TOP_K_PAIRS):
             raise ConfigurationError(f"unknown entity_mode {self.entity_mode!r}")
+        if self.entity_mode == TOP_K_PAIRS and not (
+                isinstance(self.top_k, int) and self.top_k >= 1):
+            raise ConfigurationError(f"entity_mode {TOP_K_PAIRS} needs an integer "
+                                     f"top_k >= 1, got {self.top_k!r}")
         if self.d_output is None:
             self.d_output = self.feature_dim
         if self.spatial_hidden is None:
@@ -267,10 +269,17 @@ def flatten_pairs(series: ODSeries, k: int, train_fraction: float = SPLIT[0]):
 
 
 def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
-    """The ``[T, E, F]`` view the model forecasts: station rows or top-K pairs."""
-    if config.entity_mode == TOP_K_PAIRS:
-        return flatten_pairs(series, config.top_k)[1]
-    return series.flows
+    """The ``[T, E, F]`` view the model forecasts: station rows or top-K pairs.
+
+    Raises ConfigurationError if ``[E, F]`` is not ``(n_entities, feature_dim)``.
+    """
+    flows = (flatten_pairs(series, config.top_k)[1] if config.entity_mode == TOP_K_PAIRS
+             else series.flows)
+    if flows.shape[1:] != (config.n_entities, config.feature_dim):
+        raise ConfigurationError(
+            f"the series gives [E, F] = {list(flows.shape[1:])}, the model takes "
+            f"{[config.n_entities, config.feature_dim]}")
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -278,64 +287,36 @@ def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    """Binary checkpoint: magic, version, config JSON, then named tensors."""
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params.all())))
-        for p in params.all():
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<I", len(p.shape)))
-            fh.write(struct.pack(f"<{len(p.shape)}Q", *p.shape))
-            fh.write(p.value.data.astype("<f8").tobytes())
+    """``UMODCKPT`` container: config and parameter names/shapes in the header."""
+    header = {"version": CHECKPOINT_VERSION, "config": config.to_dict(),
+              "params": [[p.name, list(p.shape)] for p in params.all()]}
+    write_container(path, CHECKPOINT_MAGIC, header, [p.value.data for p in params.all()])
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
-    """Load (params, config); rejects corrupt files and config mismatches."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Load (params, config); rejects corrupt files, parameters other than those
+    ``init_params`` makes for the stored config, and config mismatches."""
+    header, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                    lambda h: [shape for _, shape in h["params"]],
+                                    CheckpointError)
     try:
-        if raw[:8] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {raw[:8]!r}")
-        off = 8
-        (version,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        config = ModelConfig.from_dict(json.loads(raw[off:off + blob_len].decode("utf-8")))
-        off += blob_len
-        (n_params,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        params = []
-        for _ in range(n_params):
-            (name_len,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            name = raw[off:off + name_len].decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}Q", raw, off)
-            off += 8 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            end = off + 8 * count
-            if end > len(raw):
-                raise CheckpointError("truncated checkpoint payload")
-            value = np.frombuffer(raw[off:end], dtype="<f8").reshape(shape).copy()
-            off += 8 * count
-            params.append(dm.Parameter(name, value))
-        if off != len(raw):
-            raise CheckpointError("trailing bytes after checkpoint payload")
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError, IndexError) as exc:
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+        config = ModelConfig.from_dict(header["config"])
+        # the payload bounds the count, so init_params allocates no more than the file holds
+        if param_count(config) != sum(a.size for a in arrays):
+            raise ConfigurationError("parameter count does not match the config")
+        params = init_params(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: bad checkpoint config: {type(exc).__name__}: {exc}") from exc
+    stored = [(name, a.shape) for (name, _), a in zip(header["params"], arrays)]
+    expected = [(p.name, p.shape) for p in params.all()]
+    if stored != expected:
+        raise CheckpointError(
+            f"{path}: parameters {stored} are not the {expected} of its config")
     if expected_config is not None and config.to_dict() != expected_config.to_dict():
         raise CheckpointError(
             "checkpoint config does not match the requested config"
         )
-    return ModelParams(params), config
+    for p, a in zip(params.all(), arrays):
+        p.value.data[...] = a
+    return params, config

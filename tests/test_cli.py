@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from umod import cli
 from umod import data as dt
+from umod import model as md
 
 
 SMALL_RUN = """
@@ -154,6 +158,13 @@ class TestTrain:
                        f"[run]\noutput_dir = {tmp_path / 'run'}\n")
         assert cli.main(["train", str(cfg)]) == 1
 
+    def test_top_k_pairs_without_top_k_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "pairs.ini"
+        cfg.write_text(SMALL_RUN.replace("[model]\n",
+                                         "[model]\nentity_mode = top_k_pairs\n"))
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("error: entity_mode top_k_pairs needs")
+
     def test_rerun_reproduces_outputs(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(SMALL_RUN)
@@ -198,9 +209,75 @@ class TestEval:
         assert [l.split(",")[0] for l in lines[1:]] == [
             "model", "historical_average", "last_value", "plain_mlp"]
 
+    def test_entity_view_comes_from_the_checkpoint(self, pairs_config, run_config,
+                                                   tmp_path):
+        assert cli.main(["train", str(pairs_config)]) == 0
+        run_dir = tmp_path / "run"
+        out = tmp_path / "eval.csv"
+        # run_config is pairs_config without entity_mode: same data, station rows
+        assert cli.main(["eval", str(run_dir / "model.ckpt"), str(run_config),
+                         "--out", str(out)]) == 0
+        assert out.read_text() == (run_dir / "metrics.csv").read_text()
+
+    def test_checkpoint_of_another_network_exits_1(self, run_config, tmp_path, capsys):
+        assert cli.main(["train", str(run_config)]) == 0
+        four = tmp_path / "four.ini"
+        four.write_text(SMALL_RUN.replace("stations = 3", "stations = 4"))
+        capsys.readouterr()
+        assert cli.main(["eval", str(tmp_path / "run" / "model.ckpt"), str(four)]) == 1
+        assert capsys.readouterr().err.startswith("error: the series gives [E, F] = [4, 4]")
+
+    def test_unknown_checkpoint_config_key_exits_1(self, run_config, tmp_path, capsys):
+        assert cli.main(["train", str(run_config)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        header, arrays = dt.read_container(
+            ckpt, md.CHECKPOINT_MAGIC, md.CHECKPOINT_VERSION,
+            lambda h: [shape for _, shape in h["params"]], md.CheckpointError)
+        header["config"]["dropout"] = 0.1
+        dt.write_container(ckpt, md.CHECKPOINT_MAGIC, header, arrays)
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), str(run_config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dropout" in err
+
+    def test_version_1_checkpoint_exits_1(self, run_config, tmp_path, capsys):
+        # the version-1 layout: magic, u32 version, u32 config length, config, u32 count
+        blob = json.dumps(md.ModelConfig(n_entities=3, history=2, horizon=2).to_dict(),
+                          sort_keys=True).encode()
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes(md.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob
+                         + struct.pack("<I", 0))
+        assert cli.main(["eval", str(ckpt), str(run_config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_checkpoint_exits_2(self, run_config, tmp_path):
         assert cli.main(["eval", str(tmp_path / "missing.ckpt"),
                          str(run_config)]) == 2
+
+
+class TestDataSource:
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("data, code", [
+        ("trips = {trips}\n", 1),
+        ("trips = {trips}\nstations = {stations}\nstart_time = 0\nend_time = 3600\n", 1),
+        ("series = {missing}\n", 2),
+    ], ids=["trips_without_span", "unknown_station", "missing_series"])
+    def test_bad_source_exits_with_error_line(self, tmp_path, capsys, command, data,
+                                              code):
+        trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
+        trips.write_text("A,B,100\nA,X,200\n")
+        stations.write_text("A\nB\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\n" + data.format(trips=trips, stations=stations,
+                                                missing=tmp_path / "nope.bin")
+                       + f"[run]\noutput_dir = {tmp_path / 'run'}\n")
+        ckpt = tmp_path / "model.ckpt"
+        model_config = md.ModelConfig(n_entities=2, history=2, horizon=2)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        argv = {"train": ["train", str(cfg)], "eval": ["eval", str(ckpt), str(cfg)],
+                "sweep": ["sweep", "hp", str(cfg)]}[command]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSweep:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -239,8 +242,33 @@ class TestSerialization:
         with pytest.raises(dt.SeriesFormatError, match="magic"):
             dt.load_series(path)
 
+    def test_bytes_pinned(self, tmp_path):
+        series = make_series(np.arange(8.0).reshape(2, 2, 2), start_time=3600,
+                             window=(6, 23))
+        path = tmp_path / "series.bin"
+        dt.dump_series(series, path)
+        header = json.dumps({"dims": [2, 2, 2], "granularity": 1800,
+                             "operating_window": [6, 23], "start_time": 3600,
+                             "stations": ["S00", "S01"], "version": 1}).encode()
+        assert path.read_bytes() == (b"UMODODS1" + struct.pack("<I", len(header))
+                                     + header + struct.pack("<8d", *range(8)))
+
+    @pytest.mark.parametrize("key", ["stations", "start_time", "granularity",
+                                     "operating_window", "dims"])
+    @pytest.mark.parametrize("value", [None, "x", 1.5])
+    def test_missing_or_ill_typed_header_key(self, tmp_path, key, value):
+        header = {"version": 1, "stations": ["A"], "start_time": 0,
+                  "granularity": 1800, "operating_window": None, "dims": [2, 1, 1]}
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path = tmp_path / "series.bin"
+        dt.write_container(path, dt.SERIES_MAGIC, header, [np.zeros((2, 1, 1))])
+        with pytest.raises(dt.SeriesFormatError, match=key if value is None else None):
+            dt.load_series(path)
+
     def test_version_mismatch(self, tmp_path):
-        import json, struct
         meta = json.dumps({"version": 99, "stations": [], "start_time": 0,
                            "granularity": 1800, "dims": [0, 0, 0]}).encode()
         path = tmp_path / "series.bin"

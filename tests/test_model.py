@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -297,4 +299,38 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"WRONGMAG" + b"\0" * 16)
         with pytest.raises(md.CheckpointError, match="magic"):
+            md.load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # the version-1 layout: magic, u32 version, u32 config length, config, u32 count
+        blob = json.dumps(tiny_config().to_dict(), sort_keys=True).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(md.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob
+                         + struct.pack("<I", 0))
+        with pytest.raises(md.CheckpointError):
+            md.load_checkpoint(path)
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Apply ``edit`` to a saved checkpoint's header and write it back."""
+        header, arrays = dt.read_container(
+            path, md.CHECKPOINT_MAGIC, md.CHECKPOINT_VERSION,
+            lambda h: [shape for _, shape in h["params"]], md.CheckpointError)
+        edit(header)
+        dt.write_container(path, md.CHECKPOINT_MAGIC, header, arrays)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["config"].update(dropout=0.1), "dropout"),
+        (lambda h: h["config"].update(history="2"), "config"),
+        (lambda h: h["config"].update(d_input=4), "parameter count"),
+        (lambda h: h["params"][3].__setitem__(0, "W_X"), "W_X"),
+        (lambda h: h["params"][0][1].reverse(), "parameters"),
+    ], ids=["unknown_key", "ill_typed_field", "config_disagrees", "renamed",
+            "transposed"])
+    def test_header_must_match_its_config(self, tmp_path, edit, match):
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_params(cfg), cfg)
+        self.rewrite(path, edit)
+        with pytest.raises(md.CheckpointError, match=match):
             md.load_checkpoint(path)
