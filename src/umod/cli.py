@@ -17,12 +17,16 @@ Config sections and keys (all optional unless noted):
   [train]     batch_size = 16  lr = 0.001  max_epochs = 100  patience = 20
               loss = mean_absolute  shuffle_seed = 0
   [run]       output_dir = <path, required for train/sweep>
+
+A blank value means the key's default. A number that does not parse is a
+ConfigurationError naming its section and key.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -50,69 +54,87 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
+def _section(cp: configparser.ConfigParser, name: str):
+    return cp[name] if cp.has_section(name) else {}
+
+
+def _number(cp: configparser.ConfigParser, section: str, key: str, default=None,
+            kind=int):
+    """``kind`` of ``[section] key``, or ``default`` when it is absent or blank."""
+    raw = _section(cp, section).get(key)
+    if not raw:
+        return default
+    try:
+        value = kind(raw)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise dt.ConfigurationError(f"[{section}] {key} = {raw!r} is not {what}")
+
+
 def _synthetic_spec(cp: configparser.ConfigParser) -> dt.SyntheticSpec:
-    sec = cp["synthetic"] if cp.has_section("synthetic") else {}
-    data = cp["data"] if cp.has_section("data") else {}
-    start_h = int(data.get("operating_start", 6))
-    end_h = int(data.get("operating_end", 23))
     return dt.SyntheticSpec(
-        n_stations=int(sec.get("stations", 8)),
-        days=int(sec.get("days", 14)),
-        granularity=int(data.get("granularity", 1800)),
-        seed=int(sec.get("seed", 0)),
-        noise_std=float(sec.get("noise_std", 0.5)),
-        operating_window=(start_h, end_h),
+        n_stations=_number(cp, "synthetic", "stations", 8),
+        days=_number(cp, "synthetic", "days", 14),
+        granularity=_number(cp, "data", "granularity", 1800),
+        seed=_number(cp, "synthetic", "seed", 0),
+        noise_std=_number(cp, "synthetic", "noise_std", 0.5, float),
+        operating_window=(_number(cp, "data", "operating_start", 6),
+                          _number(cp, "data", "operating_end", 23)),
     )
 
 
 def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
-    data = cp["data"] if cp.has_section("data") else {}
+    data = _section(cp, "data")
     if data.get("series"):
         return dt.load_series(data["series"])
     if data.get("trips"):
         missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
         if missing:
             raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
+        start_h = _number(cp, "data", "operating_start")
+        end_h = _number(cp, "data", "operating_end")
+        if (start_h is None) != (end_h is None):
+            raise dt.ConfigurationError(
+                "[data] operating_start and operating_end go together")
         series, _ = _ingest(data["trips"], data["stations"],
-                            int(data["start_time"]), int(data["end_time"]),
-                            int(data.get("granularity", 1800)),
-                            (int(data["operating_start"]), int(data["operating_end"]))
-                            if data.get("operating_start") else None)
+                            _number(cp, "data", "start_time"),
+                            _number(cp, "data", "end_time"),
+                            _number(cp, "data", "granularity", 1800),
+                            None if start_h is None else (start_h, end_h))
         return series
     return dt.synth_generate(_synthetic_spec(cp))
 
 
 def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.ModelConfig:
-    sec = cp["model"] if cp.has_section("model") else {}
+    sec = _section(cp, "model")
     mode = sec.get("entity_mode", md.STATION_ROWS)
-    top_k = int(sec["top_k"]) if sec.get("top_k") else None
-    n_entities = series.n_stations if mode == md.STATION_ROWS else top_k
-    kwargs = dict(
-        n_entities=n_entities,
-        history=int(sec.get("history", 2)),
-        horizon=int(sec.get("horizon", 2)),
-        d_input=int(sec.get("d_input", 24)),
-        d_adaptive=int(sec.get("d_adaptive", 80)),
+    top_k = _number(cp, "model", "top_k")
+    return md.ModelConfig(
+        n_entities=series.n_stations if mode == md.STATION_ROWS else top_k,
+        history=_number(cp, "model", "history", 2),
+        horizon=_number(cp, "model", "horizon", 2),
+        d_input=_number(cp, "model", "d_input", 24),
+        d_adaptive=_number(cp, "model", "d_adaptive", 80),
+        spatial_hidden=_number(cp, "model", "spatial_hidden"),
         use_input_embedding=_parse_bool(sec.get("use_input_embedding", "true")),
         use_adaptive_embedding=_parse_bool(sec.get("use_adaptive_embedding", "true")),
         entity_mode=mode,
         top_k=top_k,
-        seed=int(sec.get("seed", 0)),
+        seed=_number(cp, "model", "seed", 0),
     )
-    if sec.get("spatial_hidden"):
-        kwargs["spatial_hidden"] = int(sec["spatial_hidden"])
-    return md.ModelConfig(**kwargs)
 
 
 def _train_config(cp: configparser.ConfigParser) -> tr.TrainConfig:
-    sec = cp["train"] if cp.has_section("train") else {}
     return tr.TrainConfig(
-        batch_size=int(sec.get("batch_size", 16)),
-        lr=float(sec.get("lr", 0.001)),
-        max_epochs=int(sec.get("max_epochs", 100)),
-        patience=int(sec.get("patience", 20)),
-        loss_kind=sec.get("loss", tr.MEAN_ABSOLUTE),
-        shuffle_seed=int(sec.get("shuffle_seed", 0)),
+        batch_size=_number(cp, "train", "batch_size", 16),
+        lr=_number(cp, "train", "lr", 0.001, float),
+        max_epochs=_number(cp, "train", "max_epochs", 100),
+        patience=_number(cp, "train", "patience", 20),
+        loss_kind=_section(cp, "train").get("loss", tr.MEAN_ABSOLUTE),
+        shuffle_seed=_number(cp, "train", "shuffle_seed", 0),
     )
 
 
@@ -128,7 +150,7 @@ def _write_resolved(path, cp: configparser.ConfigParser,
                     series: dt.ODSeries, model_config: md.ModelConfig,
                     train_config: tr.TrainConfig) -> None:
     out = configparser.ConfigParser()
-    data = cp["data"] if cp.has_section("data") else {}
+    data = _section(cp, "data")
     out["data"] = {}
     for key in ("series", "trips", "stations", "start_time", "end_time"):
         if data.get(key):

@@ -275,8 +275,10 @@ def expand_leading(a, n: int) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Batched matrix product over the last two axes.
 
-    Either operand may have extra leading batch axes; a 2-d weight matrix on
-    the right is the common case and its gradient sums over the batch.
+    Either operand may have extra leading batch axes. A 2-d weight matrix on
+    the right is the common case: its adjoints flatten the leading axes of
+    ``a`` and of the upstream gradient into rows, so each is one GEMM and the
+    weight gradient needs no sum over the batch.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -285,15 +287,23 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
     out = a.data @ b.data
 
+    if b.data.ndim == 2:
+        d_in, d_out = b.shape
+
+        def grad_a(g):
+            return (g.reshape(-1, d_out) @ b.data.T).reshape(a.shape)
+
+        def grad_b(g):
+            return a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+
+        return Tensor(out, [(a, grad_a), (b, grad_b)])
+
     def grad_a(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
         return _unbroadcast(ga, a.shape)
 
     def grad_b(g):
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        if gb.shape != b.shape:
-            gb = gb.sum(axis=tuple(range(gb.ndim - len(b.shape))))
-        return gb
+        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
     return Tensor(out, [(a, grad_a), (b, grad_b)])
 

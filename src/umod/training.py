@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffmath as dm
 from . import model as m
-from .data import WindowSample
+from .data import ConfigurationError, WindowSample
 
 MEAN_ABSOLUTE = "mean_absolute"
 MEAN_SQUARED = "mean_squared"
@@ -34,10 +34,10 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.lr <= 0 or self.patience < 1 or self.max_epochs < 1:
-            raise ValueError("invalid training configuration")
+        if self.batch_size < 1 or not self.lr > 0 or self.patience < 1 or self.max_epochs < 1:
+            raise ConfigurationError("invalid training configuration")
         if self.loss_kind not in (MEAN_ABSOLUTE, MEAN_SQUARED):
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+            raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import configparser
 import json
 import struct
 
@@ -33,6 +34,9 @@ batch_size = 16
 max_epochs = 2
 patience = 2
 """
+
+
+TRIPS_WITH_SPAN = "trips = {trips}\nstations = {stations}\nstart_time = 0\nend_time = 3600\n"
 
 
 @pytest.fixture
@@ -257,13 +261,16 @@ class TestEval:
 
 class TestDataSource:
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-    @pytest.mark.parametrize("data, code", [
-        ("trips = {trips}\n", 1),
-        ("trips = {trips}\nstations = {stations}\nstart_time = 0\nend_time = 3600\n", 1),
-        ("series = {missing}\n", 2),
-    ], ids=["trips_without_span", "unknown_station", "missing_series"])
+    @pytest.mark.parametrize("data, code, message", [
+        ("trips = {trips}\n", 1, "[data] trips needs"),
+        (TRIPS_WITH_SPAN, 1, "unknown station"),
+        ("series = {missing}\n", 2, "file not found"),
+        (TRIPS_WITH_SPAN + "operating_start = 6\n", 1, "go together"),
+        (TRIPS_WITH_SPAN + "operating_end = 23\n", 1, "go together"),
+    ], ids=["trips_without_span", "unknown_station", "missing_series",
+            "operating_start_alone", "operating_end_alone"])
     def test_bad_source_exits_with_error_line(self, tmp_path, capsys, command, data,
-                                              code):
+                                              code, message):
         trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
         trips.write_text("A,B,100\nA,X,200\n")
         stations.write_text("A\nB\n")
@@ -277,7 +284,52 @@ class TestDataSource:
         argv = {"train": ["train", str(cfg)], "eval": ["eval", str(ckpt), str(cfg)],
                 "sweep": ["sweep", "hp", str(cfg)]}[command]
         assert cli.main(argv) == code
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train", "model", "history", "two"),
+        ("sweep", "model", "history", "two"),
+        ("train", "train", "lr", "fast"),
+        ("eval", "train", "lr", "nan"),
+        ("sweep", "synthetic", "days", "8.5"),
+        ("eval", "synthetic", "days", "8.5"),
+        ("train", "data", "granularity", "1h"),
+        ("eval", "data", "operating_end", "18:00"),
+    ])
+    def test_unparsable_number_exits_1(self, tmp_path, capsys, command, section, key,
+                                       value):
+        cp = configparser.ConfigParser()
+        cp.read_string(SMALL_RUN)
+        cp[section][key] = value
+        cp["run"] = {"output_dir": str(tmp_path / "run")}
+        cfg = tmp_path / "run.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        ckpt = tmp_path / "model.ckpt"
+        model_config = md.ModelConfig(n_entities=3, history=2, horizon=2, d_input=3,
+                                      d_adaptive=4)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        argv = {"train": ["train", str(cfg)],
+                "eval": ["eval", str(ckpt), str(cfg), "--baseline", "last_value"],
+                "sweep": ["sweep", "hp", str(cfg)]}[command]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [{section}] {key} = {value!r} is not "
+            f"{'a finite number' if key == 'lr' else 'an integer'}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("batch_size = 0", "invalid training configuration"),
+        ("loss = huber", "unknown loss kind 'huber'"),
+    ])
+    def test_rejected_train_config_exits_1(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("batch_size = 16", line))
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSweep:

@@ -216,6 +216,34 @@ def test_every_op_passes_gradient_check(seed):
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 4)], ids=["3d", "4d"])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "transposed"])
+def test_matmul_weight_adjoints(shape, strided):
+    # a 2-d weight's adjoints are single GEMMs over the flattened batch axes
+    rng = np.random.default_rng(11)
+    swap = (1, 0) + tuple(range(2, len(shape)))  # leading-axis swap, self-inverse
+    stored = tuple(shape[i] for i in swap) if strided else shape
+    x = dm.Parameter("x", rng.normal(size=stored))
+    w = dm.Parameter("w", rng.normal(size=(4, 5)))
+    g = rng.normal(size=shape[:-1] + (5,))
+    if strided:
+        g = np.ascontiguousarray(g.transpose(swap)).transpose(swap)
+
+    def left(t):
+        return dm.transpose(t, swap) if strided else t
+
+    def loss_fn(params):
+        return dm.sum_all(dm.mul(dm.matmul(left(params[0].value), params[1].value), g))
+
+    assert dm.finite_diff_check(loss_fn, [x, w], eps=1e-6) < 1e-6
+    a = left(x.value)
+    assert a.data.flags.c_contiguous != strided
+    (_, grad_a), (_, grad_b) = dm.matmul(a, w.value).parents
+    batch = tuple(range(len(shape) - 2))
+    assert np.abs(grad_b(g) - (np.swapaxes(a.data, -1, -2) @ g).sum(axis=batch)).max() < 1e-12
+    assert np.abs(grad_a(g) - g @ w.value.data.T).max() < 1e-12
+
+
 def test_grad_accumulates_on_reuse():
     x = dm.Tensor(np.array([2.0]))
     y = dm.mul(x, x)  # x used twice

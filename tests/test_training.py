@@ -171,7 +171,7 @@ class TestEvaluatePredict:
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"lr": 0.0}, {"patience": 0}, {"max_epochs": 0},
-        {"loss_kind": "huber"},
+        {"loss_kind": "huber"}, {"lr": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
