@@ -7,25 +7,29 @@ artifacts. Command-line flags exist only as overrides.
 Config sections and keys (all optional unless noted):
 
   [data]      series = <path>          OR  trips = / stations = <paths>
-              operating_start = 6      operating_end = 23
-              granularity = 1800       start_time = / end_time = <epoch s>
-  [synthetic] stations = 8   days = 14   seed = 0   noise_std = 0.5
-  [model]     history = 2  horizon = 2  d_input = 24  d_adaptive = 80
-              spatial_hidden =   use_input_embedding = true
-              use_adaptive_embedding = true
-              entity_mode = station_rows | top_k_pairs   top_k =   seed = 0
-  [train]     batch_size = 16  lr = 0.001  max_epochs = 100  patience = 20
-              loss = mean_absolute  shuffle_seed = 0
+              start_time = / end_time = <epoch s, required with trips>
+              granularity   operating_start   operating_end
+  [synthetic] stations   days   seed   noise_std
+  [model]     history   horizon   d_input   d_adaptive   spatial_hidden
+              use_input_embedding   use_adaptive_embedding
+              entity_mode = station_rows | top_k_pairs   top_k   seed
+  [train]     batch_size   lr   max_epochs   patience   loss   shuffle_seed
   [run]       output_dir = <path, required for train/sweep>
 
-A blank value means the key's default. A number that does not parse is a
-ConfigurationError naming its section and key.
+``KEYS`` maps the [synthetic], [model] and [train] keys onto the fields of
+``data.SyntheticSpec``, ``model.ModelConfig`` and ``training.TrainConfig``;
+an absent or blank key takes its field's default, and [data] granularity and
+operating hours take SyntheticSpec's. Under [data] trips the series is cut to
+operating hours only when both are set. A value that does not parse as its
+field's type, an unknown section or key, and a malformed file are each a
+ConfigurationError naming the file or the section and key.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
@@ -41,6 +45,25 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 
+# INI section -> (config dataclass, {key: field}), in the order resolved.ini lists them
+KEYS = {
+    "synthetic": (dt.SyntheticSpec, {"stations": "n_stations", "days": "days",
+                                     "seed": "seed", "noise_std": "noise_std"}),
+    "model": (md.ModelConfig, {
+        "history": "history", "horizon": "horizon", "d_input": "d_input",
+        "d_adaptive": "d_adaptive", "spatial_hidden": "spatial_hidden",
+        "use_input_embedding": "use_input_embedding",
+        "use_adaptive_embedding": "use_adaptive_embedding",
+        "entity_mode": "entity_mode", "seed": "seed", "top_k": "top_k"}),
+    "train": (tr.TrainConfig, {
+        "batch_size": "batch_size", "lr": "lr", "max_epochs": "max_epochs",
+        "patience": "patience", "loss": "loss_kind", "shuffle_seed": "shuffle_seed"}),
+}
+SECTIONS = {"data": ("series", "trips", "stations", "start_time", "end_time",
+                     "granularity", "operating_start", "operating_end"),
+            "run": ("output_dir",), **{section: keys for section, (_, keys) in KEYS.items()}}
+_WHAT = {"int": "an integer", "float": "a finite number", "bool": "a boolean"}
+
 
 def _fail(msg: str, code: int = EXIT_ERROR) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -49,108 +72,91 @@ def _fail(msg: str, code: int = EXIT_ERROR) -> int:
 
 def _read_config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        cp.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cp.read_file(fh)
+        for section in cp:  # DEFAULT first: it may exist, but hold no key
+            if section not in SECTIONS and section != cp.default_section:
+                raise dt.ConfigurationError(f"{path}: unknown section [{section}]")
+            for key, _ in cp.items(section):
+                if key not in SECTIONS.get(section, ()):
+                    raise dt.ConfigurationError(f"{path}: unknown key [{section}] {key}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise dt.ConfigurationError(f"{path}: {' '.join(str(exc).split())}") from exc
     return cp
 
 
-def _section(cp: configparser.ConfigParser, name: str):
-    return cp[name] if cp.has_section(name) else {}
-
-
-def _number(cp: configparser.ConfigParser, section: str, key: str, default=None,
-            kind=int):
-    """``kind`` of ``[section] key``, or ``default`` when it is absent or blank."""
-    raw = _section(cp, section).get(key)
-    if not raw:
-        return default
+def _value(cp: configparser.ConfigParser, section: str, key: str, kind: str = "int"):
+    """``[section] key`` as ``kind`` (int, float, bool or str); None when absent or blank."""
+    raw = cp.get(section, key, fallback="")
+    if not raw or kind == "str":
+        return raw or None
     try:
-        value = kind(raw)
+        if kind == "bool":
+            return cp.BOOLEAN_STATES[raw.lower()]
+        value = int(raw) if kind == "int" else float(raw)
         if math.isfinite(value):
             return value
-    except ValueError:
+    except (KeyError, ValueError):
         pass
-    what = "an integer" if kind is int else "a finite number"
-    raise dt.ConfigurationError(f"[{section}] {key} = {raw!r} is not {what}")
+    raise dt.ConfigurationError(f"[{section}] {key} = {raw!r} is not {_WHAT[kind]}")
+
+
+def _fields(cp: configparser.ConfigParser, section: str) -> dict:
+    """The fields of ``KEYS[section]``'s dataclass that the INI sets."""
+    cls, keys = KEYS[section]
+    # annotations are strings here: "int | None" is an int field
+    kinds = {f.name: f.type.split(" | ")[0] for f in dataclasses.fields(cls)}
+    values = {name: _value(cp, section, key, kinds[name]) for key, name in keys.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _grid(cp: configparser.ConfigParser) -> dict:
+    """The SyntheticSpec ``granularity`` and ``operating_window`` that [data] sets."""
+    granularity, start_h, end_h = (_value(cp, "data", key) for key in
+                                   ("granularity", "operating_start", "operating_end"))
+    if (start_h is None) != (end_h is None):
+        raise dt.ConfigurationError("[data] operating_start and operating_end go together")
+    grid = {} if granularity is None else {"granularity": granularity}
+    return grid if start_h is None else {**grid, "operating_window": (start_h, end_h)}
 
 
 def _synthetic_spec(cp: configparser.ConfigParser) -> dt.SyntheticSpec:
-    return dt.SyntheticSpec(
-        n_stations=_number(cp, "synthetic", "stations", 8),
-        days=_number(cp, "synthetic", "days", 14),
-        granularity=_number(cp, "data", "granularity", 1800),
-        seed=_number(cp, "synthetic", "seed", 0),
-        noise_std=_number(cp, "synthetic", "noise_std", 0.5, float),
-        operating_window=(_number(cp, "data", "operating_start", 6),
-                          _number(cp, "data", "operating_end", 23)),
-    )
+    return dt.SyntheticSpec(**_fields(cp, "synthetic"), **_grid(cp))
 
 
 def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
-    data = _section(cp, "data")
+    data = cp["data"] if cp.has_section("data") else {}
     if data.get("series"):
         return dt.load_series(data["series"])
     if data.get("trips"):
         missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
         if missing:
             raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
-        start_h = _number(cp, "data", "operating_start")
-        end_h = _number(cp, "data", "operating_end")
-        if (start_h is None) != (end_h is None):
-            raise dt.ConfigurationError(
-                "[data] operating_start and operating_end go together")
+        grid = _grid(cp)
         series, _ = _ingest(data["trips"], data["stations"],
-                            _number(cp, "data", "start_time"),
-                            _number(cp, "data", "end_time"),
-                            _number(cp, "data", "granularity", 1800),
-                            None if start_h is None else (start_h, end_h))
+                            _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
+                            grid.get("granularity", dt.SyntheticSpec.granularity),
+                            grid.get("operating_window"))
         return series
     return dt.synth_generate(_synthetic_spec(cp))
 
 
 def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.ModelConfig:
-    sec = _section(cp, "model")
-    mode = sec.get("entity_mode", md.STATION_ROWS)
-    top_k = _number(cp, "model", "top_k")
-    return md.ModelConfig(
-        n_entities=series.n_stations if mode == md.STATION_ROWS else top_k,
-        history=_number(cp, "model", "history", 2),
-        horizon=_number(cp, "model", "horizon", 2),
-        d_input=_number(cp, "model", "d_input", 24),
-        d_adaptive=_number(cp, "model", "d_adaptive", 80),
-        spatial_hidden=_number(cp, "model", "spatial_hidden"),
-        use_input_embedding=_parse_bool(sec.get("use_input_embedding", "true")),
-        use_adaptive_embedding=_parse_bool(sec.get("use_adaptive_embedding", "true")),
-        entity_mode=mode,
-        top_k=top_k,
-        seed=_number(cp, "model", "seed", 0),
-    )
+    values = _fields(cp, "model")
+    pairs = values.get("entity_mode") == md.TOP_K_PAIRS
+    return md.ModelConfig(values.get("top_k") if pairs else series.n_stations, **values)
 
 
 def _train_config(cp: configparser.ConfigParser) -> tr.TrainConfig:
-    return tr.TrainConfig(
-        batch_size=_number(cp, "train", "batch_size", 16),
-        lr=_number(cp, "train", "lr", 0.001, float),
-        max_epochs=_number(cp, "train", "max_epochs", 100),
-        patience=_number(cp, "train", "patience", 20),
-        loss_kind=_section(cp, "train").get("loss", tr.MEAN_ABSOLUTE),
-        shuffle_seed=_number(cp, "train", "shuffle_seed", 0),
-    )
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise dt.ConfigurationError(f"not a boolean: {s!r}")
+    return tr.TrainConfig(**_fields(cp, "train"))
 
 
 def _write_resolved(path, cp: configparser.ConfigParser,
                     series: dt.ODSeries, model_config: md.ModelConfig,
                     train_config: tr.TrainConfig) -> None:
     out = configparser.ConfigParser()
-    data = _section(cp, "data")
+    data = cp["data"] if cp.has_section("data") else {}
     out["data"] = {}
     for key in ("series", "trips", "stations", "start_time", "end_time"):
         if data.get(key):
@@ -159,35 +165,14 @@ def _write_resolved(path, cp: configparser.ConfigParser,
     if series.operating_window:
         out["data"]["operating_start"] = str(series.operating_window[0])
         out["data"]["operating_end"] = str(series.operating_window[1])
+    configs = {"model": model_config, "train": train_config}
     if cp.has_section("synthetic") or not (data.get("series") or data.get("trips")):
-        spec = _synthetic_spec(cp)
-        out["synthetic"] = {
-            "stations": str(spec.n_stations),
-            "days": str(spec.days),
-            "seed": str(spec.seed),
-            "noise_std": repr(spec.noise_std),
-        }
-    out["model"] = {
-        "history": str(model_config.history),
-        "horizon": str(model_config.horizon),
-        "d_input": str(model_config.d_input),
-        "d_adaptive": str(model_config.d_adaptive),
-        "spatial_hidden": str(model_config.spatial_hidden),
-        "use_input_embedding": str(model_config.use_input_embedding).lower(),
-        "use_adaptive_embedding": str(model_config.use_adaptive_embedding).lower(),
-        "entity_mode": model_config.entity_mode,
-        "seed": str(model_config.seed),
-    }
-    if model_config.top_k is not None:
-        out["model"]["top_k"] = str(model_config.top_k)
-    out["train"] = {
-        "batch_size": str(train_config.batch_size),
-        "lr": repr(train_config.lr),
-        "max_epochs": str(train_config.max_epochs),
-        "patience": str(train_config.patience),
-        "loss": train_config.loss_kind,
-        "shuffle_seed": str(train_config.shuffle_seed),
-    }
+        configs["synthetic"] = _synthetic_spec(cp)
+    for section, (_, keys) in KEYS.items():
+        if section in configs:
+            values = {key: getattr(configs[section], name) for key, name in keys.items()}
+            out[section] = {key: str(v).lower() if isinstance(v, bool) else str(v)
+                            for key, v in values.items() if v is not None}
     if cp.has_section("run"):
         out["run"] = dict(cp["run"])
     with open(path, "w", encoding="utf-8") as fh:
@@ -213,13 +198,8 @@ def _prepare(cp, model_config=None):
 
 
 def cmd_synth(args) -> int:
-    cp = _read_config(args.spec)
-    try:
-        spec = _synthetic_spec(cp)
-        series = dt.synth_generate(spec)
-        dt.dump_series(series, args.out)
-    except (dt.ConfigurationError, ValueError) as exc:
-        return _fail(str(exc))
+    series = dt.synth_generate(_synthetic_spec(_read_config(args.spec)))
+    dt.dump_series(series, args.out)
     print(f"stations={series.n_stations} bins={series.n_bins} "
           f"total_flow={series.flows.sum():.0f}")
     return EXIT_OK
@@ -368,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stations", required=True)
     p.add_argument("--start", type=int, required=True, help="span start, epoch seconds")
     p.add_argument("--end", type=int, required=True, help="span end, epoch seconds")
-    p.add_argument("--granularity", type=int, default=1800)
+    p.add_argument("--granularity", type=int, default=dt.SyntheticSpec.granularity)
     p.add_argument("--window", type=int, nargs=2, metavar=("START_H", "END_H"))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ingest)

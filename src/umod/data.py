@@ -108,16 +108,23 @@ class WindowSample:
 
 @dataclass
 class SyntheticSpec:
-    """Deterministic generator settings for metro-like count data."""
+    """Deterministic generator settings; the defaults are the paper's protocol."""
 
-    n_stations: int
-    days: int
+    n_stations: int = 8
+    days: int = 14
     granularity: int = 1800
     seed: int = 0
     pair_amplitudes: np.ndarray | None = None  # [N, N] base rates
     daily_profile: np.ndarray | None = None  # multiplier per bin-of-day
-    noise_std: float = 0.0
+    noise_std: float = 0.5
     operating_window: tuple[int, int] | None = (6, 23)
+
+    def __post_init__(self):
+        if self.n_stations < 1 or self.days < 1 or not self.noise_std >= 0:
+            raise ConfigurationError(
+                f"synthetic series needs n_stations >= 1, days >= 1 and noise_std >= 0, "
+                f"got {self.n_stations}, {self.days} and {self.noise_std}")
+        _check_grid(self.granularity, self.operating_window)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +139,7 @@ def build_od_series(trips, stations, start_time: int, end_time: int,
     timestamp lands in the later bin. Returns the series and the count of
     records dropped for falling outside ``[start_time, end_time)``.
     """
+    _check_grid(granularity, None)
     if start_time >= end_time:
         raise ConfigurationError("start_time must precede end_time")
     span = end_time - start_time
@@ -202,12 +210,7 @@ def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSerie
     start_h, end_h = window
     if series.operating_window is not None:
         raise ConfigurationError("series already carries an operating window")
-    if not (0 <= start_h < end_h <= 24):
-        raise ConfigurationError(f"bad operating window {window}")
-    if (start_h * 3600) % series.granularity or (end_h * 3600) % series.granularity:
-        raise ConfigurationError(
-            f"window {window} does not align with {series.granularity}s bins"
-        )
+    _check_grid(series.granularity, window)
     if (start_h, end_h) == (0, 24):
         return ODSeries(series.stations, series.start_time, series.granularity,
                         series.flows.copy(), operating_window=(0, 24))
@@ -216,6 +219,20 @@ def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSerie
     keep = (second_of_day >= start_h * 3600) & (second_of_day < end_h * 3600)
     return ODSeries(series.stations, series.start_time, series.granularity,
                     series.flows[keep], operating_window=(start_h, end_h))
+
+
+def _check_grid(granularity: int, window: tuple[int, int] | None) -> None:
+    """Require ``granularity >= 1`` second and, unless ``window`` is None, whole
+    hours ``0 <= start_h < end_h <= 24`` that fall on bin boundaries."""
+    if granularity < 1:
+        raise ConfigurationError(f"granularity {granularity} must be >= 1 second")
+    if window is None:
+        return
+    start_h, end_h = window
+    if not (0 <= start_h < end_h <= 24):
+        raise ConfigurationError(f"bad operating window {window}")
+    if (start_h * 3600) % granularity or (end_h * 3600) % granularity:
+        raise ConfigurationError(f"window {window} does not align with {granularity}s bins")
 
 
 def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormStats:

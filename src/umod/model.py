@@ -36,8 +36,8 @@ class CheckpointError(ValueError):
 @dataclass
 class ModelConfig:
     n_entities: int
-    history: int
-    horizon: int
+    history: int = 2
+    horizon: int = 2
     d_input: int = 24
     d_adaptive: int = 80
     d_output: int | None = None  # defaults to feature_dim

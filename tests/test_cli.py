@@ -78,6 +78,24 @@ class TestSynth:
         assert cli.main(["synth", str(tmp_path / "nope.ini"),
                          str(tmp_path / "out.bin")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[synthetic]\nstations = 0\n", "needs n_stations >= 1"),
+        ("[synthetic]\ndays = 0\n", "needs n_stations >= 1, days >= 1"),
+        ("[synthetic]\nnoise_std = -0.5\n", "noise_std >= 0"),
+        ("[data]\ngranularity = 0\n", "granularity 0 must be >= 1 second"),
+        ("[data]\noperating_start = 8\noperating_end = 30\n",
+         "bad operating window (8, 30)"),
+        ("[data]\ngranularity = 7\n", "window (6, 23) does not align with 7s bins"),
+    ], ids=["no_stations", "no_days", "negative_noise", "zero_granularity",
+            "window_past_midnight", "misaligned_bins"])
+    def test_bad_series_settings_exit_1(self, tmp_path, capsys, text, message):
+        spec, out = tmp_path / "spec.ini", tmp_path / "series.bin"
+        spec.write_text(text)
+        assert cli.main(["synth", str(spec), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestIngest:
     def write_inputs(self, tmp_path, trips_text):
@@ -119,6 +137,16 @@ class TestIngest:
         assert code == 0
         assert dt.load_series(out).flows.sum() == 0
         assert "dropped=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("granularity", ["0", "-3600"])
+    def test_granularity_below_one_exits_1(self, tmp_path, capsys, granularity):
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
+        code = cli.main(["ingest", "--trips", str(trips), "--stations",
+                         str(stations), "--start", "0", "--end", "3600",
+                         "--granularity", granularity, "--out", str(tmp_path / "o.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: granularity {granularity} must be >= 1 second\n")
 
     def test_missing_input_exits_2(self, tmp_path):
         _, stations = self.write_inputs(tmp_path, "")
@@ -168,6 +196,38 @@ class TestTrain:
                                          "[model]\nentity_mode = top_k_pairs\n"))
         assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err.startswith("error: entity_mode top_k_pairs needs")
+
+    def test_every_key_round_trips(self, tmp_path):
+        # every KEYS entry off its default (one embedding must stay on), written
+        # the way resolved.ini writes it
+        sections = {
+            "synthetic": {"stations": "3", "days": "8", "seed": "3", "noise_std": "0.4"},
+            "model": {"history": "3", "horizon": "1", "d_input": "3", "d_adaptive": "4",
+                      "spatial_hidden": "5", "use_input_embedding": "false",
+                      "use_adaptive_embedding": "true", "entity_mode": "top_k_pairs",
+                      "seed": "1", "top_k": "4"},
+            "train": {"batch_size": "8", "lr": "0.01", "max_epochs": "2",
+                      "patience": "1", "loss": "mean_squared", "shuffle_seed": "2"},
+        }
+        assert {s: set(keys) for s, keys in sections.items()} == {
+            s: set(keys) for s, (_, keys) in cli.KEYS.items()}
+        cp = configparser.ConfigParser()
+        cp.read_string("[data]\ngranularity = 3600\noperating_start = 6\n"
+                       "operating_end = 18\n")
+        cp.read_dict(sections)
+        cfg = tmp_path / "run.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "r1")]) == 0
+        first = tmp_path / "r1" / "resolved.ini"
+        resolved = configparser.ConfigParser()
+        resolved.read(first, encoding="utf-8")
+        for section, keys in sections.items():
+            assert dict(resolved[section]) == keys, section
+        assert cli.main(["train", str(first), "--output-dir", str(tmp_path / "r2")]) == 0
+        for name in ("resolved.ini", "model.ckpt"):
+            assert (tmp_path / "r2" / name).read_bytes() == \
+                   (tmp_path / "r1" / name).read_bytes(), name
 
     def test_rerun_reproduces_outputs(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -267,8 +327,11 @@ class TestDataSource:
         ("series = {missing}\n", 2, "file not found"),
         (TRIPS_WITH_SPAN + "operating_start = 6\n", 1, "go together"),
         (TRIPS_WITH_SPAN + "operating_end = 23\n", 1, "go together"),
+        ("operating_start = 8\n", 1, "go together"),
+        ("operating_end = 23\n", 1, "go together"),
     ], ids=["trips_without_span", "unknown_station", "missing_series",
-            "operating_start_alone", "operating_end_alone"])
+            "operating_start_alone", "operating_end_alone",
+            "synthetic_operating_start_alone", "synthetic_operating_end_alone"])
     def test_bad_source_exits_with_error_line(self, tmp_path, capsys, command, data,
                                               code, message):
         trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
@@ -299,6 +362,7 @@ class TestConfigValues:
         ("eval", "synthetic", "days", "8.5"),
         ("train", "data", "granularity", "1h"),
         ("eval", "data", "operating_end", "18:00"),
+        ("train", "model", "use_input_embedding", "maybe"),
     ])
     def test_unparsable_number_exits_1(self, tmp_path, capsys, command, section, key,
                                        value):
@@ -317,9 +381,33 @@ class TestConfigValues:
                 "eval": ["eval", str(ckpt), str(cfg), "--baseline", "last_value"],
                 "sweep": ["sweep", "hp", str(cfg)]}[command]
         assert cli.main(argv) == 1
+        what = {"lr": "a finite number", "use_input_embedding": "a boolean"}
         assert capsys.readouterr().err == (
             f"error: [{section}] {key} = {value!r} is not "
-            f"{'a finite number' if key == 'lr' else 'an integer'}\n")
+            f"{what.get(key, 'an integer')}\n")
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("text, message", [
+        ("[model]\nhistroy = 3\n", "unknown key [model] histroy"),
+        ("[modle]\nhistory = 3\n", "unknown section [modle]"),
+        ("[DEFAULT]\nhistory = 3\n", "unknown key [DEFAULT] history"),
+        ("history = 3\n", "File contains no section headers."),
+        ("[model]\nhistory = 3\nhistory = 4\n",
+         "option 'history' in section 'model' already exists"),
+        ("[run]\noutput_dir = %(nowhere)s\n", "Bad value substitution"),
+    ], ids=["unknown_key", "unknown_section", "default_section", "no_section_header",
+            "duplicate_key", "bad_interpolation"])
+    def test_unknown_or_malformed_ini_exits_1(self, tmp_path, capsys, command, text,
+                                              message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        argv = {"synth": ["synth", str(cfg), str(tmp_path / "series.bin")],
+                "train": ["train", str(cfg), "--output-dir", str(tmp_path / "run")]}
+        assert cli.main(argv[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("batch_size = 0", "invalid training configuration"),

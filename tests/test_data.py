@@ -44,6 +44,11 @@ class TestBuildSeries:
         with pytest.raises(dt.IngestionError, match=r"'X'.*record 1"):
             dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800)
 
+    @pytest.mark.parametrize("granularity", [0, -1800])
+    def test_granularity_below_one(self, granularity):
+        with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):
+            dt.build_od_series([], ["A", "B"], 0, 3600, granularity)
+
     def test_conserves_in_span_trips(self):
         rng = np.random.default_rng(0)
         stations = ["A", "B", "C"]
@@ -207,6 +212,19 @@ class TestSynthetic:
         series = dt.synth_generate(dt.SyntheticSpec(3, days=2, seed=5, noise_std=2.0))
         assert (series.flows >= 0).all()
         assert np.array_equal(series.flows, np.round(series.flows))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_stations", 0, "n_stations >= 1"),
+        ("days", 0, "days >= 1"),
+        ("noise_std", -0.1, "noise_std >= 0"),
+        ("noise_std", float("nan"), "noise_std >= 0"),
+        ("granularity", 0, "granularity 0 must be >= 1 second"),
+        ("operating_window", (8, 30), r"bad operating window \(8, 30\)"),
+        ("granularity", 7, "does not align with 7s bins"),
+    ])
+    def test_rejects_bad_settings(self, field, value, message):
+        with pytest.raises(dt.ConfigurationError, match=message):
+            dt.SyntheticSpec(**{field: value})
 
     def test_demo_spec_bin_count(self):
         series = dt.synth_generate(dt.SyntheticSpec(8, days=14, noise_std=0.5))
