@@ -20,7 +20,8 @@ Config sections and keys (all optional unless noted):
 ``data.SyntheticSpec``, ``model.ModelConfig`` and ``training.TrainConfig``;
 an absent or blank key takes its field's default, and [data] granularity and
 operating hours take SyntheticSpec's. Under [data] trips the series is cut to
-operating hours only when both are set. A value that does not parse as its
+operating hours only when both are set; under [data] series a grid key that
+is set must equal the file's. A value that does not parse as its
 field's type, an unknown section or key, and a malformed file are each a
 ConfigurationError naming the file or the section and key.
 """
@@ -59,8 +60,8 @@ KEYS = {
         "batch_size": "batch_size", "lr": "lr", "max_epochs": "max_epochs",
         "patience": "patience", "loss": "loss_kind", "shuffle_seed": "shuffle_seed"}),
 }
-SECTIONS = {"data": ("series", "trips", "stations", "start_time", "end_time",
-                     "granularity", "operating_start", "operating_end"),
+GRID = ("granularity", "operating_start", "operating_end")
+SECTIONS = {"data": ("series", "trips", "stations", "start_time", "end_time", *GRID),
             "run": ("output_dir",), **{section: keys for section, (_, keys) in KEYS.items()}}
 _WHAT = {"int": "an integer", "float": "a finite number", "bool": "a boolean"}
 
@@ -113,8 +114,7 @@ def _fields(cp: configparser.ConfigParser, section: str) -> dict:
 
 def _grid(cp: configparser.ConfigParser) -> dict:
     """The SyntheticSpec ``granularity`` and ``operating_window`` that [data] sets."""
-    granularity, start_h, end_h = (_value(cp, "data", key) for key in
-                                   ("granularity", "operating_start", "operating_end"))
+    granularity, start_h, end_h = (_value(cp, "data", key) for key in GRID)
     if (start_h is None) != (end_h is None):
         raise dt.ConfigurationError("[data] operating_start and operating_end go together")
     grid = {} if granularity is None else {"granularity": granularity}
@@ -128,7 +128,15 @@ def _synthetic_spec(cp: configparser.ConfigParser) -> dt.SyntheticSpec:
 def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
     data = cp["data"] if cp.has_section("data") else {}
     if data.get("series"):
-        return dt.load_series(data["series"])
+        grid = _grid(cp)
+        series = dt.load_series(data["series"])
+        ini = (grid.get("granularity"), *grid.get("operating_window", (None, None)))
+        found = (series.granularity, *(series.operating_window or (None, None)))
+        for key, value, actual in zip(GRID, ini, found):
+            if value is not None and value != actual:
+                raise dt.ConfigurationError(f"[data] {key} = {value} disagrees with "
+                                            f"{data['series']}, which has {actual}")
+        return series
     if data.get("trips"):
         missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
         if missing:
@@ -207,8 +215,11 @@ def cmd_synth(args) -> int:
 
 def _ingest(trips_path, stations_path, start_time, end_time, granularity,
             window):
-    with open(stations_path, "r", encoding="utf-8") as fh:
-        stations = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(stations_path, "r", encoding="utf-8") as fh:
+            stations = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise dt.IngestionError(f"{stations_path}: not UTF-8 text ({exc.reason})") from exc
     known = set(stations)
     trips = []
     for trip, lineno in dt.read_trips_with_lines(trips_path):
@@ -381,6 +392,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}", EXIT_USAGE)
+    except OSError as exc:
+        return _fail(f"{exc.filename}: {exc.strerror}", EXIT_USAGE)
     except (dt.ConfigurationError, dt.IngestionError, dt.SeriesFormatError,
             md.CheckpointError) as exc:
         return _fail(str(exc))

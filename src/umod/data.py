@@ -65,6 +65,9 @@ class ODSeries:
             raise ConfigurationError(
                 f"flows {self.flows.shape} does not match {n} stations"
             )
+        if len(set(self.stations)) != n:
+            twice = next(s for k, s in enumerate(self.stations) if s in self.stations[:k])
+            raise ConfigurationError(f"station {twice!r} is listed twice")
 
     @property
     def n_stations(self) -> int:
@@ -175,17 +178,20 @@ def read_trips_with_lines(path) -> list[tuple[TripRecord, int]]:
     Format: ``origin,destination,unix_timestamp`` per line, optional header.
     """
     trips = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts and not _is_int(parts[-1]):
-                continue  # optional header
-            if len(parts) != 3 or not _is_int(parts[2]):
-                raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
-            trips.append((TripRecord(parts[0], parts[1], int(parts[2])), lineno))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = [p.strip() for p in line.split(",")]
+                if lineno == 1 and parts and not _is_int(parts[-1]):
+                    continue  # optional header
+                if len(parts) != 3 or not _is_int(parts[2]):
+                    raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
+                trips.append((TripRecord(parts[0], parts[1], int(parts[2])), lineno))
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return trips
 
 

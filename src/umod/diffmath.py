@@ -105,21 +105,19 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-class Parameter:
-    """Named learnable tensor with Adam moment buffers."""
+class Parameter(Tensor):
+    """A named leaf tensor that learns, with its Adam moment buffers."""
+
+    __slots__ = ("name", "first_moment", "second_moment")
 
     def __init__(self, name: str, value) -> None:
+        super().__init__(value)
         self.name = name
-        self.value = Tensor(value)
-        self.first_moment = np.zeros_like(self.value.data)
-        self.second_moment = np.zeros_like(self.value.data)
-
-    @property
-    def shape(self):
-        return self.value.shape
+        self.first_moment = np.zeros_like(self.data)
+        self.second_moment = np.zeros_like(self.data)
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -244,23 +242,6 @@ def concat_last(a, b) -> Tensor:
     ])
 
 
-def slice_time(a, start: int, stop: int, axis: int = 0) -> Tensor:
-    a = _as_tensor(a)
-    n = a.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise DimensionError(f"slice_time: [{start}:{stop}] out of range for axis of {n}")
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def adjoint(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return full
-
-    return Tensor(a.data[idx], [(a, adjoint)])
-
-
 def expand_leading(a, n: int) -> Tensor:
     """Repeat a tensor along a new leading axis of extent ``n``."""
     a = _as_tensor(a)
@@ -310,17 +291,13 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, W, b=None) -> Tensor:
     """x @ W + b with the weight applied to the last axis of x."""
-    x = _as_tensor(x)
-    Wt = W.value if isinstance(W, Parameter) else _as_tensor(W)
-    if x.shape[-1] != Wt.shape[0]:
+    x, W = _as_tensor(x), _as_tensor(W)
+    if x.shape[-1] != W.shape[0]:
         raise DimensionError(
-            f"linear: input {x.shape} does not match weight {Wt.shape}"
+            f"linear: input {x.shape} does not match weight {W.shape}"
         )
-    out = matmul(x, Wt)
-    if b is not None:
-        bt = b.value if isinstance(b, Parameter) else _as_tensor(b)
-        out = add(out, bt)
-    return out
+    out = matmul(x, W)
+    return out if b is None else add(out, b)
 
 
 def softmax_last(x) -> Tensor:
@@ -376,20 +353,19 @@ def finite_diff_check(loss_fn, params, eps: float = 1e-5) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     for p in params:
-        p.value.zero_grad()
+        p.zero_grad()
     out = loss_fn(params)
     if not np.isfinite(out.data).all():
         raise NumericError("loss is not finite")
     out.backward()
     analytic = {
-        p.name: (p.value.grad.copy() if p.value.grad is not None
-                 else np.zeros_like(p.value.data))
+        p.name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
         for p in params
     }
 
     max_err = 0.0
     for p in params:
-        flat = p.value.data.reshape(-1)
+        flat = p.data.reshape(-1)
         aflat = analytic[p.name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

@@ -137,13 +137,9 @@ class PlainMLPBaseline:
         s0 = train_samples[0]
         self.shape_out = s0.y.shape
         n_in, n_out = s0.x.size, s0.y.size
-        rng = np.random.default_rng(self.seed)
-        self.params = m.ModelParams([
-            dm.Parameter("W1", m._xavier(rng, n_in, self.hidden, (n_in, self.hidden))),
-            dm.Parameter("b1", np.zeros(self.hidden)),
-            dm.Parameter("W2", m._xavier(rng, self.hidden, n_out, (self.hidden, n_out))),
-            dm.Parameter("b2", np.zeros(n_out)),
-        ])
+        self.params = m.xavier_init([("W1", (n_in, self.hidden)), ("b1", (self.hidden,)),
+                                     ("W2", (self.hidden, n_out)), ("b2", (n_out,))],
+                                    self.seed)
         tr.train(self.shape_out, self.params, train_samples, val_samples,
                  train_config, forward=_mlp_forward)
         return self
@@ -235,7 +231,7 @@ def run_ablations(series: ODSeries, stats: NormStats,
         params, _, metrics = _train_and_score(series, cfg, train_config, stats)
         result.rows.append(({"ablation": name}, metrics))
         if name == "full" and embedding_dump_path is not None:
-            dump_embedding(embedding_dump_path, params["E_a"].value.data)
+            dump_embedding(embedding_dump_path, params["E_a"].data)
     return result
 
 

@@ -63,8 +63,9 @@ class ModelConfig:
             raise ConfigurationError("at least one embedding must be enabled")
         for name in ("n_entities", "history", "horizon", "d_input", "d_adaptive",
                      "d_output", "spatial_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -103,67 +104,52 @@ class ModelParams:
 
     def zero_grad(self):
         for p in self._params:
-            p.value.zero_grad()
-
-    def count(self) -> int:
-        return sum(p.value.size for p in self._params)
+            p.zero_grad()
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.data.copy() for p in self._params}
+        return {p.name: p.data.copy() for p in self._params}
 
     def restore(self, snap: dict[str, np.ndarray]):
         for p in self._params:
-            p.value.data[...] = snap[p.name]
+            p.data[...] = snap[p.name]
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_params(config: ModelConfig) -> ModelParams:
-    """Xavier-uniform weights, zero biases, fully determined by config.seed."""
-    rng = np.random.default_rng(config.seed)
-    H, E = config.history, config.n_entities
-    d_h = config.d_hidden
-    params = []
-    if config.use_input_embedding:
-        f = config.feature_dim
-        params.append(dm.Parameter("W_in", _xavier(rng, f, config.d_input,
-                                                   (f, config.d_input))))
-        params.append(dm.Parameter("b_in", np.zeros(config.d_input)))
-    if config.use_adaptive_embedding:
-        # fan over the last two axes: one embedding row per (step, entity)
-        params.append(dm.Parameter("E_a", _xavier(rng, E, config.d_adaptive,
-                                                  (H, E, config.d_adaptive))))
-    for name in ("W_Q", "W_K", "W_V"):
-        params.append(dm.Parameter(name, _xavier(rng, d_h, d_h, (d_h, d_h))))
-    sh = config.spatial_hidden
-    params.append(dm.Parameter("W_s1", _xavier(rng, E, sh, (E, sh))))
-    params.append(dm.Parameter("b_s1", np.zeros(sh)))
-    params.append(dm.Parameter("W_s2", _xavier(rng, sh, E, (sh, E))))
-    params.append(dm.Parameter("b_s2", np.zeros(E)))
-    head_in = H * d_h
+def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The one parameter layout: ``(name, shape)`` for each parameter, in creation order."""
+    H, E, d_h = config.history, config.n_entities, config.d_hidden
+    sh, head_in = config.spatial_hidden, H * d_h
     head_out = config.horizon * config.d_output
-    params.append(dm.Parameter("W_out", _xavier(rng, head_in, head_out,
-                                                (head_in, head_out))))
-    params.append(dm.Parameter("b_out", np.zeros(head_out)))
+    shapes = []
+    if config.use_input_embedding:
+        shapes += [("W_in", (config.feature_dim, config.d_input)), ("b_in", (config.d_input,))]
+    if config.use_adaptive_embedding:
+        shapes.append(("E_a", (H, E, config.d_adaptive)))  # one row per (step, entity)
+    shapes += [(name, (d_h, d_h)) for name in ("W_Q", "W_K", "W_V")]
+    return shapes + [("W_s1", (E, sh)), ("b_s1", (sh,)), ("W_s2", (sh, E)), ("b_s2", (E,)),
+                     ("W_out", (head_in, head_out)), ("b_out", (head_out,))]
+
+
+def xavier_init(shapes, seed: int) -> ModelParams:
+    """Xavier-uniform weights with their fans on the last two axes, zero 1-d biases.
+
+    Draws in list order from a generator seeded by ``seed``, so the values are
+    fully determined by the layout and the seed.
+    """
+    rng = np.random.default_rng(seed)
+    params = []
+    for name, shape in shapes:
+        if len(shape) == 1:
+            value = np.zeros(shape)
+        else:
+            bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+            value = rng.uniform(-bound, bound, size=shape)
+        params.append(dm.Parameter(name, value))
     return ModelParams(params)
 
 
-def param_count(config: ModelConfig) -> int:
-    """Closed-form parameter count for a config."""
-    H, E, d_h = config.history, config.n_entities, config.d_hidden
-    total = 0
-    if config.use_input_embedding:
-        total += config.feature_dim * config.d_input + config.d_input
-    if config.use_adaptive_embedding:
-        total += H * E * config.d_adaptive
-    total += 3 * d_h * d_h
-    sh = config.spatial_hidden
-    total += E * sh + sh + sh * E + E
-    total += H * d_h * config.horizon * config.d_output + config.horizon * config.d_output
-    return total
+def init_params(config: ModelConfig) -> ModelParams:
+    """The parameters of ``param_shapes(config)``, initialised from config.seed."""
+    return xavier_init(param_shapes(config), config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +167,7 @@ def embed(x: dm.Tensor, params: ModelParams, config: ModelConfig) -> dm.Tensor:
             )
         parts.append(dm.linear(x, params["W_in"], params["b_in"]))
     if config.use_adaptive_embedding:
-        parts.append(dm.expand_leading(params["E_a"].value, batch))
+        parts.append(dm.expand_leading(params["E_a"], batch))
     out = parts[0]
     for extra in parts[1:]:
         out = dm.concat_last(out, extra)
@@ -197,9 +183,9 @@ def temporal_attention(e_h: dm.Tensor, params: ModelParams,
             f"hidden width {d_h} does not match projection {params['W_Q'].shape}"
         )
     x = dm.transpose(e_h, (0, 2, 1, 3))  # [B,E,H,d]
-    q = dm.matmul(x, params["W_Q"].value)
-    k = dm.matmul(x, params["W_K"].value)
-    v = dm.matmul(x, params["W_V"].value)
+    q = dm.matmul(x, params["W_Q"])
+    k = dm.matmul(x, params["W_K"])
+    v = dm.matmul(x, params["W_V"])
     o, a = dm.scaled_dot_attention(q, k, v)  # o [B,E,H,d], a [B,E,H,H]
     o_t = dm.transpose(o, (0, 2, 1, 3))
     if return_weights:
@@ -290,26 +276,22 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     """``UMODCKPT`` container: config and parameter names/shapes in the header."""
     header = {"version": CHECKPOINT_VERSION, "config": config.to_dict(),
               "params": [[p.name, list(p.shape)] for p in params.all()]}
-    write_container(path, CHECKPOINT_MAGIC, header, [p.value.data for p in params.all()])
+    write_container(path, CHECKPOINT_MAGIC, header, [p.data for p in params.all()])
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
-    """Load (params, config); rejects corrupt files, parameters other than those
-    ``init_params`` makes for the stored config, and config mismatches."""
+    """Load (params, config); rejects corrupt files, parameters other than
+    ``param_shapes`` of the stored config, and config mismatches."""
     header, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                     lambda h: [shape for _, shape in h["params"]],
                                     CheckpointError)
     try:
         config = ModelConfig.from_dict(header["config"])
-        # the payload bounds the count, so init_params allocates no more than the file holds
-        if param_count(config) != sum(a.size for a in arrays):
-            raise ConfigurationError("parameter count does not match the config")
-        params = init_params(config)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: bad checkpoint config: {type(exc).__name__}: {exc}") from exc
     stored = [(name, a.shape) for (name, _), a in zip(header["params"], arrays)]
-    expected = [(p.name, p.shape) for p in params.all()]
+    expected = param_shapes(config)
     if stored != expected:
         raise CheckpointError(
             f"{path}: parameters {stored} are not the {expected} of its config")
@@ -317,6 +299,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
         raise CheckpointError(
             "checkpoint config does not match the requested config"
         )
-    for p, a in zip(params.all(), arrays):
-        p.value.data[...] = a
-    return params, config
+    return ModelParams([dm.Parameter(name, a) for (name, _), a in zip(stored, arrays)]), config

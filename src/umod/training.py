@@ -81,9 +81,9 @@ def adam_step(params, config: TrainConfig, t: int) -> None:
         raise ValueError("step index must be >= 1")
     grads = []
     for p in params:
-        g = p.value.grad
+        g = p.grad
         if g is None:
-            g = np.zeros_like(p.value.data)
+            g = np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise dm.NumericError(f"non-finite gradient for {p.name}")
         grads.append(g)
@@ -95,7 +95,7 @@ def adam_step(params, config: TrainConfig, t: int) -> None:
         p.second_moment = b2 * p.second_moment + (1.0 - b2) * g * g
         m_hat = p.first_moment / c1
         v_hat = p.second_moment / c2
-        p.value.data -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        p.data -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
 
 def stack_batch(samples: list[WindowSample]):

@@ -70,7 +70,7 @@ def test_criterion_2_attention_invariants():
     e = dm.Tensor(np.random.default_rng(7).normal(size=(2, 1, 4, 8)))
     o, a = md.temporal_attention(e, params, return_weights=True)
     v = np.matmul(e.data.transpose(0, 2, 1, 3),
-                  params["W_V"].value.data).transpose(0, 2, 1, 3)
+                  params["W_V"].data).transpose(0, 2, 1, 3)
     assert np.array_equal(o.data, v)
     assert np.array_equal(a.data, np.ones((2, 4, 1, 1)))
     # exact entity-permutation equivariance

@@ -148,6 +148,25 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: granularity {granularity} must be >= 1 second\n")
 
+    def test_duplicate_station_exits_1(self, tmp_path, capsys):
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
+        stations.write_text("A\nA\nB\n")
+        code = cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: station 'A' is listed twice\n"
+        assert not (tmp_path / "o.bin").exists()
+
+    @pytest.mark.parametrize("bad", ["trips", "stations"])
+    def test_non_utf8_input_exits_1(self, tmp_path, capsys, bad):
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
+        path = {"trips": trips, "stations": stations}[bad]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        code = cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_missing_input_exits_2(self, tmp_path):
         _, stations = self.write_inputs(tmp_path, "")
         assert cli.main(["ingest", "--trips", str(tmp_path / "nope.csv"),
@@ -224,6 +243,23 @@ class TestTrain:
         resolved.read(first, encoding="utf-8")
         for section, keys in sections.items():
             assert dict(resolved[section]) == keys, section
+        assert cli.main(["train", str(first), "--output-dir", str(tmp_path / "r2")]) == 0
+        for name in ("resolved.ini", "model.ckpt"):
+            assert (tmp_path / "r2" / name).read_bytes() == \
+                   (tmp_path / "r1" / name).read_bytes(), name
+
+    def test_series_run_reruns_from_its_resolved_ini(self, tmp_path):
+        # resolved.ini restates the series file's grid, which must still be accepted
+        series = tmp_path / "series.bin"
+        dt.dump_series(dt.synth_generate(dt.SyntheticSpec(
+            n_stations=3, days=8, granularity=3600, operating_window=(6, 18))), series)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\nseries = {series}\n[model]\nd_input = 3\nd_adaptive = 4\n"
+                       "[train]\nmax_epochs = 1\n")
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "r1")]) == 0
+        first = tmp_path / "r1" / "resolved.ini"
+        assert "granularity = 3600\noperating_start = 6\noperating_end = 18\n" \
+            in first.read_text()
         assert cli.main(["train", str(first), "--output-dir", str(tmp_path / "r2")]) == 0
         for name in ("resolved.ini", "model.ckpt"):
             assert (tmp_path / "r2" / name).read_bytes() == \
@@ -314,6 +350,12 @@ class TestEval:
         assert cli.main(["eval", str(ckpt), str(run_config)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_directory_as_checkpoint_exits_2(self, run_config, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.mkdir()
+        assert cli.main(["eval", str(ckpt), str(run_config)]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: Is a directory\n"
+
     def test_missing_checkpoint_exits_2(self, run_config, tmp_path):
         assert cli.main(["eval", str(tmp_path / "missing.ckpt"),
                          str(run_config)]) == 2
@@ -329,17 +371,28 @@ class TestDataSource:
         (TRIPS_WITH_SPAN + "operating_end = 23\n", 1, "go together"),
         ("operating_start = 8\n", 1, "go together"),
         ("operating_end = 23\n", 1, "go together"),
+        ("series = {series}\ngranularity = 60\n", 1,
+         "[data] granularity = 60 disagrees with {series}, which has 1800"),
+        ("series = {series}\noperating_start = 8\noperating_end = 23\n", 1,
+         "[data] operating_start = 8 disagrees with {series}, which has 6"),
+        ("series = {series}\ngranularity = 60\noperating_start = 8\n", 1, "go together"),
+        ("series = {series}\noperating_end = 23\n", 1, "go together"),
     ], ids=["trips_without_span", "unknown_station", "missing_series",
             "operating_start_alone", "operating_end_alone",
-            "synthetic_operating_start_alone", "synthetic_operating_end_alone"])
+            "synthetic_operating_start_alone", "synthetic_operating_end_alone",
+            "series_granularity_disagrees", "series_window_disagrees",
+            "series_operating_start_alone", "series_operating_end_alone"])
     def test_bad_source_exits_with_error_line(self, tmp_path, capsys, command, data,
                                               code, message):
         trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
         trips.write_text("A,B,100\nA,X,200\n")
         stations.write_text("A\nB\n")
+        series = tmp_path / "series.bin"  # 1800 s bins over 06:00-23:00
+        dt.dump_series(dt.synth_generate(dt.SyntheticSpec(n_stations=2, days=1)), series)
+        paths = dict(trips=trips, stations=stations, series=series,
+                     missing=tmp_path / "nope.bin")
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[data]\n" + data.format(trips=trips, stations=stations,
-                                                missing=tmp_path / "nope.bin")
+        cfg.write_text("[data]\n" + data.format(**paths)
                        + f"[run]\noutput_dir = {tmp_path / 'run'}\n")
         ckpt = tmp_path / "model.ckpt"
         model_config = md.ModelConfig(n_entities=2, history=2, horizon=2)
@@ -349,7 +402,7 @@ class TestDataSource:
         assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert message in err
+        assert message.format(**paths) in err
 
 
 class TestConfigValues:

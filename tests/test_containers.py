@@ -26,7 +26,7 @@ def series(draw):
     n, t = draw(st.integers(0, 3)), draw(st.integers(0, 4))
     window = draw(st.none() | st.tuples(st.integers(0, 23), st.integers(1, 24)))
     return dt.ODSeries(
-        stations=draw(st.lists(st.text(max_size=4), min_size=n, max_size=n)),
+        stations=draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)),
         start_time=draw(st.integers(-2**40, 2**40)),
         granularity=draw(st.integers(1, 86400)),
         flows=draw(hnp.arrays(np.float64, (t, n, n), elements=VALUES)),
@@ -47,7 +47,7 @@ def checkpoints(draw):
         seed=draw(st.integers(0, 2**32)))
     params = md.init_params(config)
     for p in params.all():
-        p.value.data[...] = draw(hnp.arrays(np.float64, p.shape, elements=VALUES))
+        p.data[...] = draw(hnp.arrays(np.float64, p.shape, elements=VALUES))
     return params, config
 
 
@@ -102,8 +102,8 @@ class TestRoundTrip:
         md.save_checkpoint(path, params, config)
         back, back_config = md.load_checkpoint(path, expected_config=config)
         assert back_config == config
-        assert [(p.name, p.value.data.tobytes()) for p in back.all()] \
-            == [(p.name, p.value.data.tobytes()) for p in params.all()]
+        assert [(p.name, p.data.tobytes()) for p in back.all()] \
+            == [(p.name, p.data.tobytes()) for p in params.all()]
         raw = path.read_bytes()
         md.save_checkpoint(path, back, back_config)
         assert path.read_bytes() == raw

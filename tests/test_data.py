@@ -44,6 +44,10 @@ class TestBuildSeries:
         with pytest.raises(dt.IngestionError, match=r"'X'.*record 1"):
             dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800)
 
+    def test_duplicate_station_rejected(self):
+        with pytest.raises(dt.ConfigurationError, match="station 'A' is listed twice"):
+            dt.build_od_series([dt.TripRecord("A", "B", 0)], ["A", "A", "B"], 0, 1800, 1800)
+
     @pytest.mark.parametrize("granularity", [0, -1800])
     def test_granularity_below_one(self, granularity):
         with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):
@@ -286,6 +290,14 @@ class TestSerialization:
         with pytest.raises(dt.SeriesFormatError, match=key if value is None else None):
             dt.load_series(path)
 
+    def test_duplicate_station_is_a_format_error(self, tmp_path):
+        header = {"version": 1, "stations": ["A", "B", "A"], "start_time": 0,
+                  "granularity": 1800, "operating_window": None, "dims": [1, 3, 3]}
+        path = tmp_path / "series.bin"
+        dt.write_container(path, dt.SERIES_MAGIC, header, [np.zeros((1, 3, 3))])
+        with pytest.raises(dt.SeriesFormatError, match="station 'A' is listed twice"):
+            dt.load_series(path)
+
     def test_version_mismatch(self, tmp_path):
         meta = json.dumps({"version": 99, "stations": [], "start_time": 0,
                            "granularity": 1800, "dims": [0, 0, 0]}).encode()
@@ -307,4 +319,10 @@ class TestTripText:
         path = tmp_path / "trips.csv"
         path.write_text("A,B,100\nA,B\n")
         with pytest.raises(dt.IngestionError, match="line 2"):
+            dt.read_trips_with_lines(path)
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_bytes(b"A,B,100\n\xff,B,200\n")
+        with pytest.raises(dt.IngestionError, match=f"{path}: not UTF-8"):
             dt.read_trips_with_lines(path)

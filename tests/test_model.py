@@ -46,12 +46,12 @@ class TestInit:
         b = md.init_params(tiny_config())
         for pa, pb in zip(a.all(), b.all()):
             assert pa.name == pb.name
-            assert np.array_equal(pa.value.data, pb.value.data)
+            assert np.array_equal(pa.data, pb.data)
 
     def test_xavier_bound_for_big_fan(self):
         cfg = md.ModelConfig(n_entities=172, history=2, horizon=2, seed=3)
         params = md.init_params(cfg)
-        w = params["W_in"].value.data
+        w = params["W_in"].data
         bound = math.sqrt(6.0 / (172 + 24))
         assert abs(bound - 0.17496) < 5e-6
         assert np.abs(w).max() <= bound
@@ -59,7 +59,7 @@ class TestInit:
     def test_biases_zero(self):
         params = md.init_params(tiny_config())
         for name in ("b_in", "b_s1", "b_s2", "b_out"):
-            assert not params[name].value.data.any()
+            assert not params[name].data.any()
 
     def test_param_presence_tracks_ablations(self):
         full = md.init_params(tiny_config())
@@ -69,14 +69,14 @@ class TestInit:
         no_ei = md.init_params(tiny_config(use_input_embedding=False))
         assert "W_in" not in no_ei and "b_in" not in no_ei
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"use_input_embedding": False}, {"use_adaptive_embedding": False},
-        {"d_input": 7, "d_adaptive": 2}, {"spatial_hidden": 9},
-        {"history": 3, "horizon": 5},
-    ])
-    def test_closed_form_count_matches(self, overrides):
+    @pytest.mark.parametrize("overrides, count", [
+        ({}, 423), ({"use_input_embedding": False}, 243),
+        ({"use_adaptive_embedding": False}, 138), ({"d_input": 7, "d_adaptive": 2}, 486),
+        ({"spatial_hidden": 9}, 468), ({"history": 3, "horizon": 5}, 807),
+    ], ids=[f"overrides{i}" for i in range(6)])
+    def test_closed_form_count_matches(self, overrides, count):
         cfg = tiny_config(**overrides)
-        assert md.init_params(cfg).count() == md.param_count(cfg)
+        assert sum(math.prod(s) for _, s in md.param_shapes(cfg)) == count
 
 
 class TestEmbed:
@@ -87,14 +87,14 @@ class TestEmbed:
         a = md.embed(dm.Tensor(rng.normal(size=(2, 2, 4, 4))), params, cfg)
         b = md.embed(dm.Tensor(rng.normal(size=(2, 2, 4, 4))), params, cfg)
         assert np.array_equal(a.data, b.data)
-        assert np.array_equal(a.data[0], params["E_a"].value.data)
+        assert np.array_equal(a.data[0], params["E_a"].data)
 
     def test_no_adaptive_embedding_is_pure_projection(self):
         cfg = tiny_config(use_adaptive_embedding=False)
         params = md.init_params(cfg)
         x = np.random.default_rng(1).normal(size=(1, 2, 4, 4))
         e = md.embed(dm.Tensor(x), params, cfg)
-        expect = x @ params["W_in"].value.data + params["b_in"].value.data
+        expect = x @ params["W_in"].data + params["b_in"].data
         assert np.allclose(e.data, expect)
         assert e.shape[-1] == cfg.d_input
 
@@ -113,7 +113,7 @@ class TestTemporalAttention:
         o, a = md.temporal_attention(e, params, return_weights=True)
         # same projection path as the module: time axis swapped inward
         v = np.matmul(e.data.transpose(0, 2, 1, 3),
-                      params["W_V"].value.data).transpose(0, 2, 1, 3)
+                      params["W_V"].data).transpose(0, 2, 1, 3)
         assert np.array_equal(o.data, v)
         assert np.array_equal(a.data, np.ones((2, 4, 1, 1)))
 
@@ -131,9 +131,9 @@ class TestTemporalAttention:
         cfg = md.ModelConfig(n_entities=1, history=2, horizon=1, d_input=1,
                              d_adaptive=1, d_output=1, seed=4)
         params = md.init_params(cfg)
-        wq = params["W_Q"].value.data
-        wk = params["W_K"].value.data
-        wv = params["W_V"].value.data
+        wq = params["W_Q"].data
+        wk = params["W_K"].data
+        wv = params["W_V"].data
         x = np.random.default_rng(5).normal(size=(1, 2, 1, 2))
         o = md.temporal_attention(dm.Tensor(x), params)
         xn = x[0, :, 0, :]  # [H, d]
@@ -163,12 +163,12 @@ class TestSpatialHead:
         cfg = tiny_config()
         params = md.init_params(cfg)
         for name in ("W_s1", "b_s1", "W_s2", "b_s2"):
-            params[name].value.data[...] = 0.0
+            params[name].data[...] = 0.0
         o_t = dm.Tensor(np.random.default_rng(6).normal(size=(2, 2, 4, 8)))
         y = md.spatial_head(o_t, params, cfg)
         # with zero mixing the head reduces to the linear readout of O_t itself
         r = np.transpose(o_t.data, (0, 2, 1, 3)).reshape(2, 4, 16)
-        expect = (r @ params["W_out"].value.data + params["b_out"].value.data)
+        expect = (r @ params["W_out"].data + params["b_out"].data)
         expect = np.transpose(expect.reshape(2, 4, 2, 4), (0, 2, 1, 3))
         assert np.allclose(y.data, expect)
 
@@ -277,7 +277,7 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         for a, b in zip(params.all(), loaded.all()):
             assert a.name == b.name
-            assert np.array_equal(a.value.data, b.value.data)
+            assert np.array_equal(a.data, b.data)
 
     def test_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_config()
@@ -322,11 +322,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, match", [
         (lambda h: h["config"].update(dropout=0.1), "dropout"),
         (lambda h: h["config"].update(history="2"), "config"),
-        (lambda h: h["config"].update(d_input=4), "parameter count"),
+        (lambda h: h["config"].update(d_input=4), r"parameters .* are not the .* of its config"),
         (lambda h: h["params"][3].__setitem__(0, "W_X"), "W_X"),
         (lambda h: h["params"][0][1].reverse(), "parameters"),
+        (lambda h: h["config"].update(d_adaptive=10**9), "1000000000"),
+        (lambda h: h["config"].update(d_input=3.0), "integer"),
     ], ids=["unknown_key", "ill_typed_field", "config_disagrees", "renamed",
-            "transposed"])
+            "transposed", "huge_config", "float_width"])
     def test_header_must_match_its_config(self, tmp_path, edit, match):
         cfg = tiny_config()
         path = tmp_path / "model.ckpt"

@@ -45,34 +45,34 @@ class TestLoss:
 class TestAdam:
     def test_first_step_closed_form(self):
         p = dm.Parameter("p", np.array([0.0]))
-        p.value.grad = np.array([1.0])
+        p.grad = np.array([1.0])
         tr.adam_step([p], tr.TrainConfig(lr=0.001), t=1)
         expect = -0.001 * 1.0 / (1.0 + 1e-8)
-        assert abs(p.value.data[0] - expect) < 1e-15
+        assert abs(p.data[0] - expect) < 1e-15
 
     def test_zero_gradient_is_noop(self):
         p = dm.Parameter("p", np.array([1.5, -2.5]))
-        p.value.grad = np.zeros(2)
-        before = p.value.data.copy()
+        p.grad = np.zeros(2)
+        before = p.data.copy()
         tr.adam_step([p], tr.TrainConfig(), t=1)
-        assert np.array_equal(p.value.data, before)
+        assert np.array_equal(p.data, before)
 
     def test_first_update_direction_is_negative_sign(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=8) * 10
         p = dm.Parameter("p", np.zeros(8))
-        p.value.grad = g.copy()
+        p.grad = g.copy()
         tr.adam_step([p], tr.TrainConfig(lr=0.01), t=1)
-        assert np.array_equal(np.sign(p.value.data), -np.sign(g))
+        assert np.array_equal(np.sign(p.data), -np.sign(g))
 
     def test_nonfinite_gradient_aborts_before_mutation(self):
         p = dm.Parameter("p", np.array([1.0]))
         q = dm.Parameter("q", np.array([2.0]))
-        p.value.grad = np.array([1.0])
-        q.value.grad = np.array([float("inf")])
+        p.grad = np.array([1.0])
+        q.grad = np.array([float("inf")])
         with pytest.raises(dm.NumericError):
             tr.adam_step([p, q], tr.TrainConfig(), t=1)
-        assert p.value.data[0] == 1.0
+        assert p.data[0] == 1.0
         assert not p.first_moment.any()
 
     def test_bad_step_index(self):
@@ -95,7 +95,7 @@ class TestTrainLoop:
         cfg = tiny_config(use_adaptive_embedding=False)
         params = md.init_params(cfg)
         for p in params.all():
-            p.value.data[...] = 0.0
+            p.data[...] = 0.0
         samples = [dt.WindowSample(x=np.zeros((2, 4, 4)), y=np.zeros((2, 4, 4)),
                                    t_anchor=1)] * 4
         tc = tr.TrainConfig(max_epochs=50, patience=4)
@@ -123,7 +123,7 @@ class TestTrainLoop:
         assert [r.val_loss for r in a_report.epochs] == \
                [r.val_loss for r in b_report.epochs]
         for pa, pb in zip(a_params.all(), b_params.all()):
-            assert np.array_equal(pa.value.data, pb.value.data)
+            assert np.array_equal(pa.data, pb.data)
 
     def test_needs_samples(self):
         cfg = tiny_config()
