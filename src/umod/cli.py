@@ -142,11 +142,10 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
         if missing:
             raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
         grid = _grid(cp)
-        series, _ = _ingest(data["trips"], data["stations"],
-                            _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
-                            grid.get("granularity", dt.SyntheticSpec.granularity),
-                            grid.get("operating_window"))
-        return series
+        return _ingest(data["trips"], data["stations"],
+                       _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
+                       grid.get("granularity", dt.SyntheticSpec.granularity),
+                       grid.get("operating_window"))[0]
     return dt.synth_generate(_synthetic_spec(cp))
 
 
@@ -215,35 +214,26 @@ def cmd_synth(args) -> int:
 
 def _ingest(trips_path, stations_path, start_time, end_time, granularity,
             window):
-    try:
-        with open(stations_path, "r", encoding="utf-8") as fh:
-            stations = [line.strip() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise dt.IngestionError(f"{stations_path}: not UTF-8 text ({exc.reason})") from exc
-    known = set(stations)
-    trips = []
-    for trip, lineno in dt.read_trips_with_lines(trips_path):
-        for station in (trip.origin, trip.destination):
-            if station not in known:
-                raise dt.IngestionError(
-                    f"unknown station {station!r} at line {lineno}")
-        trips.append(trip)
-    series, dropped = dt.build_od_series(trips, stations, start_time, end_time,
-                                         granularity)
-    pre_filter_flow = series.flows.sum()
+    """The series binned from a trip log, and the counts of trips dropped out
+    of the span and outside operating hours."""
+    stations = [name for _, name in dt.read_lines(stations_path)]
+    trips = dt.read_trips_with_lines(trips_path, stations)
+    series, out_of_span = dt.build_od_series(trips, stations, start_time, end_time,
+                                             granularity)
+    in_span_flow = series.flows.sum()
     if window is not None:
         series = dt.filter_operating_hours(series, window)
-        dropped += int(pre_filter_flow - series.flows.sum())
-    return series, dropped
+    return series, out_of_span, int(in_span_flow - series.flows.sum())
 
 
 def cmd_ingest(args) -> int:
     window = tuple(args.window) if args.window else None
-    series, dropped = _ingest(args.trips, args.stations, args.start,
-                              args.end, args.granularity, window)
+    series, out_of_span, outside_hours = _ingest(args.trips, args.stations, args.start,
+                                                 args.end, args.granularity, window)
     dt.dump_series(series, args.out)
     print(f"stations={series.n_stations} bins={series.n_bins} "
-          f"total_flow={series.flows.sum():.0f} dropped={dropped}")
+          f"total_flow={series.flows.sum():.0f} dropped={out_of_span + outside_hours} "
+          f"out_of_span={out_of_span} outside_hours={outside_hours}")
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """OD flow series construction, filtering, normalization, and windowing.
 
-The pipeline turns raw trip records into a ``[T, N, N]`` count tensor on a
+The pipeline turns a trip log into a ``[T, N, N]`` count tensor on a
 fixed time grid, drops bins outside metro operating hours, fits a single
 reversible z-score on the training portion, and slices the series into
 (history, horizon) window pairs split chronologically by ``SPLIT``.
@@ -20,6 +20,7 @@ SERIES_MAGIC = b"UMODODS1"
 SERIES_VERSION = 1
 SECONDS_PER_DAY = 86400
 SPLIT = (0.7, 0.1, 0.2)  # chronological train : val : test fractions
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
 class IngestionError(ValueError):
@@ -32,13 +33,6 @@ class ConfigurationError(ValueError):
 
 class SeriesFormatError(ValueError):
     """Raised when a series container cannot be parsed."""
-
-
-@dataclass(frozen=True)
-class TripRecord:
-    origin: str
-    destination: str
-    timestamp: int  # seconds since epoch, UTC
 
 
 @dataclass
@@ -136,71 +130,78 @@ class SyntheticSpec:
 
 def build_od_series(trips, stations, start_time: int, end_time: int,
                     granularity: int) -> tuple[ODSeries, int]:
-    """Bin trip records into an ODSeries.
+    """Bin trips into an ODSeries.
 
+    ``trips`` is ``(origin, destination, timestamp)``: station-index and
+    timestamp arrays of one length, as ``read_trips_with_lines`` returns.
     Bins are half-open ``[start, start + granularity)``, so a boundary
     timestamp lands in the later bin. Returns the series and the count of
-    records dropped for falling outside ``[start_time, end_time)``.
+    trips dropped for falling outside ``[start_time, end_time)``.
     """
     _check_grid(granularity, None)
     if start_time >= end_time:
         raise ConfigurationError("start_time must precede end_time")
+    if not INT64_MIN < start_time < end_time <= INT64_MAX:
+        raise ConfigurationError(f"span [{start_time}, {end_time}) is beyond int64 seconds")
     span = end_time - start_time
     if span % granularity != 0 or span < granularity:
         raise ConfigurationError(
             f"granularity {granularity} does not tile the span of {span} seconds"
         )
-    stations = list(stations)
-    index = {s: k for k, s in enumerate(stations)}
+    origin, destination, timestamp = (np.asarray(a, dtype=np.int64) for a in trips)
     n = len(stations)
+    # an index of n would otherwise land silently in the next bin
+    bad = np.flatnonzero((np.minimum(origin, destination) < 0)
+                         | (np.maximum(origin, destination) >= n))
+    if bad.size:
+        raise IngestionError(f"station index out of range for {n} stations "
+                             f"at record {bad[0]}")
+    keep = (timestamp >= start_time) & (timestamp < end_time)
+    t = (timestamp[keep] - start_time) // granularity
+    cells = (t * n + origin[keep]) * n + destination[keep]
     t_total = span // granularity
-    flows = np.zeros((t_total, n, n), dtype=np.float64)
-    dropped = 0
-    for pos, trip in enumerate(trips):
-        if trip.origin not in index:
-            raise IngestionError(f"unknown origin station {trip.origin!r} at record {pos}")
-        if trip.destination not in index:
-            raise IngestionError(
-                f"unknown destination station {trip.destination!r} at record {pos}"
-            )
-        if not (start_time <= trip.timestamp < end_time):
-            dropped += 1
-            continue
-        t = (trip.timestamp - start_time) // granularity
-        flows[t, index[trip.origin], index[trip.destination]] += 1.0
-    series = ODSeries(stations, start_time, granularity, flows)
-    return series, dropped
+    flows = np.bincount(cells, minlength=t_total * n * n).reshape(t_total, n, n)
+    series = ODSeries(list(stations), start_time, granularity, flows)
+    return series, int(keep.size - np.count_nonzero(keep))
 
 
-def read_trips_with_lines(path) -> list[tuple[TripRecord, int]]:
-    """Parse delimited trip text, keeping each record's source line number.
-
-    Format: ``origin,destination,unix_timestamp`` per line, optional header.
-    """
-    trips = []
+def read_lines(path) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for each non-blank line of UTF-8 text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if lineno == 1 and parts and not _is_int(parts[-1]):
-                    continue  # optional header
-                if len(parts) != 3 or not _is_int(parts[2]):
-                    raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
-                trips.append((TripRecord(parts[0], parts[1], int(parts[2])), lineno))
+            return [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
+                    if line]
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return trips
 
 
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False
+def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse delimited trip text into origin, destination and timestamp columns.
+
+    Format: ``origin,destination,unix_timestamp`` per line, optional header.
+    Origins and destinations become indices into ``stations``; timestamps
+    beyond the int64 range are clamped to it, so they fall outside any span.
+    Raises IngestionError naming the line of the first malformed record or
+    unknown station.
+    """
+    index = {name: k for k, name in enumerate(stations)}
+    trips = []
+    for lineno, line in read_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            stamp = int(parts[-1])
+        except ValueError:
+            if lineno == 1:
+                continue  # optional header
+            stamp = None
+        if len(parts) != 3 or stamp is None:
+            raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
+        for name in parts[:2]:
+            if name not in index:
+                raise IngestionError(f"unknown station {name!r} at line {lineno}")
+        trips.append((index[parts[0]], index[parts[1]],
+                      min(max(stamp, INT64_MIN), INT64_MAX)))
+    return tuple(np.array(trips, dtype=np.int64).reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +218,12 @@ def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSerie
     if series.operating_window is not None:
         raise ConfigurationError("series already carries an operating window")
     _check_grid(series.granularity, window)
-    if (start_h, end_h) == (0, 24):
-        return ODSeries(series.stations, series.start_time, series.granularity,
-                        series.flows.copy(), operating_window=(0, 24))
     t = np.arange(series.n_bins)
     second_of_day = (series.start_time + t * series.granularity) % SECONDS_PER_DAY
     keep = (second_of_day >= start_h * 3600) & (second_of_day < end_h * 3600)
+    if not keep.any():
+        raise ConfigurationError(f"no bin of the series falls inside operating window "
+                                 f"{start_h}-{end_h}h")
     return ODSeries(series.stations, series.start_time, series.granularity,
                     series.flows[keep], operating_window=(start_h, end_h))
 

@@ -243,15 +243,10 @@ def flatten_pairs(series: ODSeries, k: int, train_fraction: float = SPLIT[0]):
         raise ConfigurationError(f"K={k} out of range for {n}x{n} pairs")
     n_train = max(1, int(series.n_bins * train_fraction))
     means = series.flows[:n_train].mean(axis=0)  # [N, N]
-    ranked = sorted(
-        ((i, j) for i in range(n) for j in range(n)),
-        key=lambda ij: (-means[ij[0], ij[1]], ij[0], ij[1]),
-    )
-    pairs = ranked[:k]
-    rows = np.array([i for i, _ in pairs])
-    cols = np.array([j for _, j in pairs])
+    # a stable sort of the row-major means keeps ties in (i, j) order
+    rows, cols = np.divmod(np.argsort(-means, axis=None, kind="stable")[:k], n)
     view = series.flows[:, rows, cols][:, :, None]  # [T, K, 1]
-    return pairs, view
+    return list(zip(rows.tolist(), cols.tolist())), view
 
 
 def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:

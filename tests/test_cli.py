@@ -1,9 +1,14 @@
 import configparser
+import hashlib
 import json
+import os
+import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umod import cli
 from umod import data as dt
@@ -97,7 +102,96 @@ class TestSynth:
         assert not out.exists()
 
 
+GOLDEN_TRIPS = ("origin,destination,timestamp\nA,B,0\nB,C,3599\n\nC,A,3600\nA,A,21600\n"
+                "B,A,82799\nC,B,82800\nA,C,111600\n  B , C , 1_0_0_000 \nB,B,172800\n"
+                "C,C,-1\nA,B,+150000\n")
+
+
+def reference_ingest(trips_path, stations, start, end, granularity, window):
+    """Ingest as one loop over the records, then ``filter_operating_hours``.
+
+    Returns the series and the counts of trips dropped out of the span and
+    outside operating hours.
+    """
+    index = {name: k for k, name in enumerate(stations)}
+    flows = np.zeros(((end - start) // granularity, len(stations), len(stations)))
+    out_of_span = 0
+    with open(trips_path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = [p.strip() for p in line.strip().split(",")]
+            try:
+                timestamp = int(parts[-1])
+            except ValueError:
+                continue  # a blank line or the header: the logs hold no other bad line
+            if not start <= timestamp < end:
+                out_of_span += 1
+                continue
+            flows[(timestamp - start) // granularity, index[parts[0]], index[parts[1]]] += 1
+    series = dt.ODSeries(stations, start, granularity, flows)
+    if window is not None:
+        series = dt.filter_operating_hours(series, window)
+    return series, out_of_span, int(flows.sum() - series.flows.sum())
+
+
+@st.composite
+def trip_logs(draw):
+    """A trip log with its span and window; stamps crowd the bin and span edges."""
+    stations = ["A", "B", "C"][:draw(st.integers(1, 3))]
+    granularity = draw(st.sampled_from([900, 1800, 3600]))
+    start = draw(st.integers(-2 * 86400, 2 * 86400))
+    end = start + granularity * draw(st.integers(1, 80))
+    edge = st.builds(lambda k, d: start + k * granularity + d,
+                     st.integers(-2, (end - start) // granularity + 1),
+                     st.sampled_from([-1, 0, 1]))
+    stamp = (st.sampled_from([start - 1, start, end - 1, end, 10**30, -10**23]) | edge
+             | st.integers(start - 86400, end + 86400))
+    trip = st.tuples(st.sampled_from(stations), st.sampled_from(stations), stamp).map(
+        lambda t: f"{t[0]},{t[1]},{t[2]}")
+    lines = draw(st.lists(trip | st.sampled_from(["", "  "]), min_size=5, max_size=40))
+    if draw(st.booleans()):
+        lines.insert(0, "origin,destination,timestamp")
+    window = draw(st.none() | st.just((0, 24))
+                  | st.tuples(st.integers(0, 23), st.integers(1, 24)).filter(
+                      lambda w: w[0] < w[1]))
+    return "\n".join(lines) + "\n", stations, start, end, granularity, window
+
+
 class TestIngest:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(trip_logs())
+    def test_matches_per_record_reference(self, log):
+        text, stations, start, end, granularity, window = log
+        with tempfile.TemporaryDirectory() as tmp:
+            trips, names = os.path.join(tmp, "trips.csv"), os.path.join(tmp, "stations.txt")
+            with open(trips, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with open(names, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(stations) + "\n")
+            try:
+                expected = reference_ingest(trips, stations, start, end, granularity, window)
+            except dt.ConfigurationError as exc:
+                with pytest.raises(dt.ConfigurationError, match=re.escape(str(exc))):
+                    cli._ingest(trips, names, start, end, granularity, window)
+                return
+            series, out_of_span, outside_hours = cli._ingest(trips, names, start, end,
+                                                             granularity, window)
+        assert np.array_equal(series.flows, expected[0].flows)
+        assert series.operating_window == expected[0].operating_window
+        assert (out_of_span, outside_hours) == expected[1:]
+
+    def test_golden_series_bytes(self, tmp_path, capsys):
+        trips, stations = self.write_inputs(tmp_path, GOLDEN_TRIPS)
+        stations.write_text("A\nB\nC\n")
+        out = tmp_path / "series.bin"
+        assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "172800", "--granularity", "3600",
+                         "--window", "6", "23", "--out", str(out)]) == 0
+        # the bytes the per-record binning loop wrote for this log
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e9d923e74f466115b4f5e1351babab60e22a0d1db7054e61e3ce01ad973abc90")
+        assert capsys.readouterr().out == ("stations=3 bins=34 total_flow=4 dropped=7 "
+                                           "out_of_span=2 outside_hours=5\n")
+
     def write_inputs(self, tmp_path, trips_text):
         trips = tmp_path / "trips.csv"
         trips.write_text(trips_text)
@@ -136,7 +230,9 @@ class TestIngest:
                          "--out", str(out)])
         assert code == 0
         assert dt.load_series(out).flows.sum() == 0
-        assert "dropped=1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "dropped=1" in out
+        assert out.endswith(" dropped=1 out_of_span=0 outside_hours=1\n")
 
     @pytest.mark.parametrize("granularity", ["0", "-3600"])
     def test_granularity_below_one_exits_1(self, tmp_path, capsys, granularity):
@@ -166,6 +262,39 @@ class TestIngest:
                          "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_span_outside_window_exits_1(self, tmp_path, capsys, command):
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
+        out = tmp_path / "o.bin"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("[data]\n", "[data]\n" + TRIPS_WITH_SPAN.format(
+            trips=trips, stations=stations)) + f"[run]\noutput_dir = {tmp_path / 'run'}\n")
+        argv = {"ingest": ["ingest", "--trips", str(trips), "--stations", str(stations),
+                           "--start", "0", "--end", "3600", "--window", "6", "18",
+                           "--out", str(out)],
+                "train": ["train", str(cfg)]}[command]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: no bin of the series falls inside operating window 6-18h\n")
+        assert not out.exists()
+
+    def test_timestamps_beyond_int64_drop_out_of_span(self, tmp_path, capsys):
+        trips, stations = self.write_inputs(tmp_path, f"A,B,{10**30}\nB,A,{-10**23}\n"
+                                                      "A,B,1_000\nB,A, +5\n")
+        code = cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
+        assert code == 0
+        assert capsys.readouterr().out.endswith(
+            " total_flow=2 dropped=2 out_of_span=2 outside_hours=0\n")
+
+    def test_first_defect_in_file_order_is_reported(self, tmp_path, capsys):
+        # the unknown station on line 2 comes before the malformed line 5
+        trips, stations = self.write_inputs(tmp_path, "A,B,1\nA,X,2\nA,B,3\nB,A,4\nA,B\n")
+        code = cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown station 'X' at line 2\n"
 
     def test_missing_input_exits_2(self, tmp_path):
         _, stations = self.write_inputs(tmp_path, "")

@@ -13,53 +13,61 @@ def make_series(flows, granularity=1800, start_time=0, window=None):
                        flows, operating_window=window)
 
 
+def columns(*trips):
+    """The (origin, destination, timestamp) columns of ``(i, j, t)`` trips."""
+    return tuple(np.array(trips, dtype=np.int64).reshape(-1, 3).T)
+
+
 class TestBuildSeries:
     def test_hand_counted_bin(self):
-        trips = [dt.TripRecord("A", "B", 10), dt.TripRecord("A", "B", 20),
-                 dt.TripRecord("B", "A", 30)]
+        trips = columns((0, 1, 10), (0, 1, 20), (1, 0, 30))
         series, dropped = dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800)
         assert dropped == 0
         assert np.array_equal(series.flows[0], [[0, 2], [1, 0]])
 
     def test_empty_trip_list(self):
-        series, _ = dt.build_od_series([], ["A", "B", "C"], 0, 3600, 1800)
+        series, _ = dt.build_od_series(columns(), ["A", "B", "C"], 0, 3600, 1800)
         assert series.flows.shape == (2, 3, 3)
         assert series.flows.sum() == 0
 
     def test_boundary_timestamp_goes_to_later_bin(self):
-        trips = [dt.TripRecord("A", "B", 1800)]
-        series, _ = dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800)
+        series, _ = dt.build_od_series(columns((0, 1, 1800)), ["A", "B"], 0, 3600, 1800)
         assert series.flows[0].sum() == 0
         assert series.flows[1, 0, 1] == 1
 
     def test_out_of_span_trips_are_dropped_and_counted(self):
-        trips = [dt.TripRecord("A", "B", -5), dt.TripRecord("A", "B", 3600),
-                 dt.TripRecord("A", "B", 100)]
+        trips = columns((0, 1, -5), (0, 1, 3600), (0, 1, 100))
         series, dropped = dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800)
         assert dropped == 2
         assert series.flows.sum() == 1
 
     def test_unknown_station_names_id_and_position(self):
-        trips = [dt.TripRecord("A", "B", 0), dt.TripRecord("X", "B", 0)]
-        with pytest.raises(dt.IngestionError, match=r"'X'.*record 1"):
-            dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800)
+        # an index of N would otherwise count in the next bin's origin 0
+        for trips, record in [(columns((0, 1, 0), (2, 1, 0)), 1),
+                              (columns((0, -1, 0), (0, 1, 0)), 0)]:
+            with pytest.raises(dt.IngestionError,
+                               match=rf"out of range for 2 stations at record {record}"):
+                dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800)
 
     def test_duplicate_station_rejected(self):
         with pytest.raises(dt.ConfigurationError, match="station 'A' is listed twice"):
-            dt.build_od_series([dt.TripRecord("A", "B", 0)], ["A", "A", "B"], 0, 1800, 1800)
+            dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], 0, 1800, 1800)
+
+    @pytest.mark.parametrize("start, end", [(-2**63, 0), (0, 2**63), (-10**30, -10**30 + 60)])
+    def test_span_beyond_int64_rejected(self, start, end):
+        # clamped timestamps would otherwise land inside the span
+        with pytest.raises(dt.ConfigurationError, match="beyond int64 seconds"):
+            dt.build_od_series(columns((0, 1, -2**63)), ["A", "B"], start, end, 60)
 
     @pytest.mark.parametrize("granularity", [0, -1800])
     def test_granularity_below_one(self, granularity):
         with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):
-            dt.build_od_series([], ["A", "B"], 0, 3600, granularity)
+            dt.build_od_series(columns(), ["A", "B"], 0, 3600, granularity)
 
     def test_conserves_in_span_trips(self):
         rng = np.random.default_rng(0)
-        stations = ["A", "B", "C"]
-        trips = [dt.TripRecord(stations[rng.integers(3)], stations[rng.integers(3)],
-                               int(rng.integers(0, 7200)))
-                 for _ in range(200)]
-        series, dropped = dt.build_od_series(trips, stations, 0, 7200, 1800)
+        trips = (rng.integers(0, 3, 200), rng.integers(0, 3, 200), rng.integers(0, 7200, 200))
+        series, dropped = dt.build_od_series(trips, ["A", "B", "C"], 0, 7200, 1800)
         assert series.flows.sum() + dropped == 200
         assert dropped == 0
 
@@ -311,18 +319,36 @@ class TestTripText:
     def test_reads_with_optional_header(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text("origin,destination,timestamp\nA,B,100\nB,A,200\n")
-        trips = dt.read_trips_with_lines(path)
-        assert trips == [(dt.TripRecord("A", "B", 100), 2),
-                         (dt.TripRecord("B", "A", 200), 3)]
+        origin, destination, timestamp = dt.read_trips_with_lines(path, ["A", "B"])
+        assert origin.tolist() == [0, 1]
+        assert destination.tolist() == [1, 0]
+        assert timestamp.tolist() == [100, 200]
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text("A,B,100\nA,B\n")
         with pytest.raises(dt.IngestionError, match="line 2"):
-            dt.read_trips_with_lines(path)
+            dt.read_trips_with_lines(path, ["A", "B"])
 
     def test_non_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_bytes(b"A,B,100\n\xff,B,200\n")
         with pytest.raises(dt.IngestionError, match=f"{path}: not UTF-8"):
-            dt.read_trips_with_lines(path)
+            dt.read_trips_with_lines(path, ["A", "B"])
+
+    def test_timestamps_parse_as_python_int(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text("A,B,1_000\nB,A, +5\nA,A,-0\n")
+        assert dt.read_trips_with_lines(path, ["A", "B"])[2].tolist() == [1000, 5, 0]
+
+    def test_timestamps_beyond_int64_are_clamped(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text(f"A,B,{10**30}\nB,A,{-10**23}\nA,B,{2**63 - 1}\n")
+        assert dt.read_trips_with_lines(path, ["A", "B"])[2].tolist() == [
+            2**63 - 1, -2**63, 2**63 - 1]
+
+    def test_unknown_station_names_origin_before_destination(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text("A,B,100\nX,Y,200\n")
+        with pytest.raises(dt.IngestionError, match="unknown station 'X' at line 2"):
+            dt.read_trips_with_lines(path, ["A", "B"])

@@ -255,6 +255,20 @@ class TestFlattenPairs:
         with pytest.raises(dt.ConfigurationError):
             md.flatten_pairs(self.make_series(), 5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+    def test_matches_sorted_tuple_ranking(self, n):
+        # few distinct flow values, so most means tie
+        flows = np.random.default_rng(n).integers(0, 3, (7, n, n)).astype(float)
+        series = dt.ODSeries([f"S{k}" for k in range(n)], 0, 1800, flows)
+        means = flows[:int(7 * dt.SPLIT[0])].mean(axis=0)
+        ranked = sorted(((i, j) for i in range(n) for j in range(n)),
+                        key=lambda ij: (-means[ij], *ij))
+        for k in sorted({1, n, n * n // 2 + 1, n * n}):
+            pairs, view = md.flatten_pairs(series, k)
+            assert pairs == ranked[:k]
+            rows, cols = np.array(ranked[:k]).T
+            assert np.array_equal(view[:, :, 0], flows[:, rows, cols])
+
     def test_pair_mode_forward_shapes(self):
         series = self.make_series()
         pairs, view = md.flatten_pairs(series, 3)
