@@ -88,7 +88,9 @@ class NormStats:
     used_fallback: bool = False  # std was degenerate and clamped to 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+        out = np.asarray(x, dtype=np.float64) - self.mean
+        out /= self.std  # in place, so the result is the only new array
+        return out
 
     def invert(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) * self.std + self.mean
@@ -262,7 +264,9 @@ def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int
 
     ``flows`` is any ``[T, E, F]`` array (the station-rows view ``[T, N, N]``
     or a pair view ``[T, K, 1]``). Returns (train, val, test) lists of
-    WindowSample with ``len_split - H - P + 1`` samples each.
+    WindowSample with ``len_split - H - P + 1`` samples each. Every ``x`` and
+    ``y`` is a view of one normalised array, which is read-only so that no
+    window can change another; ``training.stack_batch`` copies a batch.
     """
     if H < 1 or P < 1:
         raise ConfigurationError("H and P must be >= 1")
@@ -281,14 +285,15 @@ def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int
                 f"{name} split has {hi - lo} bins but needs at least {need} (H={H}, P={P})"
             )
     norm = stats.apply(flows)
+    norm.flags.writeable = False
     out = []
     for _, lo, hi in bounds:
         samples = []
         # anchor t = index of the last history bin (absolute)
         for t in range(lo + H - 1, hi - P):
             samples.append(WindowSample(
-                x=norm[t - H + 1:t + 1].copy(),
-                y=norm[t + 1:t + P + 1].copy(),
+                x=norm[t - H + 1:t + 1],
+                y=norm[t + 1:t + P + 1],
                 t_anchor=t,
             ))
         out.append(samples)

@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -26,13 +27,51 @@ class NumericError(ArithmeticError):
     """Raised when a computation produces or receives non-finite values."""
 
 
+class GraphReleasedError(RuntimeError):
+    """Raised when ``backward()`` would walk a graph an earlier one freed."""
+
+
+class _Released(tuple):
+    """The empty ``parents`` of a tensor whose graph ``backward()`` freed.
+
+    It is still a tuple, so code that walks ``parents`` sees no parents;
+    only ``backward()`` tells it from a leaf's ``()``.
+    """
+
+    __slots__ = ()
+
+
+_RELEASED = _Released()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Context manager under which new tensors record no parents.
+
+    Forward-only passes (validation loss, prediction) run under it, so each
+    intermediate is freed as soon as nothing reads it. The arithmetic is the
+    same, so the outputs are bit-identical to a taped pass. Blocks nest, and
+    the previous mode comes back on exit, also after an exception.
+    """
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
+
+
 class Tensor:
     """A float64 array plus an optional gradient accumulator.
 
     ``parents`` holds ``(tensor, adjoint_fn)`` pairs; ``adjoint_fn`` maps the
-    upstream gradient to this parent's gradient contribution. Leaf tensors
-    (no parents) receive accumulated gradients in ``.grad`` after
-    ``backward()``.
+    upstream gradient to this parent's gradient contribution. A tensor made
+    under ``no_grad()`` has no parents. ``backward()`` accumulates gradients
+    into ``.grad`` of the leaves (tensors with no parents, such as every
+    ``Parameter``) only, and releases the graph as it walks it: each
+    intermediate drops its parents, so a second ``backward()`` through it
+    raises ``GraphReleasedError``.
     """
 
     __slots__ = ("data", "grad", "parents")
@@ -40,7 +79,7 @@ class Tensor:
     def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = tuple(parents)
+        self.parents = tuple(parents) if _grad_enabled else ()
 
     @property
     def shape(self):
@@ -60,18 +99,25 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Each node is popped from the walk and drops its parents once its
+        adjoints have run, so the tape is freed while it is walked.
+        """
         if self.data.size != 1:
             raise DimensionError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
             )
         topo = _toposort(self)
         pending = {id(self): np.ones_like(self.data)}
-        for node in topo:
+        while topo:
+            node = topo.pop()
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
+            if not node.parents:
+                node.grad = g if node.grad is None else node.grad + g
+                continue
             for parent, adjoint in node.parents:
                 pg = adjoint(g)
                 key = id(parent)
@@ -79,10 +125,12 @@ class Tensor:
                     pending[key] = pending[key] + pg
                 else:
                     pending[key] = pg
+            node.parents = _RELEASED
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    # Iterative DFS; returns nodes in reverse topological order.
+    # Iterative DFS; returns nodes in topological order, root last. Raises
+    # before any gradient moves if the graph reaches a released tensor.
     order: list[Tensor] = []
     state: dict[int, int] = {}  # 0 = entered, 1 = done
     stack = [root]
@@ -92,6 +140,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
         if state.get(key) == 1:
             stack.pop()
             continue
+        if node.parents is _RELEASED:
+            raise GraphReleasedError(
+                "backward() reached a tensor whose graph an earlier backward() "
+                "released; rebuild the forward pass"
+            )
         if key not in state:
             state[key] = 0
             for parent, _ in node.parents:
@@ -101,7 +154,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
             state[key] = 1
             order.append(node)
             stack.pop()
-    order.reverse()
     return order
 
 

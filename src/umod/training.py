@@ -171,26 +171,34 @@ def train(config: m.ModelConfig, params: m.ModelParams,
 def evaluate_loss(config: m.ModelConfig, params: m.ModelParams,
                   samples: list[WindowSample], train_config: TrainConfig,
                   batch_size: int = 64, forward=None) -> float:
-    """Forward-only loss over a sample list (no gradient, no state change)."""
+    """Forward-only loss over a sample list, under ``diffmath.no_grad()``.
+
+    No tape is recorded and no parameter or gradient changes.
+    """
     forward = forward or m.forward
     total = 0.0
     count = 0
-    for lo in range(0, len(samples), batch_size):
-        batch = samples[lo:lo + batch_size]
-        x, y = stack_batch(batch)
-        out = forward(x, params, config)
-        total += float(loss(out, y, train_config.loss_kind).data) * len(batch)
-        count += len(batch)
+    with dm.no_grad():
+        for lo in range(0, len(samples), batch_size):
+            batch = samples[lo:lo + batch_size]
+            x, y = stack_batch(batch)
+            out = forward(x, params, config)
+            total += float(loss(out, y, train_config.loss_kind).data) * len(batch)
+            count += len(batch)
     return total / count
 
 
 def predict(config: m.ModelConfig, params: m.ModelParams,
             samples: list[WindowSample], batch_size: int = 64,
             forward=None) -> np.ndarray:
-    """Stacked forward predictions for a sample list: [S, P, E, d_o]."""
+    """Stacked forward predictions for a sample list: [S, P, E, d_o].
+
+    Runs under ``diffmath.no_grad()``, so no tape is recorded.
+    """
     forward = forward or m.forward
     chunks = []
-    for lo in range(0, len(samples), batch_size):
-        x, _ = stack_batch(samples[lo:lo + batch_size])
-        chunks.append(forward(x, params, config).data)
+    with dm.no_grad():
+        for lo in range(0, len(samples), batch_size):
+            x, _ = stack_batch(samples[lo:lo + batch_size])
+            chunks.append(forward(x, params, config).data)
     return np.concatenate(chunks, axis=0)

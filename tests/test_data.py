@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,32 @@ class TestSplitAndWindow:
         train, _, _ = dt.split_and_window(flows, stats, (0.7, 0.1, 0.2), 2, 2)
         s = train[0]
         assert np.allclose(stats.invert(s.x), flows[s.t_anchor - 1:s.t_anchor + 1])
+
+    def test_windows_are_read_only_views_of_one_base(self):
+        flows = np.random.default_rng(8).random((50, 2, 2))
+        stats = dt.fit_normalizer(make_series(flows), 0.7)
+        splits = dt.split_and_window(flows, stats, (0.7, 0.1, 0.2), 3, 2)
+        windows = [a for split in splits for s in split for a in (s.x, s.y)]
+        base = windows[0].base
+        assert base is not None and not base.flags.writeable
+        assert all(a.base is base for a in windows)
+        s, after = splits[0][:2]
+        assert np.shares_memory(s.y, after.x) and np.shares_memory(splits[2][-1].y, base)
+        with pytest.raises(ValueError):
+            s.x[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.y += 1.0
+
+    def test_peak_memory_is_one_normalised_copy(self):
+        flows = np.random.default_rng(9).random((100, 40, 40))
+        stats = dt.fit_normalizer(make_series(flows), 0.7)
+        tracemalloc.start()
+        try:
+            dt.split_and_window(flows, stats, (0.7, 0.1, 0.2), 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * flows.nbytes
 
 
 class TestSynthetic:

@@ -255,3 +255,117 @@ def test_expand_leading_gradient_sums():
 def test_backward_requires_scalar():
     with pytest.raises(dm.DimensionError):
         dm.Tensor(np.zeros(3)).backward()
+
+
+def unreleased_leaf_grads(root):
+    """Leaf gradients by the walk ``backward()`` made before it freed the graph.
+
+    The same reverse topological order and the same summation order, but no
+    tensor is changed, so it can run on a graph before ``backward()`` does.
+    """
+    order, state, stack = [], {}, [root]
+    while stack:
+        node = stack[-1]
+        if state.get(id(node)) == 1:
+            stack.pop()
+        elif id(node) not in state:
+            state[id(node)] = 0
+            stack.extend(p for p, _ in node.parents if state.get(id(p)) != 1)
+        else:
+            state[id(node)] = 1
+            order.append(node)
+            stack.pop()
+    pending = {id(root): np.ones_like(root.data)}
+    grads = {}
+    for node in reversed(order):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        if not node.parents:
+            grads[id(node)] = g
+        for parent, adjoint in node.parents:
+            pg = adjoint(g)
+            pending[id(parent)] = pending[id(parent)] + pg if id(parent) in pending else pg
+    return grads
+
+
+def small_graph():
+    x = dm.Parameter("x", np.array([[1.0, -2.0]]))
+    w = dm.Parameter("w", np.array([[0.5], [-0.25]]))
+    hidden = dm.relu(dm.linear(x, w))  # [[1.0]]
+    return x, w, hidden, dm.sum_all(dm.mul(hidden, hidden))
+
+
+class TestNoGrad:
+    def test_tensors_made_inside_have_no_parents(self):
+        x = dm.Parameter("x", np.array([1.0, 2.0]))
+        t = dm.Parameter("t", np.ones((2, 3)))
+        with dm.no_grad():
+            y = dm.mul(x, x)
+            o, a = dm.scaled_dot_attention(t, t, t)
+        assert y.parents == () and o.parents == () and a.parents == ()
+        assert np.array_equal(y.data, [1.0, 4.0])
+
+    def test_mode_restored_after_exception_and_nested_blocks(self):
+        x = dm.Parameter("x", np.array([1.0]))
+        with pytest.raises(KeyError):
+            with dm.no_grad():
+                raise KeyError("inside")
+        assert dm.mul(x, x).parents
+        with dm.no_grad():
+            with dm.no_grad():
+                pass
+            assert dm.mul(x, x).parents == ()
+        assert dm.mul(x, x).parents
+
+    def test_backward_works_after_the_block(self):
+        x = dm.Parameter("x", np.array([3.0]))
+        with dm.no_grad():
+            dm.mul(x, x)
+        dm.sum_all(dm.mul(x, x)).backward()
+        assert np.array_equal(x.grad, [6.0])
+
+
+class TestReleasedGraph:
+    def test_backward_frees_intermediates_and_keeps_leaf_grads(self):
+        x, w, hidden, loss = small_graph()
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node.parents == ()
+        assert np.array_equal(x.grad, [[1.0, -0.5]])
+        assert np.array_equal(w.grad, [[2.0], [-4.0]])
+        # a parameter stays a leaf: the next graph can start from it
+        x.zero_grad()
+        dm.sum_all(dm.mul(x, x)).backward()
+        assert np.array_equal(x.grad, [[2.0, -4.0]])
+
+    def test_second_backward_raises(self):
+        *_, loss = small_graph()
+        loss.backward()
+        with pytest.raises(dm.GraphReleasedError, match="released"):
+            loss.backward()
+
+    def test_backward_through_released_node_raises_before_any_grad_moves(self):
+        x, w, hidden, loss = small_graph()
+        loss.backward()
+        grads = x.grad.copy(), w.grad.copy()
+        with pytest.raises(dm.GraphReleasedError):
+            dm.sum_all(dm.add(hidden, dm.sum_all(x))).backward()
+        assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
+
+    @pytest.mark.parametrize("mode", ["station_rows", "top_k_pairs"])
+    def test_parameter_grads_match_the_unreleased_walk(self, mode):
+        from umod import model as md
+        pairs = mode == md.TOP_K_PAIRS
+        cfg = md.ModelConfig(n_entities=5, history=3, horizon=2, d_input=3,
+                             d_adaptive=2, entity_mode=mode,
+                             top_k=5 if pairs else None, seed=3)
+        params = md.init_params(cfg)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 3, 5, cfg.feature_dim))
+        y = rng.normal(size=(4, 2, 5, cfg.d_output))
+        loss = dm.mean_all(dm.absolute(dm.sub(md.forward(x, params, cfg), dm.Tensor(y))))
+        expected = unreleased_leaf_grads(loss)
+        loss.backward()
+        for p in params.all():
+            assert p.grad.tobytes() == expected[id(p)].tobytes(), p.name

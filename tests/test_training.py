@@ -167,6 +167,34 @@ class TestEvaluatePredict:
         x, _ = tr.stack_batch(samples)
         assert np.abs(preds - md.forward(x, params, cfg).data).max() < 1e-12
 
+    @pytest.mark.parametrize("mode", [md.STATION_ROWS, md.TOP_K_PAIRS])
+    def test_no_grad_forward_is_bit_identical(self, mode):
+        pairs = mode == md.TOP_K_PAIRS
+        cfg = tiny_config(entity_mode=mode, top_k=4 if pairs else None,
+                          d_output=None)
+        params = md.init_params(cfg)
+        x = np.random.default_rng(6).normal(size=(3, 2, 4, cfg.feature_dim))
+        taped = md.forward(x, params, cfg)
+        with dm.no_grad():
+            free = md.forward(x, params, cfg)
+        assert taped.parents and free.parents == ()
+        assert free.data.tobytes() == taped.data.tobytes()
+
+    def test_forward_only_passes_record_no_tape(self):
+        cfg = tiny_config()
+        params = md.init_params(cfg)
+        samples = make_samples(5, seed=7)
+        outputs = []
+
+        def spy(x, params, config):
+            outputs.append(md.forward(x, params, config))
+            return outputs[-1]
+
+        tr.evaluate_loss(cfg, params, samples, tr.TrainConfig(), batch_size=2,
+                         forward=spy)
+        tr.predict(cfg, params, samples, batch_size=2, forward=spy)
+        assert len(outputs) == 6 and all(out.parents == () for out in outputs)
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
