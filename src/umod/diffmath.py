@@ -158,15 +158,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor that learns, with its Adam moment buffers."""
+    """A named leaf tensor that learns."""
 
-    __slots__ = ("name", "first_moment", "second_moment")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, value) -> None:
         super().__init__(value)
         self.name = name
-        self.first_moment = np.zeros_like(self.data)
-        self.second_moment = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"

@@ -114,7 +114,7 @@ class HistoricalAverageBaseline:
         return np.stack(out)
 
 
-def _mlp_forward(x, params: m.ModelParams, out_shape: tuple) -> dm.Tensor:
+def _mlp_forward(x, params: dict[str, dm.Parameter], out_shape: tuple) -> dm.Tensor:
     """Flattened window -> ReLU hidden layer -> ``[B, *out_shape]`` forecast."""
     batch = x.shape[0]
     flat = dm.reshape(dm.Tensor(x), (batch, int(np.prod(x.shape[1:]))))

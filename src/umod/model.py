@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import diffmath as dm
-from .data import SPLIT, ODSeries, ConfigurationError, read_container, write_container
+from .data import ODSeries, ConfigurationError, read_container, split_lengths, write_container
 
 CHECKPOINT_MAGIC = b"UMODCKPT"
 CHECKPOINT_VERSION = 2
@@ -84,36 +84,6 @@ class ModelConfig:
         return cls(**d)
 
 
-class ModelParams:
-    """All learnable parameters, keyed by name, in fixed creation order."""
-
-    def __init__(self, params: list[dm.Parameter]):
-        self._params = list(params)
-        self._by_name = {p.name: p for p in self._params}
-        if len(self._by_name) != len(self._params):
-            raise ValueError("duplicate parameter names")
-
-    def __getitem__(self, name: str) -> dm.Parameter:
-        return self._by_name[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def all(self) -> list[dm.Parameter]:
-        return self._params
-
-    def zero_grad(self):
-        for p in self._params:
-            p.zero_grad()
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data.copy() for p in self._params}
-
-    def restore(self, snap: dict[str, np.ndarray]):
-        for p in self._params:
-            p.data[...] = snap[p.name]
-
-
 def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """The one parameter layout: ``(name, shape)`` for each parameter, in creation order."""
     H, E, d_h = config.history, config.n_entities, config.d_hidden
@@ -129,25 +99,26 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
                      ("W_out", (head_in, head_out)), ("b_out", (head_out,))]
 
 
-def xavier_init(shapes, seed: int) -> ModelParams:
+def xavier_init(shapes, seed: int) -> dict[str, dm.Parameter]:
     """Xavier-uniform weights with their fans on the last two axes, zero 1-d biases.
 
-    Draws in list order from a generator seeded by ``seed``, so the values are
-    fully determined by the layout and the seed.
+    Returns name -> Parameter in ``shapes`` order. Draws in that order from a
+    generator seeded by ``seed``, so the values are fully determined by the
+    layout and the seed.
     """
     rng = np.random.default_rng(seed)
-    params = []
+    params = {}
     for name, shape in shapes:
         if len(shape) == 1:
             value = np.zeros(shape)
         else:
             bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
             value = rng.uniform(-bound, bound, size=shape)
-        params.append(dm.Parameter(name, value))
-    return ModelParams(params)
+        params[name] = dm.Parameter(name, value)
+    return params
 
 
-def init_params(config: ModelConfig) -> ModelParams:
+def init_params(config: ModelConfig) -> dict[str, dm.Parameter]:
     """The parameters of ``param_shapes(config)``, initialised from config.seed."""
     return xavier_init(param_shapes(config), config.seed)
 
@@ -156,7 +127,7 @@ def init_params(config: ModelConfig) -> ModelParams:
 # forward pieces
 
 
-def embed(x: dm.Tensor, params: ModelParams, config: ModelConfig) -> dm.Tensor:
+def embed(x: dm.Tensor, params: dict[str, dm.Parameter], config: ModelConfig) -> dm.Tensor:
     """Project inputs and/or append the learnable embedding: [B,H,E,d_h]."""
     batch = x.shape[0]
     parts = []
@@ -174,7 +145,7 @@ def embed(x: dm.Tensor, params: ModelParams, config: ModelConfig) -> dm.Tensor:
     return out
 
 
-def temporal_attention(e_h: dm.Tensor, params: ModelParams,
+def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter],
                        return_weights: bool = False):
     """Self-attention over the time axis, per entity: [B,H,E,d] -> [B,H,E,d]."""
     d_h = e_h.shape[-1]
@@ -193,7 +164,7 @@ def temporal_attention(e_h: dm.Tensor, params: ModelParams,
     return o_t
 
 
-def spatial_head(o_t: dm.Tensor, params: ModelParams,
+def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Parameter],
                  config: ModelConfig) -> dm.Tensor:
     """Residual entity mixing plus the per-entity regression head."""
     B = o_t.shape[0]
@@ -216,7 +187,7 @@ def spatial_head(o_t: dm.Tensor, params: ModelParams,
     return dm.transpose(y, (0, 2, 1, 3))  # [B,P,E,d_o]
 
 
-def forward(x, params: ModelParams, config: ModelConfig,
+def forward(x, params: dict[str, dm.Parameter], config: ModelConfig,
             return_activations: bool = False):
     """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,d_output]."""
     x = x if isinstance(x, dm.Tensor) else dm.Tensor(x)
@@ -232,16 +203,19 @@ def forward(x, params: ModelParams, config: ModelConfig,
 # pair view
 
 
-def flatten_pairs(series: ODSeries, k: int, train_fraction: float = SPLIT[0]):
+def flatten_pairs(series: ODSeries, k: int):
     """Pick the K busiest OD pairs by training-split mean flow.
 
     Ties break toward the lower (origin index, destination index). Returns
     the pair index list and a ``[T, K, 1]`` scalar-feature view of the series.
+    Raises ConfigurationError if the training split is empty.
     """
     n = series.n_stations
     if not (1 <= k <= n * n):
         raise ConfigurationError(f"K={k} out of range for {n}x{n} pairs")
-    n_train = max(1, int(series.n_bins * train_fraction))
+    n_train = split_lengths(series.n_bins)[0]
+    if n_train < 1:
+        raise ConfigurationError("training portion is empty")
     means = series.flows[:n_train].mean(axis=0)  # [N, N]
     # a stable sort of the row-major means keeps ties in (i, j) order
     rows, cols = np.divmod(np.argsort(-means, axis=None, kind="stable")[:k], n)
@@ -267,11 +241,11 @@ def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
 # checkpoints
 
 
-def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
+def save_checkpoint(path, params: dict[str, dm.Parameter], config: ModelConfig) -> None:
     """``UMODCKPT`` container: config and parameter names/shapes in the header."""
     header = {"version": CHECKPOINT_VERSION, "config": config.to_dict(),
-              "params": [[p.name, list(p.shape)] for p in params.all()]}
-    write_container(path, CHECKPOINT_MAGIC, header, [p.data for p in params.all()])
+              "params": [[name, list(p.shape)] for name, p in params.items()]}
+    write_container(path, CHECKPOINT_MAGIC, header, [p.data for p in params.values()])
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
@@ -294,4 +268,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
         raise CheckpointError(
             "checkpoint config does not match the requested config"
         )
-    return ModelParams([dm.Parameter(name, a) for (name, _), a in zip(stored, arrays)]), config
+    return {name: dm.Parameter(name, a) for (name, _), a in zip(stored, arrays)}, config

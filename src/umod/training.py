@@ -71,11 +71,12 @@ def loss(pred: dm.Tensor, target, kind: str = MEAN_ABSOLUTE) -> dm.Tensor:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def adam_step(params, config: TrainConfig, t: int) -> None:
+def adam_step(params, moments, config: TrainConfig, t: int) -> None:
     """One bias-corrected Adam update, reading gradients off the parameters.
 
-    Aborts before touching any state if a gradient is missing finiteness,
-    so a failed step leaves parameters and moments untouched.
+    ``moments`` holds one ``(first, second)`` array pair per parameter and is
+    updated in place. Aborts before touching any state if a gradient is
+    missing finiteness, so a failed step leaves parameters and moments untouched.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
@@ -90,12 +91,13 @@ def adam_step(params, config: TrainConfig, t: int) -> None:
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for p, g in zip(params, grads):
-        p.first_moment = b1 * p.first_moment + (1.0 - b1) * g
-        p.second_moment = b2 * p.second_moment + (1.0 - b2) * g * g
-        m_hat = p.first_moment / c1
-        v_hat = p.second_moment / c2
-        p.data -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    for p, g, (first, second) in zip(params, grads, moments):
+        # b1 * m + (1 - b1) * g, in place: the same bits without new arrays
+        first *= b1
+        first += (1.0 - b1) * g
+        second *= b2
+        second += (1.0 - b2) * g * g
+        p.data -= config.lr * (first / c1) / (np.sqrt(second / c2) + config.adam_eps)
 
 
 def stack_batch(samples: list[WindowSample]):
@@ -104,22 +106,25 @@ def stack_batch(samples: list[WindowSample]):
     return x, y
 
 
-def train(config: m.ModelConfig, params: m.ModelParams,
+def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
           train_samples: list[WindowSample], val_samples: list[WindowSample],
           train_config: TrainConfig,
-          epoch_callback=None, forward=None) -> tuple[m.ModelParams, TrainReport]:
+          epoch_callback=None, forward=None) -> tuple[dict[str, dm.Parameter], TrainReport]:
     """Run the training loop and return the best-validation parameters.
 
-    ``epoch_callback(record)`` fires after every epoch (used for logging).
-    ``forward(x, params, config)`` is the network to fit; it defaults to
+    The parameters are updated in place, and Adam starts from zero moments on
+    every call. ``epoch_callback(record)`` fires after every epoch (used for
+    logging). ``forward(x, params, config)`` is the network to fit; it defaults to
     ``model.forward``, and ``config`` is passed to it untouched.
     """
     if not train_samples or not val_samples:
         raise ValueError("need at least one training and one validation sample")
     forward = forward or m.forward
+    plist = list(params.values())
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in plist]
     report = TrainReport()
     best_val = float("inf")
-    best_snap = params.snapshot()
+    best_snap = [p.data.copy() for p in plist]
     bad_epochs = 0
     step = 0
     t0 = time.perf_counter()
@@ -132,15 +137,15 @@ def train(config: m.ModelConfig, params: m.ModelParams,
         for lo in range(0, len(order), train_config.batch_size):
             batch = [train_samples[i] for i in order[lo:lo + train_config.batch_size]]
             x, y = stack_batch(batch)
-            params.zero_grad()
+            for p in plist:
+                p.zero_grad()
             out = forward(x, params, config)
             batch_loss = loss(out, y, train_config.loss_kind)
             if not np.isfinite(batch_loss.data):
-                report.stop_reason = "numeric_error"
                 raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
             batch_loss.backward()
             step += 1
-            adam_step(params.all(), train_config, step)
+            adam_step(plist, moments, train_config, step)
             total += float(batch_loss.data) * len(batch)
             count += len(batch)
         train_loss = total / count
@@ -153,7 +158,7 @@ def train(config: m.ModelConfig, params: m.ModelParams,
             epoch_callback(record)
         if val_loss < best_val:
             best_val = val_loss
-            best_snap = params.snapshot()
+            best_snap = [p.data.copy() for p in plist]
             report.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -164,11 +169,12 @@ def train(config: m.ModelConfig, params: m.ModelParams,
     if not report.stop_reason:
         report.stop_reason = "max_epochs"
     report.wall_time = time.perf_counter() - t0
-    params.restore(best_snap)
+    for p, best in zip(plist, best_snap):
+        p.data[...] = best
     return params, report
 
 
-def evaluate_loss(config: m.ModelConfig, params: m.ModelParams,
+def evaluate_loss(config: m.ModelConfig, params: dict[str, dm.Parameter],
                   samples: list[WindowSample], train_config: TrainConfig,
                   batch_size: int = 64, forward=None) -> float:
     """Forward-only loss over a sample list, under ``diffmath.no_grad()``.
@@ -188,7 +194,7 @@ def evaluate_loss(config: m.ModelConfig, params: m.ModelParams,
     return total / count
 
 
-def predict(config: m.ModelConfig, params: m.ModelParams,
+def predict(config: m.ModelConfig, params: dict[str, dm.Parameter],
             samples: list[WindowSample], batch_size: int = 64,
             forward=None) -> np.ndarray:
     """Stacked forward predictions for a sample list: [S, P, E, d_o].

@@ -49,7 +49,7 @@ def test_criterion_1_gradient_fidelity():
         return tr.loss(md.forward(x, params, cfg), y, tr.MEAN_SQUARED)
 
     t0 = time.perf_counter()
-    err = dm.finite_diff_check(loss_fn, params.all(), eps=1e-5)
+    err = dm.finite_diff_check(loss_fn, list(params.values()), eps=1e-5)
     elapsed = time.perf_counter() - t0
     assert err < 1e-4, f"max relative error {err}"
     assert elapsed < 30.0, f"took {elapsed:.1f}s"

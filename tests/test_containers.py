@@ -46,7 +46,7 @@ def checkpoints(draw):
         entity_mode=mode, top_k=n if mode == md.TOP_K_PAIRS else None,
         seed=draw(st.integers(0, 2**32)))
     params = md.init_params(config)
-    for p in params.all():
+    for p in params.values():
         p.data[...] = draw(hnp.arrays(np.float64, p.shape, elements=VALUES))
     return params, config
 
@@ -102,8 +102,8 @@ class TestRoundTrip:
         md.save_checkpoint(path, params, config)
         back, back_config = md.load_checkpoint(path, expected_config=config)
         assert back_config == config
-        assert [(p.name, p.data.tobytes()) for p in back.all()] \
-            == [(p.name, p.data.tobytes()) for p in params.all()]
+        assert [(p.name, p.data.tobytes()) for p in back.values()] \
+            == [(p.name, p.data.tobytes()) for p in params.values()]
         raw = path.read_bytes()
         md.save_checkpoint(path, back, back_config)
         assert path.read_bytes() == raw

@@ -367,5 +367,5 @@ class TestReleasedGraph:
         loss = dm.mean_all(dm.absolute(dm.sub(md.forward(x, params, cfg), dm.Tensor(y))))
         expected = unreleased_leaf_grads(loss)
         loss.backward()
-        for p in params.all():
+        for p in params.values():
             assert p.grad.tobytes() == expected[id(p)].tobytes(), p.name

@@ -44,7 +44,7 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = md.init_params(tiny_config())
         b = md.init_params(tiny_config())
-        for pa, pb in zip(a.all(), b.all()):
+        for pa, pb in zip(a.values(), b.values()):
             assert pa.name == pb.name
             assert np.array_equal(pa.data, pb.data)
 
@@ -214,7 +214,7 @@ class TestForward:
         def loss_fn(plist):
             return tr.loss(md.forward(x, params, cfg), y, tr.MEAN_SQUARED)
 
-        assert dm.finite_diff_check(loss_fn, params.all(), eps=1e-5) < 1e-4
+        assert dm.finite_diff_check(loss_fn, list(params.values()), eps=1e-5) < 1e-4
 
     def test_input_gradient_zero_without_input_embedding(self):
         cfg = tiny_config(use_input_embedding=False)
@@ -255,6 +255,12 @@ class TestFlattenPairs:
         with pytest.raises(dt.ConfigurationError):
             md.flatten_pairs(self.make_series(), 5)
 
+    def test_empty_training_split_rejected(self):
+        # a 1-bin series has no training bins: split_lengths(1) == (0, 0, 1)
+        series = dt.ODSeries(["A", "B"], 0, 1800, self.make_series().flows[:1])
+        with pytest.raises(dt.ConfigurationError, match="training portion is empty"):
+            md.flatten_pairs(series, 1)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
     def test_matches_sorted_tuple_ranking(self, n):
         # few distinct flow values, so most means tie
@@ -289,7 +295,7 @@ class TestCheckpoint:
         md.save_checkpoint(path, params, cfg)
         loaded, loaded_cfg = md.load_checkpoint(path)
         assert loaded_cfg == cfg
-        for a, b in zip(params.all(), loaded.all()):
+        for a, b in zip(params.values(), loaded.values()):
             assert a.name == b.name
             assert np.array_equal(a.data, b.data)
 

@@ -42,11 +42,15 @@ class TestLoss:
             tr.loss(dm.Tensor([1.0]), np.array([1.0, 2.0]))
 
 
+def zero_moments(params):
+    return [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         p = dm.Parameter("p", np.array([0.0]))
         p.grad = np.array([1.0])
-        tr.adam_step([p], tr.TrainConfig(lr=0.001), t=1)
+        tr.adam_step([p], zero_moments([p]), tr.TrainConfig(lr=0.001), t=1)
         expect = -0.001 * 1.0 / (1.0 + 1e-8)
         assert abs(p.data[0] - expect) < 1e-15
 
@@ -54,7 +58,7 @@ class TestAdam:
         p = dm.Parameter("p", np.array([1.5, -2.5]))
         p.grad = np.zeros(2)
         before = p.data.copy()
-        tr.adam_step([p], tr.TrainConfig(), t=1)
+        tr.adam_step([p], zero_moments([p]), tr.TrainConfig(), t=1)
         assert np.array_equal(p.data, before)
 
     def test_first_update_direction_is_negative_sign(self):
@@ -62,7 +66,7 @@ class TestAdam:
         g = rng.normal(size=8) * 10
         p = dm.Parameter("p", np.zeros(8))
         p.grad = g.copy()
-        tr.adam_step([p], tr.TrainConfig(lr=0.01), t=1)
+        tr.adam_step([p], zero_moments([p]), tr.TrainConfig(lr=0.01), t=1)
         assert np.array_equal(np.sign(p.data), -np.sign(g))
 
     def test_nonfinite_gradient_aborts_before_mutation(self):
@@ -70,14 +74,15 @@ class TestAdam:
         q = dm.Parameter("q", np.array([2.0]))
         p.grad = np.array([1.0])
         q.grad = np.array([float("inf")])
+        moments = zero_moments([p, q])
         with pytest.raises(dm.NumericError):
-            tr.adam_step([p, q], tr.TrainConfig(), t=1)
+            tr.adam_step([p, q], moments, tr.TrainConfig(), t=1)
         assert p.data[0] == 1.0
-        assert not p.first_moment.any()
+        assert not any(m.any() for pair in moments for m in pair)
 
     def test_bad_step_index(self):
         with pytest.raises(ValueError):
-            tr.adam_step([], tr.TrainConfig(), t=0)
+            tr.adam_step([], [], tr.TrainConfig(), t=0)
 
 
 class TestTrainLoop:
@@ -94,7 +99,7 @@ class TestTrainLoop:
         # so validation loss stays flat at its first value
         cfg = tiny_config(use_adaptive_embedding=False)
         params = md.init_params(cfg)
-        for p in params.all():
+        for p in params.values():
             p.data[...] = 0.0
         samples = [dt.WindowSample(x=np.zeros((2, 4, 4)), y=np.zeros((2, 4, 4)),
                                    t_anchor=1)] * 4
@@ -122,8 +127,21 @@ class TestTrainLoop:
                [r.train_loss for r in b_report.epochs]
         assert [r.val_loss for r in a_report.epochs] == \
                [r.val_loss for r in b_report.epochs]
-        for pa, pb in zip(a_params.all(), b_params.all()):
+        for pa, pb in zip(a_params.values(), b_params.values()):
             assert np.array_equal(pa.data, pb.data)
+
+    def test_each_call_starts_adam_from_zero_moments(self):
+        cfg = tiny_config()
+        tc = tr.TrainConfig(max_epochs=2, patience=2, lr=0.01)
+        train_s, val_s = make_samples(6, seed=1), make_samples(2, seed=2)
+        trained, _ = tr.train(cfg, md.init_params(cfg), train_s, val_s, tc)
+        copy = md.init_params(cfg)
+        for name, p in trained.items():
+            copy[name].data[...] = p.data
+        again, _ = tr.train(cfg, trained, train_s, val_s, tc)
+        fresh, _ = tr.train(cfg, copy, train_s, val_s, tc)
+        for name, p in again.items():
+            assert np.array_equal(p.data, fresh[name].data)
 
     def test_needs_samples(self):
         cfg = tiny_config()
