@@ -317,8 +317,11 @@ def cmd_sweep(args) -> int:
         result = ev.run_dim_sweep(series, stats, model_config, train_config,
                                   axis=axis)
         out_name = f"dim_sweep_{axis}.csv"
-    out_path = os.path.join(run_dir, out_name)
-    ev.write_sweep(out_path, result)
+    if not result.rows:
+        desc, reason = result.skipped[0]
+        raise dt.ConfigurationError(f"{args.kind} sweep trained no row; "
+                                    f"first skipped {desc}: {reason}")
+    ev.write_sweep(os.path.join(run_dir, out_name), result)
     _print_sweep_summary(result)
     return EXIT_OK
 

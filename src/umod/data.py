@@ -113,8 +113,6 @@ class SyntheticSpec:
     days: int = 14
     granularity: int = 1800
     seed: int = 0
-    pair_amplitudes: np.ndarray | None = None  # [N, N] base rates
-    daily_profile: np.ndarray | None = None  # multiplier per bin-of-day
     noise_std: float = 0.5
     operating_window: tuple[int, int] | None = (6, 23)
 
@@ -314,7 +312,8 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
     """Deterministic metro-like counts: per-pair rate x daily profile + noise.
 
     ``flows[t, i, j] = round(max(0, amp[i, j] * profile[t mod bpd] + eps))``
-    with ``eps ~ N(0, noise_std)`` drawn from a generator seeded by
+    with ``profile = two_peak_profile(bpd)``, and ``amp ~ U(2, 12)`` and
+    ``eps ~ N(0, noise_std)`` drawn in that order from a generator seeded by
     ``spec.seed``. Only in-window bins are emitted.
     """
     n = spec.n_stations
@@ -324,24 +323,9 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
     else:
         bpd = SECONDS_PER_DAY // spec.granularity
     rng = np.random.default_rng(spec.seed)
-    amps = spec.pair_amplitudes
-    if amps is None:
-        amps = rng.uniform(2.0, 12.0, size=(n, n))
-    else:
-        amps = np.asarray(amps, dtype=np.float64)
-        if amps.shape != (n, n):
-            raise ConfigurationError(f"pair_amplitudes {amps.shape} != ({n}, {n})")
-    profile = spec.daily_profile
-    if profile is None:
-        profile = two_peak_profile(bpd)
-    else:
-        profile = np.asarray(profile, dtype=np.float64)
-        if profile.shape != (bpd,):
-            raise ConfigurationError(
-                f"daily_profile has {profile.shape[0]} bins, expected {bpd}"
-            )
+    amps = rng.uniform(2.0, 12.0, size=(n, n))  # [N, N] base rates
     t_total = spec.days * bpd
-    base = amps[None, :, :] * profile[:, None, None]  # [bpd, N, N]
+    base = amps[None, :, :] * two_peak_profile(bpd)[:, None, None]  # [bpd, N, N]
     flows = np.empty((t_total, n, n), dtype=np.float64)
     for day in range(spec.days):
         noise = rng.normal(0.0, spec.noise_std, size=(bpd, n, n)) if spec.noise_std > 0 \

@@ -8,7 +8,7 @@ near-zero targets are masked out and the surviving count is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,8 @@ EMBEDDING_MAGIC = b"UMODEMB1"
 EMBEDDING_VERSION = 1
 
 BASELINE_KINDS = ("historical_average", "last_value", "plain_mlp")
+MAPE_MASK_THRESHOLD = 1e-6  # targets at most this far from zero are left out of MAPE
+MLP_HIDDEN = 64
 
 
 @dataclass
@@ -44,8 +46,7 @@ class SweepResult:
 
 
 def compute_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,
-                    stats: NormStats,
-                    mape_mask_threshold: float = 1e-6) -> MetricsReport:
+                    stats: NormStats) -> MetricsReport:
     """MAE / RMSE / masked MAPE after inverting the normalization."""
     pred_norm = np.asarray(pred_norm, dtype=np.float64)
     target_norm = np.asarray(target_norm, dtype=np.float64)
@@ -59,7 +60,7 @@ def compute_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,
     n = resid.size
     mae = float(np.abs(resid).mean())
     rmse = float(math.sqrt((resid ** 2).mean()))
-    mask = np.abs(target) > mape_mask_threshold
+    mask = np.abs(target) > MAPE_MASK_THRESHOLD
     used = int(mask.sum())
     if used == 0:
         mape = None
@@ -124,11 +125,9 @@ def _mlp_forward(x, params: dict[str, dm.Parameter], out_shape: tuple) -> dm.Ten
 
 
 class PlainMLPBaseline:
-    """Two-layer network on the flattened window, trained like the main model."""
+    """Two-layer network (seed 0) on the flattened window, trained like the main model."""
 
-    def __init__(self, hidden: int = 64, seed: int = 0):
-        self.hidden = hidden
-        self.seed = seed
+    def __init__(self):
         self.params = None
         self.shape_out = None
 
@@ -137,9 +136,8 @@ class PlainMLPBaseline:
         s0 = train_samples[0]
         self.shape_out = s0.y.shape
         n_in, n_out = s0.x.size, s0.y.size
-        self.params = m.xavier_init([("W1", (n_in, self.hidden)), ("b1", (self.hidden,)),
-                                     ("W2", (self.hidden, n_out)), ("b2", (n_out,))],
-                                    self.seed)
+        self.params = m.xavier_init([("W1", (n_in, MLP_HIDDEN)), ("b1", (MLP_HIDDEN,)),
+                                     ("W2", (MLP_HIDDEN, n_out)), ("b2", (n_out,))], 0)
         tr.train(self.shape_out, self.params, train_samples, val_samples,
                  train_config, forward=_mlp_forward)
         return self
@@ -152,7 +150,7 @@ class PlainMLPBaseline:
 
 def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
                  train_samples=None, val_samples=None,
-                 train_config: tr.TrainConfig | None = None, seed: int = 0):
+                 train_config: tr.TrainConfig | None = None):
     """Build and fit one of the reference predictors on training data only.
 
     ``flows`` is the ``[T, E, F]`` entity view the samples were cut from
@@ -167,7 +165,7 @@ def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
     if kind == "plain_mlp":
         if train_samples is None or val_samples is None or train_config is None:
             raise ConfigurationError("plain_mlp needs train/val samples and a config")
-        return PlainMLPBaseline(seed=seed).fit(train_samples, val_samples, train_config)
+        return PlainMLPBaseline().fit(train_samples, val_samples, train_config)
     raise ConfigurationError(f"unknown baseline kind {kind!r}")
 
 
@@ -192,12 +190,14 @@ def _train_and_score(series: ODSeries, model_config: m.ModelConfig,
 def run_hp_sweep(series: ODSeries, stats: NormStats,
                  model_config: m.ModelConfig, train_config: tr.TrainConfig,
                  grid=None) -> SweepResult:
-    """Train one model per (history, horizon) pair with identical seeds."""
+    """Train one model per (history, horizon) pair with identical seeds.
+
+    A pair whose windows do not fit the series is skipped with its reason.
+    """
     grid = list(grid) if grid is not None else list(HP_GRID)
+    configs = [replace(model_config, history=hist, horizon=horizon) for hist, horizon in grid]
     result = SweepResult()
-    for hist, horizon in grid:
-        cfg = m.ModelConfig.from_dict({**model_config.to_dict(),
-                                       "history": hist, "horizon": horizon})
+    for (hist, horizon), cfg in zip(grid, configs):
         try:
             _, _, metrics = _train_and_score(series, cfg, train_config, stats)
         except ConfigurationError as exc:
@@ -220,14 +220,10 @@ def run_ablations(series: ODSeries, stats: NormStats,
     """
     if not (model_config.use_input_embedding and model_config.use_adaptive_embedding):
         raise ConfigurationError("ablation base config must enable both embeddings")
+    configs = [model_config, replace(model_config, use_input_embedding=False),
+               replace(model_config, use_adaptive_embedding=False)]
     result = SweepResult()
-    for name in ABLATION_ORDER:
-        cfg_dict = model_config.to_dict()
-        if name == "no_input_embedding":
-            cfg_dict["use_input_embedding"] = False
-        elif name == "no_adaptive_embedding":
-            cfg_dict["use_adaptive_embedding"] = False
-        cfg = m.ModelConfig.from_dict(cfg_dict)
+    for name, cfg in zip(ABLATION_ORDER, configs):
         params, _, metrics = _train_and_score(series, cfg, train_config, stats)
         result.rows.append(({"ablation": name}, metrics))
         if name == "full" and embedding_dump_path is not None:
@@ -242,16 +238,10 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
     values = list(values) if values is not None else list(DIM_VALUES)
     if axis not in ("input_dim", "adaptive_dim"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
+    width = "d_input" if axis == "input_dim" else "d_adaptive"
+    configs = [replace(model_config, **{width: v}) for v in values]
     result = SweepResult()
-    for v in values:
-        if v < 1:
-            raise ConfigurationError("dimension values must be positive")
-        cfg_dict = model_config.to_dict()
-        if axis == "input_dim":
-            cfg_dict["d_input"] = v
-        else:
-            cfg_dict["d_adaptive"] = v
-        cfg = m.ModelConfig.from_dict(cfg_dict)
+    for v, cfg in zip(values, configs):
         _, _, metrics = _train_and_score(series, cfg, train_config, stats)
         result.rows.append(
             ({"axis": axis, "value": v, "d_input": cfg.d_input,
@@ -265,9 +255,9 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
 
 def format_sweep(result: SweepResult) -> str:
     """Delimited table: config columns, then the metric columns."""
-    if not result.rows and not result.skipped:
+    if not result.rows:
         return ""
-    keys = list(result.rows[0][0].keys()) if result.rows else []
+    keys = list(result.rows[0][0].keys())
     lines = [",".join(keys + ["mae", "rmse", "mape_percent", "n_mape_used"])]
     for desc, rep in result.rows:
         mape = "NA" if rep.mape_percent is None else f"{rep.mape_percent:.6f}"

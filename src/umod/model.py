@@ -30,7 +30,7 @@ TOP_K_PAIRS = "top_k_pairs"
 
 
 class CheckpointError(ValueError):
-    """Raised when a checkpoint cannot be read or does not match the config."""
+    """Raised when a checkpoint cannot be read or does not match its own config."""
 
 
 @dataclass
@@ -75,13 +75,6 @@ class ModelConfig:
     def d_hidden(self) -> int:
         return ((self.d_input if self.use_input_embedding else 0)
                 + (self.d_adaptive if self.use_adaptive_embedding else 0))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -145,9 +138,11 @@ def embed(x: dm.Tensor, params: dict[str, dm.Parameter], config: ModelConfig) ->
     return out
 
 
-def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter],
-                       return_weights: bool = False):
-    """Self-attention over the time axis, per entity: [B,H,E,d] -> [B,H,E,d]."""
+def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter]):
+    """Self-attention over the time axis, per entity.
+
+    Returns the output [B,H,E,d] and the attention weights [B,E,H,H].
+    """
     d_h = e_h.shape[-1]
     if params["W_Q"].shape != (d_h, d_h):
         raise dm.DimensionError(
@@ -158,10 +153,7 @@ def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter],
     k = dm.matmul(x, params["W_K"])
     v = dm.matmul(x, params["W_V"])
     o, a = dm.scaled_dot_attention(q, k, v)  # o [B,E,H,d], a [B,E,H,H]
-    o_t = dm.transpose(o, (0, 2, 1, 3))
-    if return_weights:
-        return o_t, a
-    return o_t
+    return dm.transpose(o, (0, 2, 1, 3)), a
 
 
 def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Parameter],
@@ -187,16 +179,11 @@ def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Parameter],
     return dm.transpose(y, (0, 2, 1, 3))  # [B,P,E,d_o]
 
 
-def forward(x, params: dict[str, dm.Parameter], config: ModelConfig,
-            return_activations: bool = False):
+def forward(x, params: dict[str, dm.Parameter], config: ModelConfig) -> dm.Tensor:
     """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,d_output]."""
     x = x if isinstance(x, dm.Tensor) else dm.Tensor(x)
-    e_h = embed(x, params, config)
-    o_t, a = temporal_attention(e_h, params, return_weights=True)
-    y_hat = spatial_head(o_t, params, config)
-    if return_activations:
-        return y_hat, {"E_h": e_h, "A": a, "O_t": o_t, "x": x}
-    return y_hat
+    o_t, _ = temporal_attention(embed(x, params, config), params)
+    return spatial_head(o_t, params, config)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +230,19 @@ def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
 
 def save_checkpoint(path, params: dict[str, dm.Parameter], config: ModelConfig) -> None:
     """``UMODCKPT`` container: config and parameter names/shapes in the header."""
-    header = {"version": CHECKPOINT_VERSION, "config": config.to_dict(),
+    header = {"version": CHECKPOINT_VERSION, "config": asdict(config),
               "params": [[name, list(p.shape)] for name, p in params.items()]}
     write_container(path, CHECKPOINT_MAGIC, header, [p.data for p in params.values()])
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None):
-    """Load (params, config); rejects corrupt files, parameters other than
-    ``param_shapes`` of the stored config, and config mismatches."""
+def load_checkpoint(path):
+    """Load (params, config); rejects corrupt files and parameters other than
+    ``param_shapes`` of the stored config."""
     header, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                     lambda h: [shape for _, shape in h["params"]],
                                     CheckpointError)
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: bad checkpoint config: {type(exc).__name__}: {exc}") from exc
@@ -264,8 +251,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
     if stored != expected:
         raise CheckpointError(
             f"{path}: parameters {stored} are not the {expected} of its config")
-    if expected_config is not None and config.to_dict() != expected_config.to_dict():
-        raise CheckpointError(
-            "checkpoint config does not match the requested config"
-        )
     return {name: dm.Parameter(name, a) for (name, _), a in zip(stored, arrays)}, config

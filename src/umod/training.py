@@ -19,6 +19,7 @@ from .data import ConfigurationError, WindowSample
 
 MEAN_ABSOLUTE = "mean_absolute"
 MEAN_SQUARED = "mean_squared"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -28,9 +29,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 20
     loss_kind: str = MEAN_ABSOLUTE
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle_seed: int = 0
 
     def __post_init__(self):
@@ -53,7 +51,6 @@ class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     stop_reason: str = ""
-    wall_time: float = 0.0
 
 
 def loss(pred: dm.Tensor, target, kind: str = MEAN_ABSOLUTE) -> dm.Tensor:
@@ -88,7 +85,7 @@ def adam_step(params, moments, config: TrainConfig, t: int) -> None:
         if not np.isfinite(g).all():
             raise dm.NumericError(f"non-finite gradient for {p.name}")
         grads.append(g)
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for p, g, (first, second) in zip(params, grads, moments):
@@ -97,7 +94,7 @@ def adam_step(params, moments, config: TrainConfig, t: int) -> None:
         first += (1.0 - b1) * g
         second *= b2
         second += (1.0 - b2) * g * g
-        p.data -= config.lr * (first / c1) / (np.sqrt(second / c2) + config.adam_eps)
+        p.data -= config.lr * (first / c1) / (np.sqrt(second / c2) + ADAM_EPS)
 
 
 def stack_batch(samples: list[WindowSample]):
@@ -127,7 +124,6 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
     best_snap = [p.data.copy() for p in plist]
     bad_epochs = 0
     step = 0
-    t0 = time.perf_counter()
     for epoch in range(1, train_config.max_epochs + 1):
         e0 = time.perf_counter()
         rng = np.random.default_rng([train_config.shuffle_seed, epoch])
@@ -168,7 +164,6 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
                 break
     if not report.stop_reason:
         report.stop_reason = "max_epochs"
-    report.wall_time = time.perf_counter() - t0
     for p, best in zip(plist, best_snap):
         p.data[...] = best
     return params, report

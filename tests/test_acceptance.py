@@ -1,5 +1,6 @@
 """Acceptance gate: one test per criterion, one printed verdict line each."""
 
+import dataclasses
 import functools
 import math
 import time
@@ -62,13 +63,13 @@ def test_criterion_2_attention_invariants():
         cfg = tiny_config(seed=trial)
         params = md.init_params(cfg)
         x = np.random.default_rng(trial).normal(size=(1, 2, 4, 4))
-        _, acts = md.forward(x, params, cfg, return_activations=True)
-        assert np.abs(acts["A"].data.sum(-1) - 1.0).max() < 1e-9
+        _, a = md.temporal_attention(md.embed(dm.Tensor(x), params, cfg), params)
+        assert np.abs(a.data.sum(-1) - 1.0).max() < 1e-9
     # H=1 returns the value projection exactly
     cfg1 = tiny_config(history=1)
     params = md.init_params(cfg1)
     e = dm.Tensor(np.random.default_rng(7).normal(size=(2, 1, 4, 8)))
-    o, a = md.temporal_attention(e, params, return_weights=True)
+    o, a = md.temporal_attention(e, params)
     v = np.matmul(e.data.transpose(0, 2, 1, 3),
                   params["W_V"].data).transpose(0, 2, 1, 3)
     assert np.array_equal(o.data, v)
@@ -79,8 +80,8 @@ def test_criterion_2_attention_invariants():
     rng = np.random.default_rng(8)
     e = rng.normal(size=(1, 2, 4, 8))
     perm = rng.permutation(4)
-    o = md.temporal_attention(dm.Tensor(e), params)
-    o_perm = md.temporal_attention(dm.Tensor(e[:, :, perm, :]), params)
+    o, _ = md.temporal_attention(dm.Tensor(e), params)
+    o_perm, _ = md.temporal_attention(dm.Tensor(e[:, :, perm, :]), params)
     assert np.array_equal(o.data[:, :, perm, :], o_perm.data)
 
 
@@ -197,12 +198,12 @@ def test_criterion_7_protocol_shape():
         ["full", "no_input_embedding", "no_adaptive_embedding"]
     small = [2, 3, 4, 5, 6]  # five values sized for the desk-scale fixture
     di = ev.run_dim_sweep(series, stats,
-                          md.ModelConfig(**{**cfg.to_dict(), "d_adaptive": 80}),
+                          dataclasses.replace(cfg, d_adaptive=80),
                           tc, axis="input_dim", values=small)
     assert len(di.rows) == 5
     assert all(d["d_adaptive"] == 80 for d, _ in di.rows)
     da = ev.run_dim_sweep(series, stats,
-                          md.ModelConfig(**{**cfg.to_dict(), "d_input": 24}),
+                          dataclasses.replace(cfg, d_input=24),
                           tc, axis="adaptive_dim", values=small)
     assert len(da.rows) == 5
     assert all(d["d_input"] == 24 for d, _ in da.rows)

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -471,7 +472,8 @@ class TestEval:
 
     def test_version_1_checkpoint_exits_1(self, run_config, tmp_path, capsys):
         # the version-1 layout: magic, u32 version, u32 config length, config, u32 count
-        blob = json.dumps(md.ModelConfig(n_entities=3, history=2, horizon=2).to_dict(),
+        blob = json.dumps(dataclasses.asdict(md.ModelConfig(n_entities=3, history=2,
+                                                           horizon=2)),
                           sort_keys=True).encode()
         ckpt = tmp_path / "v1.ckpt"
         ckpt.write_bytes(md.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob
@@ -591,6 +593,13 @@ class TestConfigValues:
         assert message in err
         assert not (tmp_path / "run").exists()
 
+    def test_config_fields_without_a_key(self):
+        # the grid fields come from [data]; n_entities and d_output from the series
+        unmapped = {section: {f.name for f in dataclasses.fields(cls)} - set(keys.values())
+                    for section, (cls, keys) in cli.KEYS.items()}
+        assert unmapped == {"synthetic": {"granularity", "operating_window"},
+                            "model": {"n_entities", "d_output"}, "train": set()}
+
     @pytest.mark.parametrize("line, message", [
         ("batch_size = 0", "invalid training configuration"),
         ("loss = huber", "unknown loss kind 'huber'"),
@@ -622,6 +631,17 @@ class TestSweep:
         table = (tmp_path / "run" / "hp_sweep.csv").read_text().strip().split("\n")
         assert table[0].startswith("H,P,mae")
         assert len(table) > 1
+
+    def test_sweep_with_no_row_exits_1(self, tmp_path, capsys):
+        # two days of 12 hourly bins leave a 2-bin validation split: no (H, P) fits
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("days = 8", "days = 2"))
+        run_dir = tmp_path / "run"
+        assert cli.main(["sweep", "hp", str(cfg), "--output-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: hp sweep trained no row; first skipped {'H': 6, 'P': 2}: "
+            "val split has 2 bins but needs at least 8 (H=6, P=2)\n")
+        assert not (run_dir / "hp_sweep.csv").exists()
 
     def test_sweep_requires_output_dir(self, tmp_path):
         cfg = tmp_path / "run.ini"

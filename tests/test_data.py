@@ -227,11 +227,11 @@ class TestSplitAndWindow:
 
 class TestSynthetic:
     def test_noise_free_flat_profile_is_constant(self):
-        amps = np.array([[3.0, 7.0], [2.0, 5.0]])
-        spec = dt.SyntheticSpec(2, days=2, pair_amplitudes=amps,
-                                daily_profile=np.ones(34), noise_std=0.0)
-        series = dt.synth_generate(spec)
-        assert np.array_equal(series.flows, np.tile(np.round(amps), (68, 1, 1)))
+        # without noise every day is the rounded amplitude x profile product
+        series = dt.synth_generate(dt.SyntheticSpec(2, days=2, seed=4, noise_std=0.0))
+        amps = np.random.default_rng(4).uniform(2.0, 12.0, size=(2, 2))
+        day = np.round(amps[None, :, :] * dt.two_peak_profile(34)[:, None, None])
+        assert np.array_equal(series.flows, np.tile(day, (2, 1, 1)))
 
     def test_deterministic_under_seed(self):
         spec = dt.SyntheticSpec(4, days=3, seed=11, noise_std=0.7)

@@ -121,10 +121,7 @@ def windows(series, h=2, p=2):
 
 class TestBaselines:
     def test_last_value_zero_error_on_constant_series(self):
-        amps = np.full((2, 2), 4.0)
-        series = dt.synth_generate(dt.SyntheticSpec(
-            2, days=4, granularity=3600, pair_amplitudes=amps,
-            daily_profile=np.ones(12), noise_std=0.0, operating_window=(6, 18)))
+        series = dt.ODSeries(["A", "B"], 0, 3600, np.full((48, 2, 2), 4.0), (6, 18))
         stats, (train, val, test) = windows(series)
         preds = ev.fit_baseline("last_value", series=series, stats=stats).predict(test)
         targets = np.stack([s.y for s in test])
@@ -154,8 +151,8 @@ class TestBaselines:
         series = small_series(noise=0.4, seed=4)
         stats, (train, val, test) = windows(series)
         tc = tr.TrainConfig(max_epochs=3, patience=3, batch_size=8)
-        a = ev.PlainMLPBaseline(seed=1).fit(train, val, tc).predict(test)
-        b = ev.PlainMLPBaseline(seed=1).fit(train, val, tc).predict(test)
+        a = ev.PlainMLPBaseline().fit(train, val, tc).predict(test)
+        b = ev.PlainMLPBaseline().fit(train, val, tc).predict(test)
         assert np.array_equal(a, b)
 
     def test_plain_mlp_keeps_best_validation_weights(self):
@@ -250,6 +247,16 @@ class TestSweeps:
                                   axis="adaptive_dim", values=[2, 3])
         assert [d["d_adaptive"] for d, _ in result.rows] == [2, 3]
         assert all(d["d_input"] == 24 for d, _ in result.rows)
+
+    def test_dim_sweep_checks_every_value_before_training(self, monkeypatch):
+        series = small_series()
+        stats = dt.fit_normalizer(series, 0.7)
+        trained = []
+        monkeypatch.setattr(ev, "_train_and_score", lambda *args: trained.append(args))
+        with pytest.raises(dt.ConfigurationError, match="d_input"):
+            ev.run_dim_sweep(series, stats, fast_model_config(series), FAST_TRAIN,
+                             axis="input_dim", values=[4, 0])
+        assert trained == []
 
     def test_dim_sweep_rejects_bad_axis(self):
         series = small_series()
