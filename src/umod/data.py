@@ -160,33 +160,57 @@ def build_od_series(trips, stations, start_time: int, end_time: int,
     t = (timestamp[keep] - start_time) // granularity
     cells = (t * n + origin[keep]) * n + destination[keep]
     t_total = span // granularity
-    flows = np.bincount(cells, minlength=t_total * n * n).reshape(t_total, n, n)
+    # unit weights count in float64 directly; counts below 2**53 stay exact
+    flows = np.bincount(cells, weights=np.ones(cells.size),
+                        minlength=t_total * n * n).reshape(t_total, n, n)
     series = ODSeries(list(stations), start_time, granularity, flows)
     return series, int(keep.size - np.count_nonzero(keep))
 
 
-def read_lines(path) -> list[tuple[int, str]]:
-    """``(line number, stripped line)`` for each non-blank line of UTF-8 text."""
+def _read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped.
+
+    Universal newlines have turned ``\\r\\n`` and ``\\r`` into ``\\n``, so
+    line ``k`` of the file is item ``k - 1``.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
-                    if line]
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for each non-blank line of UTF-8 text."""
+    return [(lineno, line) for lineno, line in
+            enumerate(map(str.strip, _read_text_lines(path)), start=1) if line]
 
 
 def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse delimited trip text into origin, destination and timestamp columns.
 
-    Format: ``origin,destination,unix_timestamp`` per line, optional header.
+    Format: ``origin,destination,unix_timestamp`` per line, optional header
+    on line 1; blank lines are skipped and fields may carry whitespace.
     Origins and destinations become indices into ``stations``; timestamps
     beyond the int64 range are clamped to it, so they fall outside any span.
     Raises IngestionError naming the line of the first malformed record or
     unknown station.
     """
-    index = {name: k for k, name in enumerate(stations)}
-    trips = []
-    for lineno, line in read_lines(path):
+    # a stripped field never equals a name with outer whitespace
+    index = {name: k for k, name in enumerate(stations) if name == name.strip()}
+    flat = []  # origin, destination, timestamp of each trip in turn
+    for lineno, raw in enumerate(_read_text_lines(path), start=1):
+        try:  # most lines: two bare known names and an in-range integer
+            o, d, s = raw.split(",")
+            stamp = int(s)
+            if INT64_MIN <= stamp <= INT64_MAX:
+                flat += (index[o], index[d], stamp)
+                continue
+        except (ValueError, KeyError):
+            pass
+        line = raw.strip()
+        if not line:
+            continue
         parts = [p.strip() for p in line.split(",")]
         try:
             stamp = int(parts[-1])
@@ -199,9 +223,8 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
         for name in parts[:2]:
             if name not in index:
                 raise IngestionError(f"unknown station {name!r} at line {lineno}")
-        trips.append((index[parts[0]], index[parts[1]],
-                      min(max(stamp, INT64_MIN), INT64_MAX)))
-    return tuple(np.array(trips, dtype=np.int64).reshape(-1, 3).T)
+        flat += (index[parts[0]], index[parts[1]], min(max(stamp, INT64_MIN), INT64_MAX))
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------

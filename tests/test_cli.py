@@ -1,3 +1,4 @@
+import codecs
 import configparser
 import dataclasses
 import hashlib
@@ -174,9 +175,10 @@ class TestIngest:
                 with pytest.raises(dt.ConfigurationError, match=re.escape(str(exc))):
                     cli._ingest(trips, names, start, end, granularity, window)
                 return
-            series, out_of_span, outside_hours = cli._ingest(trips, names, start, end,
-                                                             granularity, window)
+            series, total_flow, out_of_span, outside_hours = cli._ingest(
+                trips, names, start, end, granularity, window)
         assert np.array_equal(series.flows, expected[0].flows)
+        assert total_flow == expected[0].flows.sum()
         assert series.operating_window == expected[0].operating_window
         assert (out_of_span, outside_hours) == expected[1:]
 
@@ -263,6 +265,19 @@ class TestIngest:
                          "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("bom", ["trips", "stations"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, bom):
+        # spreadsheet programs save UTF-8 text with a leading U+FEFF
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\nB,A,200\n")
+        path = {"trips": trips, "stations": stations}[bom]
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        code = cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "3600", "--out", str(tmp_path / "o.bin")])
+        assert capsys.readouterr().out == (
+            "stations=2 bins=2 total_flow=2 dropped=0 out_of_span=0 outside_hours=0\n")
+        assert code == 0
+        assert dt.load_series(tmp_path / "o.bin").stations == ["A", "B"]
 
     @pytest.mark.parametrize("command", ["ingest", "train"])
     def test_span_outside_window_exits_1(self, tmp_path, capsys, command):

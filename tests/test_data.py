@@ -1,9 +1,12 @@
 import json
+import os
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from umod import data as dt
 
@@ -342,6 +345,79 @@ class TestSerialization:
             dt.load_series(path)
 
 
+def oracle_read_lines(path) -> list[tuple[int, str]]:
+    """``read_lines`` as it was before the one-pass parser, verbatim."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
+                    if line]
+    except UnicodeDecodeError as exc:
+        raise dt.IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def oracle_read_trips(path, stations):
+    """``read_trips_with_lines`` as it was before the one-pass parser, verbatim."""
+    index = {name: k for k, name in enumerate(stations)}
+    trips = []
+    for lineno, line in oracle_read_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            stamp = int(parts[-1])
+        except ValueError:
+            if lineno == 1:
+                continue  # optional header
+            stamp = None
+        if len(parts) != 3 or stamp is None:
+            raise dt.IngestionError(f"malformed trip record at line {lineno}: {line!r}")
+        for name in parts[:2]:
+            if name not in index:
+                raise dt.IngestionError(f"unknown station {name!r} at line {lineno}")
+        trips.append((index[parts[0]], index[parts[1]],
+                      min(max(stamp, dt.INT64_MIN), dt.INT64_MAX)))
+    return tuple(np.array(trips, dtype=np.int64).reshape(-1, 3).T)
+
+
+HEADER = "origin,destination,timestamp"
+BLANKS = ["", " ", "\t \t"]
+PADS = ["", " ", "\t", " \t ", "\xa0", "\x0c"]
+ODD_STAMPS = ["1_000", "+5", "-0", " 42", "\u0663", str(2**63 - 1), str(-2**63),
+              str(2**63), str(-2**63 - 1), str(10**30), str(-10**23)]
+BAD_STAMPS = ["1.5", "1e3", "", "ten", "1__0", "_1", "0x10", "--1"]
+
+
+@st.composite
+def trip_records(draw, names, stamps, count=3):
+    """One comma-separated line; half of them pad every field with whitespace."""
+    fields = [draw(names) for _ in range(count - 1)] + [draw(stamps)]
+    if draw(st.booleans()):
+        pad = st.sampled_from(PADS)
+        fields = [draw(pad) + field + draw(pad) for field in fields]
+    return ",".join(fields)
+
+
+@st.composite
+def defective_trip_logs(draw):
+    """Trip-log text that mixes well-formed and defective lines and line endings.
+
+    Well-formed lines are blank or records, bare or padded, with odd but valid
+    stamps; defects are headers, 2- or 4-field lines, unknown names and stamps
+    that are not integers, each placed on any line, the first included.
+    """
+    name = st.sampled_from(["A", "B", "C"])
+    stamp = st.integers(-10**6, 10**6).map(str) | st.sampled_from(ODD_STAMPS)
+    good = trip_records(name, stamp) | st.sampled_from(BLANKS)
+    defect = (st.just(HEADER)
+              | trip_records(st.sampled_from(["X", "a", "origin", "A B"]), stamp)
+              | trip_records(name, st.sampled_from(BAD_STAMPS))
+              | st.sampled_from([2, 4]).flatmap(lambda n: trip_records(name, stamp, n)))
+    lines = draw(st.lists(good, max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(defect))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 class TestTripText:
     def test_reads_with_optional_header(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -374,8 +450,40 @@ class TestTripText:
         assert dt.read_trips_with_lines(path, ["A", "B"])[2].tolist() == [
             2**63 - 1, -2**63, 2**63 - 1]
 
+    def test_station_names_with_outer_whitespace_never_match(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text(" A,B,100\n")
+        with pytest.raises(dt.IngestionError, match="unknown station 'A' at line 1"):
+            dt.read_trips_with_lines(path, [" A", "B"])
+
     def test_unknown_station_names_origin_before_destination(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text("A,B,100\nX,Y,200\n")
         with pytest.raises(dt.IngestionError, match="unknown station 'X' at line 2"):
             dt.read_trips_with_lines(path, ["A", "B"])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(defective_trip_logs())
+    @example(f"{HEADER}\r\nA,B,100\r\nB,A,200\r\n")
+    @example(f"A,B,100\r{HEADER}\rB,A,200\r")
+    @example(f"\n{HEADER}\nA,B,100\n")
+    @example(" A\t, B ,\t1_000 \nB,A,+5\nA,A\nB,A,3\n")
+    @example(f"A,B,C,100\nA,B,{10**30}\n")
+    @example(f"A,X,100\nA,B,ten\nB,A,{-10**23}\n")
+    @example(f"A,B,{10**30}\r\nB,A,{-2**63 - 1}\nA,C, +5\n")
+    def test_matches_the_per_line_oracle(self, text):
+        stations = ["A", "B", "C"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trips.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            try:
+                expected = oracle_read_trips(path, stations)
+            except dt.IngestionError as exc:
+                with pytest.raises(dt.IngestionError) as got:
+                    dt.read_trips_with_lines(path, stations)
+                assert str(got.value) == str(exc)
+                return
+            got = dt.read_trips_with_lines(path, stations)
+        assert all(a.dtype == np.int64 and np.array_equal(a, b)
+                   for a, b in zip(got, expected, strict=True))
