@@ -74,7 +74,7 @@ def _fail(msg: str, code: int = EXIT_ERROR) -> int:
 def _read_config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             cp.read_file(fh)
         for section in cp:  # DEFAULT first: it may exist, but hold no key
             if section not in SECTIONS and section != cp.default_section:

@@ -339,6 +339,52 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, [(a, grad_a), (b, grad_b)])
 
 
+def qkv_projection(x, W_Q, W_K, W_V):
+    """``(x @ W_Q, x @ W_K, x @ W_V)``, each product one GEMM over all rows of ``x``.
+
+    The leading axes of ``x`` are flattened into rows in the order they lie
+    in memory, so attention's transposed ``x`` is multiplied without a copy,
+    and each weight takes one GEMM instead of one small GEMM per slice. Each
+    output has the adjoints ``matmul`` gives a 2-d weight on the right, so
+    backward makes the same products as three ``matmul`` calls. The forward
+    products have other shapes than ``matmul``'s per-slice ones, so BLAS may
+    round them differently: with OpenBLAS 0.3.31 on x86-64 the bits match at
+    widths up to 16 and at multiples of 8 (the default 104 among them), and
+    differ in the last place at some other widths, 28 and 84 among them.
+    """
+    x = _as_tensor(x)
+    weights = [_as_tensor(W) for W in (W_Q, W_K, W_V)]
+    if x.data.ndim < 2 or any(W.data.ndim != 2 or W.shape[0] != x.shape[-1]
+                              for W in weights):
+        raise DimensionError(f"qkv_projection: input {x.shape} does not match weights "
+                             f"{[W.shape for W in weights]}")
+    d_in = x.shape[-1]
+    if x.shape[-2] == 1:
+        # numpy multiplies one-row slices as vectors, which a GEMM over all
+        # rows does not round alike, so these stay per-slice products
+        outs = [x.data @ W.data for W in weights]
+    else:
+        lead = x.data.ndim - 1
+        order = sorted(range(lead), key=lambda axis: -x.data.strides[axis]) + [lead]
+        rows = x.data.transpose(order)  # C-contiguous when x is a transposed array
+        flat, back = rows.reshape(-1, d_in), np.argsort(order)
+        outs = [(flat @ W.data).reshape(rows.shape[:-1] + (-1,)).transpose(back)
+                for W in weights]
+
+    def parents(W):  # one call per weight, so each closure holds its own W
+        d_out = W.shape[1]
+
+        def grad_x(g):
+            return (g.reshape(-1, d_out) @ W.data.T).reshape(x.shape)
+
+        def grad_w(g):
+            return x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+
+        return [(x, grad_x), (W, grad_w)]
+
+    return tuple(Tensor(o, parents(W)) for o, W in zip(outs, weights))
+
+
 def linear(x, W, b=None) -> Tensor:
     """x @ W + b with the weight applied to the last axis of x."""
     x, W = _as_tensor(x), _as_tensor(W)

@@ -56,16 +56,17 @@ def compute_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,
         )
     pred = stats.invert(pred_norm).ravel()
     target = stats.invert(target_norm).ravel()
-    resid = pred - target
+    resid = np.subtract(pred, target, out=pred)
     n = resid.size
-    mae = float(np.abs(resid).mean())
-    rmse = float(math.sqrt((resid ** 2).mean()))
-    mask = np.abs(target) > MAPE_MASK_THRESHOLD
-    used = int(mask.sum())
+    scratch = np.abs(resid)  # reused for |r|, r * r and |target|
+    mae = float(scratch.mean())
+    rmse = float(math.sqrt(np.multiply(resid, resid, out=scratch).mean()))
+    kept = np.flatnonzero(np.abs(target, out=scratch) > MAPE_MASK_THRESHOLD)
+    used = kept.size
     if used == 0:
         mape = None
     else:
-        mape = float(100.0 * np.abs(resid[mask] / target[mask]).mean())
+        mape = float(100.0 * np.abs(resid[kept] / target[kept]).mean())
     return MetricsReport(mae=mae, rmse=rmse, mape_percent=mape,
                          n_total=n, n_mape_used=used)
 
@@ -78,9 +79,8 @@ class LastValueBaseline:
     """Repeats the final history bin across the horizon."""
 
     def predict(self, samples) -> np.ndarray:
-        return np.stack([
-            np.repeat(s.x[-1:], s.y.shape[0], axis=0) for s in samples
-        ])
+        last = np.stack([s.x[-1] for s in samples])  # [S, E, F]
+        return np.repeat(last[:, None], samples[0].y.shape[0], axis=1)
 
 
 class HistoricalAverageBaseline:
@@ -94,11 +94,9 @@ class HistoricalAverageBaseline:
     def fit(self, flows: np.ndarray, n_train: int, bins_per_day: int,
             stats: NormStats) -> "HistoricalAverageBaseline":
         flows = np.asarray(flows, dtype=np.float64)
-        bods = np.arange(n_train) % bins_per_day
         profile = np.zeros((bins_per_day,) + flows.shape[1:])
-        for b in range(bins_per_day):
-            sel = flows[:n_train][bods == b]
-            profile[b] = sel.mean(axis=0) if len(sel) else 0.0
+        for b in range(min(bins_per_day, n_train)):  # later bins have no rows
+            profile[b] = flows[b:n_train:bins_per_day].mean(axis=0)
         self.profile = profile
         self.bins_per_day = bins_per_day
         self.stats = stats
@@ -107,12 +105,12 @@ class HistoricalAverageBaseline:
     def predict(self, samples) -> np.ndarray:
         if self.profile is None:
             raise RuntimeError("historical_average baseline queried before fit")
-        out = []
-        for s in samples:
-            horizon = s.y.shape[0]
-            bods = (s.t_anchor + 1 + np.arange(horizon)) % self.bins_per_day
-            out.append(self.stats.apply(self.profile[bods]))
-        return np.stack(out)
+        if not samples:
+            raise ValueError("no samples to predict")
+        anchors = np.array([s.t_anchor for s in samples])
+        steps = 1 + np.arange(samples[0].y.shape[0])
+        bods = (anchors[:, None] + steps) % self.bins_per_day  # [S, P]
+        return self.stats.apply(self.profile[bods])
 
 
 def _mlp_forward(x, params: dict[str, dm.Parameter], out_shape: tuple) -> dm.Tensor:

@@ -149,9 +149,7 @@ def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter]):
             f"hidden width {d_h} does not match projection {params['W_Q'].shape}"
         )
     x = dm.transpose(e_h, (0, 2, 1, 3))  # [B,E,H,d]
-    q = dm.matmul(x, params["W_Q"])
-    k = dm.matmul(x, params["W_K"])
-    v = dm.matmul(x, params["W_V"])
+    q, k, v = dm.qkv_projection(x, params["W_Q"], params["W_K"], params["W_V"])
     o, a = dm.scaled_dot_attention(q, k, v)  # o [B,E,H,d], a [B,E,H,H]
     return dm.transpose(o, (0, 2, 1, 3)), a
 

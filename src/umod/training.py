@@ -200,6 +200,6 @@ def predict(config: m.ModelConfig, params: dict[str, dm.Parameter],
     chunks = []
     with dm.no_grad():
         for lo in range(0, len(samples), batch_size):
-            x, _ = stack_batch(samples[lo:lo + batch_size])
+            x = np.stack([s.x for s in samples[lo:lo + batch_size]])
             chunks.append(forward(x, params, config).data)
     return np.concatenate(chunks, axis=0)

@@ -81,6 +81,17 @@ class TestSynth:
         assert cli.main(["synth", str(spec), str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_byte_order_mark_in_config_is_dropped(self, tmp_path):
+        # editors on Windows save UTF-8 INI files with a leading U+FEFF
+        text = "[synthetic]\nstations = 3\ndays = 2\nseed = 9\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        assert cli.main(["synth", str(plain), str(a)]) == 0
+        assert cli.main(["synth", str(marked), str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert cli.main(["synth", str(tmp_path / "nope.ini"),
                          str(tmp_path / "out.bin")]) == 2

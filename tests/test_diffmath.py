@@ -239,6 +239,83 @@ def test_matmul_weight_adjoints(shape, strided):
     assert np.abs(grad_a(g) - g @ w.data.T).max() < 1e-12
 
 
+class TestQKVProjection:
+    @staticmethod
+    def attention_grads(project, B, H, E, d, seed):
+        # the model's path: a transposed [B,E,H,d] view, three projections,
+        # attention, and an MAE-style loss
+        rng = np.random.default_rng(seed)
+        e = dm.Parameter("e", rng.normal(size=(B, H, E, d)))
+        ws = [dm.Parameter(name, rng.normal(size=(d, d)) / math.sqrt(d))
+              for name in ("W_Q", "W_K", "W_V")]
+        target = rng.normal(size=(B, E, H, d))
+        q, k, v = project(dm.transpose(e, (0, 2, 1, 3)), ws)
+        o, _ = dm.scaled_dot_attention(q, k, v)
+        dm.mean_all(dm.absolute(dm.sub(o, target))).backward()
+        return [t.data for t in (q, k, v)], [p.grad for p in (e, *ws)]
+
+    @staticmethod
+    def fused(x, ws):
+        return dm.qkv_projection(x, *ws)
+
+    @staticmethod
+    def separate(x, ws):
+        return tuple(dm.matmul(x, w) for w in ws)
+
+    @pytest.mark.parametrize("H", [1, 2, 6])
+    def test_bit_identical_to_three_matmuls(self, H):
+        # at a small width and at the model's default width 104
+        for B, E, d in [(3, 4, 5), (16, 8, 104)]:
+            outs, grads = self.attention_grads(self.fused, B, H, E, d, seed=H)
+            ref_outs, ref_grads = self.attention_grads(self.separate, B, H, E, d, seed=H)
+            for got, want in zip(outs + grads, ref_outs + ref_grads):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [28, 84])
+    def test_other_widths_agree_to_rounding(self, d):
+        # widths the dimension sweep reaches, where BLAS rounds the flattened
+        # products differently; one-row slices keep per-slice products and bits
+        for H in (1, 2):
+            outs, grads = self.attention_grads(self.fused, 16, H, 8, d, seed=d)
+            ref_outs, ref_grads = self.attention_grads(self.separate, 16, H, 8, d, seed=d)
+            for got, want in zip(outs + grads, ref_outs + ref_grads):
+                if H == 1:
+                    assert np.array_equal(got, want)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 2, 3, 4), (2, 3, 1, 4)],
+                             ids=["2d", "3d", "4d", "4d_one_row"])
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(5)
+        x = dm.Parameter("x", rng.normal(size=shape))
+        ws = [dm.Parameter(f"w{i}", rng.normal(size=(4, 3 + i))) for i in range(3)]
+        gs = [rng.normal(size=shape[:-1] + (3 + i,)) for i in range(3)]
+
+        def loss_fn(params):
+            outs = dm.qkv_projection(*params)
+            return scalar_sum_loss([dm.mul(o, g) for o, g in zip(outs, gs)])
+
+        assert dm.finite_diff_check(loss_fn, [x, *ws], eps=1e-6) < 1e-6
+
+    def test_each_weight_gets_its_own_gradient(self):
+        # the adjoints are built in a loop; each must close over its own weight
+        x = dm.Parameter("x", np.ones((2, 2, 3)))
+        ws = [dm.Parameter(f"w{i}", np.full((3, 2), float(i))) for i in range(3)]
+        q, k, v = dm.qkv_projection(x, *ws)
+        assert [t.data[0, 0, 0] for t in (q, k, v)] == [0.0, 3.0, 6.0]
+        scalar_sum_loss([dm.scale(t, c) for t, c in zip((q, k, v), (1.0, 10.0, 100.0))]
+                        ).backward()
+        assert [w.grad[0, 0] for w in ws] == [4.0, 40.0, 400.0]
+        assert np.array_equal(x.grad, np.full((2, 2, 3), 420.0))  # 1·0·2 + 10·1·2 + 100·2·2
+
+    @pytest.mark.parametrize("x_shape, w_shape", [((2, 3), (4, 4)), ((3,), (3, 3)),
+                                                  ((2, 3), (3, 3, 1))])
+    def test_shape_mismatch(self, x_shape, w_shape):
+        w = np.zeros(w_shape)
+        with pytest.raises(dm.DimensionError, match="qkv_projection"):
+            dm.qkv_projection(dm.Tensor(np.zeros(x_shape)), w, w, w)
+
+
 def test_grad_accumulates_on_reuse():
     x = dm.Tensor(np.array([2.0]))
     y = dm.mul(x, x)  # x used twice

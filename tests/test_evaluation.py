@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from umod import data as dt
 from umod import evaluation as ev
@@ -282,3 +284,171 @@ class TestSweepOutput:
         rep = ev.MetricsReport(1.0, 2.0, None, 10, 0)
         text = ev.format_sweep(ev.SweepResult(rows=[({"k": 1}, rep)]))
         assert ",NA," in text
+
+
+# ---------------------------------------------------------------------------
+# The scoring path against its earlier per-window and boolean-mask versions.
+# The functions below are the earlier code, verbatim: the faster versions
+# make the same elementwise operations and reductions, so every result is
+# held to them bit for bit.
+
+
+def compute_metrics_oracle(pred_norm: np.ndarray, target_norm: np.ndarray,
+                           stats: dt.NormStats) -> ev.MetricsReport:
+    """MAE / RMSE / masked MAPE after inverting the normalization."""
+    pred_norm = np.asarray(pred_norm, dtype=np.float64)
+    target_norm = np.asarray(target_norm, dtype=np.float64)
+    if pred_norm.shape != target_norm.shape:
+        raise dt.ConfigurationError(
+            f"metrics: prediction {pred_norm.shape} vs target {target_norm.shape}"
+        )
+    pred = stats.invert(pred_norm).ravel()
+    target = stats.invert(target_norm).ravel()
+    resid = pred - target
+    n = resid.size
+    mae = float(np.abs(resid).mean())
+    rmse = float(math.sqrt((resid ** 2).mean()))
+    mask = np.abs(target) > ev.MAPE_MASK_THRESHOLD
+    used = int(mask.sum())
+    if used == 0:
+        mape = None
+    else:
+        mape = float(100.0 * np.abs(resid[mask] / target[mask]).mean())
+    return ev.MetricsReport(mae=mae, rmse=rmse, mape_percent=mape,
+                            n_total=n, n_mape_used=used)
+
+
+class LastValueOracle:
+    """Repeats the final history bin across the horizon."""
+
+    def predict(self, samples) -> np.ndarray:
+        return np.stack([
+            np.repeat(s.x[-1:], s.y.shape[0], axis=0) for s in samples
+        ])
+
+
+class HistoricalAverageOracle:
+    """Predicts the training-split mean flow per (bin-of-day, entity, feature)."""
+
+    def __init__(self):
+        self.profile = None
+        self.bins_per_day = None
+        self.stats = None
+
+    def fit(self, flows: np.ndarray, n_train: int, bins_per_day: int,
+            stats: dt.NormStats) -> "HistoricalAverageOracle":
+        flows = np.asarray(flows, dtype=np.float64)
+        bods = np.arange(n_train) % bins_per_day
+        profile = np.zeros((bins_per_day,) + flows.shape[1:])
+        for b in range(bins_per_day):
+            sel = flows[:n_train][bods == b]
+            profile[b] = sel.mean(axis=0) if len(sel) else 0.0
+        self.profile = profile
+        self.bins_per_day = bins_per_day
+        self.stats = stats
+        return self
+
+    def predict(self, samples) -> np.ndarray:
+        if self.profile is None:
+            raise RuntimeError("historical_average baseline queried before fit")
+        out = []
+        for s in samples:
+            horizon = s.y.shape[0]
+            bods = (s.t_anchor + 1 + np.arange(horizon)) % self.bins_per_day
+            out.append(self.stats.apply(self.profile[bods]))
+        return np.stack(out)
+
+
+ORACLE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def metric_inputs(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, max_side=7))
+    pred = draw(hnp.arrays(np.float64, shape, elements=FINITE))
+    # a target drawn from few values holds ties, zeros and near-threshold entries
+    levels = st.sampled_from([0.0, 1e-7, -1e-6, 2e-6, 1.0, -3.5, 250.0])
+    target = draw(hnp.arrays(np.float64, shape, elements=st.one_of(levels, FINITE)))
+    stats = dt.NormStats(draw(st.floats(-100, 100)), draw(st.floats(0.01, 100)))
+    return pred, target, stats
+
+
+class TestScoringMatchesEarlierCode:
+    @ORACLE
+    @given(metric_inputs())
+    def test_compute_metrics(self, inputs):
+        pred, target, stats = inputs
+        pred_before, target_before = pred.copy(), target.copy()
+        assert ev.compute_metrics(pred, target, stats) == compute_metrics_oracle(
+            pred, target, stats)
+        assert np.array_equal(pred, pred_before) and np.array_equal(target, target_before)
+
+    @pytest.mark.parametrize("size", [1, 9, 128, 129, 100_003])
+    def test_compute_metrics_across_pairwise_block_sizes(self, size):
+        # numpy's mean sums in blocks; sizes around and far past a block
+        rng = np.random.default_rng(size)
+        pred, target = rng.normal(size=(2, size))
+        target[::7] = 0.0
+        stats = dt.NormStats(0.0, 3.0)
+        assert ev.compute_metrics(pred, target, stats) == compute_metrics_oracle(
+            pred, target, stats)
+
+    def test_every_target_masked(self):
+        # targets exactly at the threshold are masked too
+        pred = np.ones((2, 3))
+        target = np.array([[1e-6, -1e-6, 0.0], [1e-7, -0.0, 5e-7]])
+        rep = ev.compute_metrics(pred, target, IDENTITY)
+        assert rep.mape_percent is None and rep.n_mape_used == 0
+        assert rep == compute_metrics_oracle(pred, target, IDENTITY)
+
+    @staticmethod
+    def samples(flows, stats, history, horizon, anchors):
+        norm = stats.apply(flows)
+        return [dt.WindowSample(norm[a - history + 1:a + 1], norm[a + 1:a + 1 + horizon], a)
+                for a in anchors]
+
+    @ORACLE
+    @given(st.data())
+    def test_baselines(self, data):
+        bins_per_day = data.draw(st.integers(1, 9), label="bins_per_day")
+        history = data.draw(st.integers(1, 3), label="history")
+        horizon = data.draw(st.integers(1, 4), label="horizon")
+        T = data.draw(st.integers(history + horizon, 40), label="T")
+        E, F = data.draw(st.sampled_from([(1, 1), (3, 1), (2, 2), (3, 3)]), label="E, F")
+        flows = data.draw(hnp.arrays(np.float64, (T, E, F), elements=st.integers(0, 50)))
+        n_train = data.draw(st.integers(0, T), label="n_train")
+        stats = dt.NormStats(data.draw(st.floats(-5, 5)), data.draw(st.floats(0.1, 5)))
+        anchors = data.draw(st.lists(st.integers(history - 1, T - horizon - 1),
+                                     min_size=1, max_size=12), label="anchors")
+        samples = self.samples(flows, stats, history, horizon, anchors)
+
+        fitted = ev.HistoricalAverageBaseline().fit(flows, n_train, bins_per_day, stats)
+        oracle = HistoricalAverageOracle().fit(flows, n_train, bins_per_day, stats)
+        assert np.array_equal(fitted.profile, oracle.profile)
+        assert np.array_equal(fitted.predict(samples), oracle.predict(samples))
+        assert np.array_equal(ev.LastValueBaseline().predict(samples),
+                              LastValueOracle().predict(samples))
+
+    def test_pinned_day_boundaries_and_short_training_split(self):
+        # 5 bins a day; 3 training bins leave bins-of-day 3 and 4 unfitted,
+        # and the anchors' horizons wrap past the end of a day
+        flows = np.arange(60, dtype=np.float64).reshape(20, 3, 1) % 7
+        stats = dt.NormStats(1.5, 2.0)
+        samples = self.samples(flows, stats, 2, 3, [1, 3, 4, 8, 9, 15])
+        for n_train in (3, 5, 16):
+            fitted = ev.HistoricalAverageBaseline().fit(flows, n_train, 5, stats)
+            oracle = HistoricalAverageOracle().fit(flows, n_train, 5, stats)
+            assert np.array_equal(fitted.predict(samples), oracle.predict(samples))
+        assert np.array_equal(ev.LastValueBaseline().predict(samples),
+                              LastValueOracle().predict(samples))
+
+    def test_empty_sample_list_raises_as_before(self):
+        flows = np.ones((6, 2, 1))
+        for new, old in [(ev.LastValueBaseline(), LastValueOracle()),
+                         (ev.HistoricalAverageBaseline().fit(flows, 4, 2, IDENTITY),
+                          HistoricalAverageOracle().fit(flows, 4, 2, IDENTITY))]:
+            with pytest.raises(Exception) as before:
+                old.predict([])
+            with pytest.raises(before.type):
+                new.predict([])
