@@ -38,6 +38,7 @@ import sys
 import numpy as np
 
 from . import data as dt
+from . import diffmath as dm
 from . import evaluation as ev
 from . import model as md
 from . import training as tr
@@ -193,11 +194,10 @@ def _metrics_lines(label: str, rep: ev.MetricsReport) -> str:
 
 
 def _prepare(cp, model_config=None):
-    """Series, normalizer, model config (the INI's unless given) and its entity view."""
+    """Series, normalizer and model config (the INI's unless given)."""
     series = _load_series_from_config(cp)
     stats = dt.fit_normalizer(series, dt.SPLIT[0])
-    model_config = model_config or _model_config(cp, series)
-    return series, stats, model_config, md.entity_flows(series, model_config)
+    return series, stats, model_config or _model_config(cp, series)
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +244,20 @@ def cmd_train(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    series, stats, model_config, flows = _prepare(cp)
+    series, stats, model_config = _prepare(cp)
     train_config = _train_config(cp)
-    train_s, val_s, test_s = dt.split_and_window(
-        flows, stats, dt.SPLIT, model_config.history, model_config.horizon)
+    _, windows = ev.entity_windows(series, model_config, stats)
     os.makedirs(run_dir, exist_ok=True)
     _write_resolved(os.path.join(run_dir, "resolved.ini"), cp, series,
                     model_config, train_config)
-    params = md.init_params(model_config)
-    log_path = os.path.join(run_dir, "epochs.log")
-    with open(log_path, "w", encoding="utf-8") as log:
+    with open(os.path.join(run_dir, "epochs.log"), "w", encoding="utf-8") as log:
         def on_epoch(rec):
             log.write(f"{rec.epoch},{rec.train_loss:.10f},"
                       f"{rec.val_loss:.10f},{rec.seconds:.3f}\n")
             log.flush()
-        params, report = tr.train(model_config, params, train_s, val_s,
-                                  train_config, epoch_callback=on_epoch)
+        params, report, metrics = ev._train_and_score(model_config, train_config, stats,
+                                                      windows, epoch_callback=on_epoch)
     md.save_checkpoint(os.path.join(run_dir, "model.ckpt"), params, model_config)
-    preds = tr.predict(model_config, params, test_s)
-    targets = np.stack([s.y for s in test_s])
-    metrics = ev.compute_metrics(preds, targets, stats)
     with open(os.path.join(run_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write("label,mae,rmse,mape_percent,n_total,n_mape_used\n")
         fh.write(_metrics_lines("model", metrics) + "\n")
@@ -275,9 +269,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cp = _read_config(args.config)
     params, model_config = md.load_checkpoint(args.checkpoint)
-    series, stats, _, flows = _prepare(cp, model_config)
-    train_s, val_s, test_s = dt.split_and_window(
-        flows, stats, dt.SPLIT, model_config.history, model_config.horizon)
+    series, stats, _ = _prepare(cp, model_config)
+    flows, (train_s, val_s, test_s) = ev.entity_windows(series, model_config, stats)
     preds = tr.predict(model_config, params, test_s)
     targets = np.stack([s.y for s in test_s])
     lines = [_metrics_lines("model", ev.compute_metrics(preds, targets, stats))]
@@ -302,7 +295,7 @@ def cmd_sweep(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    series, stats, model_config, _ = _prepare(cp)
+    series, stats, model_config = _prepare(cp)
     train_config = _train_config(cp)
     os.makedirs(run_dir, exist_ok=True)
     if args.kind == "hp":
@@ -329,11 +322,10 @@ def cmd_sweep(args) -> int:
 
 def _print_sweep_summary(result: ev.SweepResult) -> None:
     print(ev.format_sweep(result), end="")
-    if result.rows:
-        best_mae = min(result.rows, key=lambda r: r[1].mae)
-        best_rmse = min(result.rows, key=lambda r: r[1].rmse)
-        print(f"best mae: {best_mae[0]} -> {best_mae[1].mae:.4f}")
-        print(f"best rmse: {best_rmse[0]} -> {best_rmse[1].rmse:.4f}")
+    best_mae = min(result.rows, key=lambda r: r[1].mae)
+    best_rmse = min(result.rows, key=lambda r: r[1].rmse)
+    print(f"best mae: {best_mae[0]} -> {best_mae[1].mae:.4f}")
+    print(f"best rmse: {best_rmse[0]} -> {best_rmse[1].rmse:.4f}")
     for desc, reason in result.skipped:
         print(f"skipped {desc}: {reason}")
 
@@ -389,7 +381,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(f"{exc.filename}: {exc.strerror}", EXIT_USAGE)
     except (dt.ConfigurationError, dt.IngestionError, dt.SeriesFormatError,
-            md.CheckpointError) as exc:
+            md.CheckpointError, dm.NumericError) as exc:
         return _fail(str(exc))
 
 

@@ -41,7 +41,8 @@ class ODSeries:
 
     ``flows[t, i, j]`` counts trips from station ``i`` to station ``j``
     during bin ``t``. When ``operating_window`` is set the grid holds only
-    the in-window bins of each day, indexed consecutively.
+    the in-window bins of each day, indexed consecutively. A grid that
+    ``_check_grid`` rejects raises ConfigurationError.
     """
 
     stations: list[str]
@@ -62,6 +63,7 @@ class ODSeries:
         if len(set(self.stations)) != n:
             twice = next(s for k, s in enumerate(self.stations) if s in self.stations[:k])
             raise ConfigurationError(f"station {twice!r} is listed twice")
+        _check_grid(self.granularity, self.operating_window)
 
     @property
     def n_stations(self) -> int:
@@ -73,10 +75,7 @@ class ODSeries:
 
     @property
     def bins_per_day(self) -> int:
-        if self.operating_window is None:
-            return SECONDS_PER_DAY // self.granularity
-        start_h, end_h = self.operating_window
-        return (end_h - start_h) * 3600 // self.granularity
+        return _bins_per_day(self.granularity, self.operating_window)
 
 
 @dataclass
@@ -251,6 +250,12 @@ def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSerie
                     series.flows[keep], operating_window=(start_h, end_h))
 
 
+def _bins_per_day(granularity: int, window: tuple[int, int] | None) -> int:
+    """Bins in one day of the grid, or in its operating window when one is set."""
+    seconds = SECONDS_PER_DAY if window is None else (window[1] - window[0]) * 3600
+    return seconds // granularity
+
+
 def _check_grid(granularity: int, window: tuple[int, int] | None) -> None:
     """Require ``granularity >= 1`` second and, unless ``window`` is None, whole
     hours ``0 <= start_h < end_h <= 24`` that fall on bin boundaries."""
@@ -340,11 +345,7 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
     ``spec.seed``. Only in-window bins are emitted.
     """
     n = spec.n_stations
-    if spec.operating_window is not None:
-        start_h, end_h = spec.operating_window
-        bpd = (end_h - start_h) * 3600 // spec.granularity
-    else:
-        bpd = SECONDS_PER_DAY // spec.granularity
+    bpd = _bins_per_day(spec.granularity, spec.operating_window)
     rng = np.random.default_rng(spec.seed)
     amps = rng.uniform(2.0, 12.0, size=(n, n))  # [N, N] base rates
     t_total = spec.days * bpd

@@ -303,13 +303,26 @@ def expand_leading(a, n: int) -> Tensor:
 # linear algebra
 
 
+def _weight_parents(a: Tensor, W: Tensor) -> list:
+    """The parents of ``a @ W`` for a 2-d weight ``W``: each adjoint is one GEMM
+    over the leading axes of ``a`` and of the upstream gradient, flattened into
+    rows, so the weight gradient needs no sum over the batch."""
+    d_in, d_out = W.shape
+
+    def grad_a(g):
+        return (g.reshape(-1, d_out) @ W.data.T).reshape(a.shape)
+
+    def grad_w(g):
+        return a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+
+    return [(a, grad_a), (W, grad_w)]
+
+
 def matmul(a, b) -> Tensor:
     """Batched matrix product over the last two axes.
 
     Either operand may have extra leading batch axes. A 2-d weight matrix on
-    the right is the common case: its adjoints flatten the leading axes of
-    ``a`` and of the upstream gradient into rows, so each is one GEMM and the
-    weight gradient needs no sum over the batch.
+    the right is the common case, with the adjoints of ``_weight_parents``.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -319,15 +332,7 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     if b.data.ndim == 2:
-        d_in, d_out = b.shape
-
-        def grad_a(g):
-            return (g.reshape(-1, d_out) @ b.data.T).reshape(a.shape)
-
-        def grad_b(g):
-            return a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
-
-        return Tensor(out, [(a, grad_a), (b, grad_b)])
+        return Tensor(out, _weight_parents(a, b))
 
     def grad_a(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
@@ -371,18 +376,7 @@ def qkv_projection(x, W_Q, W_K, W_V):
         outs = [(flat @ W.data).reshape(rows.shape[:-1] + (-1,)).transpose(back)
                 for W in weights]
 
-    def parents(W):  # one call per weight, so each closure holds its own W
-        d_out = W.shape[1]
-
-        def grad_x(g):
-            return (g.reshape(-1, d_out) @ W.data.T).reshape(x.shape)
-
-        def grad_w(g):
-            return x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
-
-        return [(x, grad_x), (W, grad_w)]
-
-    return tuple(Tensor(o, parents(W)) for o, W in zip(outs, weights))
+    return tuple(Tensor(o, _weight_parents(x, W)) for o, W in zip(outs, weights))
 
 
 def linear(x, W, b=None) -> Tensor:

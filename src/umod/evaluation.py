@@ -86,25 +86,16 @@ class LastValueBaseline:
 class HistoricalAverageBaseline:
     """Predicts the training-split mean flow per (bin-of-day, entity, feature)."""
 
-    def __init__(self):
-        self.profile = None
-        self.bins_per_day = None
-        self.stats = None
-
-    def fit(self, flows: np.ndarray, n_train: int, bins_per_day: int,
-            stats: NormStats) -> "HistoricalAverageBaseline":
+    def __init__(self, flows: np.ndarray, n_train: int, bins_per_day: int,
+                 stats: NormStats):
         flows = np.asarray(flows, dtype=np.float64)
-        profile = np.zeros((bins_per_day,) + flows.shape[1:])
+        self.profile = np.zeros((bins_per_day,) + flows.shape[1:])
         for b in range(min(bins_per_day, n_train)):  # later bins have no rows
-            profile[b] = flows[b:n_train:bins_per_day].mean(axis=0)
-        self.profile = profile
+            self.profile[b] = flows[b:n_train:bins_per_day].mean(axis=0)
         self.bins_per_day = bins_per_day
         self.stats = stats
-        return self
 
     def predict(self, samples) -> np.ndarray:
-        if self.profile is None:
-            raise RuntimeError("historical_average baseline queried before fit")
         if not samples:
             raise ValueError("no samples to predict")
         anchors = np.array([s.t_anchor for s in samples])
@@ -125,12 +116,7 @@ def _mlp_forward(x, params: dict[str, dm.Parameter], out_shape: tuple) -> dm.Ten
 class PlainMLPBaseline:
     """Two-layer network (seed 0) on the flattened window, trained like the main model."""
 
-    def __init__(self):
-        self.params = None
-        self.shape_out = None
-
-    def fit(self, train_samples, val_samples,
-            train_config: tr.TrainConfig) -> "PlainMLPBaseline":
+    def __init__(self, train_samples, val_samples, train_config: tr.TrainConfig):
         s0 = train_samples[0]
         self.shape_out = s0.y.shape
         n_in, n_out = s0.x.size, s0.y.size
@@ -138,11 +124,8 @@ class PlainMLPBaseline:
                                      ("W2", (MLP_HIDDEN, n_out)), ("b2", (n_out,))], 0)
         tr.train(self.shape_out, self.params, train_samples, val_samples,
                  train_config, forward=_mlp_forward)
-        return self
 
     def predict(self, samples) -> np.ndarray:
-        if self.params is None:
-            raise RuntimeError("plain_mlp baseline queried before fit")
         return tr.predict(self.shape_out, self.params, samples, forward=_mlp_forward)
 
 
@@ -157,13 +140,13 @@ def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
     if kind == "last_value":
         return LastValueBaseline()
     if kind == "historical_average":
-        return HistoricalAverageBaseline().fit(
-            series.flows if flows is None else flows,
-            split_lengths(series.n_bins)[0], series.bins_per_day, stats)
+        return HistoricalAverageBaseline(series.flows if flows is None else flows,
+                                         split_lengths(series.n_bins)[0],
+                                         series.bins_per_day, stats)
     if kind == "plain_mlp":
         if train_samples is None or val_samples is None or train_config is None:
             raise ConfigurationError("plain_mlp needs train/val samples and a config")
-        return PlainMLPBaseline().fit(train_samples, val_samples, train_config)
+        return PlainMLPBaseline(train_samples, val_samples, train_config)
     raise ConfigurationError(f"unknown baseline kind {kind!r}")
 
 
@@ -171,17 +154,23 @@ def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
 # harnesses
 
 
-def _train_and_score(series: ODSeries, model_config: m.ModelConfig,
-                     train_config: tr.TrainConfig, stats: NormStats):
-    """Train a fresh model for one harness row and return test metrics."""
-    train_s, val_s, test_s = split_and_window(
-        m.entity_flows(series, model_config), stats, SPLIT,
-        model_config.history, model_config.horizon)
-    params = m.init_params(model_config)
-    params, report = tr.train(model_config, params, train_s, val_s, train_config)
+def entity_windows(series: ODSeries, model_config: m.ModelConfig, stats: NormStats):
+    """``model_config``'s entity view of ``series`` and the (train, val, test)
+    windows cut from it on the chronological ``SPLIT``."""
+    flows = m.entity_flows(series, model_config)
+    return flows, split_and_window(flows, stats, SPLIT, model_config.history,
+                                   model_config.horizon)
+
+
+def _train_and_score(model_config: m.ModelConfig, train_config: tr.TrainConfig,
+                     stats: NormStats, windows, epoch_callback=None):
+    """Train a fresh model on the (train, val, test) ``windows`` and score it on
+    the test windows; ``epoch_callback`` goes to ``training.train``."""
+    train_s, val_s, test_s = windows
+    params, report = tr.train(model_config, m.init_params(model_config), train_s, val_s,
+                              train_config, epoch_callback=epoch_callback)
     preds = tr.predict(model_config, params, test_s)
-    targets = np.stack([s.y for s in test_s])
-    metrics = compute_metrics(preds, targets, stats)
+    metrics = compute_metrics(preds, np.stack([s.y for s in test_s]), stats)
     return params, report, metrics
 
 
@@ -197,7 +186,8 @@ def run_hp_sweep(series: ODSeries, stats: NormStats,
     result = SweepResult()
     for (hist, horizon), cfg in zip(grid, configs):
         try:
-            _, _, metrics = _train_and_score(series, cfg, train_config, stats)
+            _, _, metrics = _train_and_score(
+                cfg, train_config, stats, entity_windows(series, cfg, stats)[1])
         except ConfigurationError as exc:
             result.skipped.append(({"H": hist, "P": horizon}, str(exc)))
             continue
@@ -222,7 +212,8 @@ def run_ablations(series: ODSeries, stats: NormStats,
                replace(model_config, use_adaptive_embedding=False)]
     result = SweepResult()
     for name, cfg in zip(ABLATION_ORDER, configs):
-        params, _, metrics = _train_and_score(series, cfg, train_config, stats)
+        params, _, metrics = _train_and_score(
+            cfg, train_config, stats, entity_windows(series, cfg, stats)[1])
         result.rows.append(({"ablation": name}, metrics))
         if name == "full" and embedding_dump_path is not None:
             dump_embedding(embedding_dump_path, params["E_a"].data)
@@ -240,7 +231,8 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
     configs = [replace(model_config, **{width: v}) for v in values]
     result = SweepResult()
     for v, cfg in zip(values, configs):
-        _, _, metrics = _train_and_score(series, cfg, train_config, stats)
+        _, _, metrics = _train_and_score(
+            cfg, train_config, stats, entity_windows(series, cfg, stats)[1])
         result.rows.append(
             ({"axis": axis, "value": v, "d_input": cfg.d_input,
               "d_adaptive": cfg.d_adaptive}, metrics))
@@ -253,8 +245,6 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
 
 def format_sweep(result: SweepResult) -> str:
     """Delimited table: config columns, then the metric columns."""
-    if not result.rows:
-        return ""
     keys = list(result.rows[0][0].keys())
     lines = [",".join(keys + ["mae", "rmse", "mape_percent", "n_mape_used"])]
     for desc, rep in result.rows:

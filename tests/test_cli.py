@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from umod import cli
 from umod import data as dt
+from umod import evaluation as ev
 from umod import model as md
+from umod import training as tr
 
 
 SMALL_RUN = """
@@ -364,6 +366,34 @@ class TestTrain:
                        "[model]\nhistory = 50\nhorizon = 2\n"
                        f"[run]\noutput_dir = {tmp_path / 'run'}\n")
         assert cli.main(["train", str(cfg)]) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_outputs_match_train_and_score(self, run_config, tmp_path):
+        # the sweep rows' function on the same windows gives the same bits
+        assert cli.main(["train", str(run_config)]) == 0
+        series = dt.synth_generate(dt.SyntheticSpec(
+            n_stations=3, days=8, granularity=3600, seed=3, noise_std=0.4,
+            operating_window=(6, 18)))
+        stats = dt.fit_normalizer(series)
+        config = md.ModelConfig(3, history=2, horizon=2, d_input=3, d_adaptive=4, seed=0)
+        _, windows = ev.entity_windows(series, config, stats)
+        params, _, metrics = ev._train_and_score(
+            config, tr.TrainConfig(batch_size=16, max_epochs=2, patience=2), stats, windows)
+        md.save_checkpoint(tmp_path / "direct.ckpt", params, config)
+        run_dir = tmp_path / "run"
+        assert (run_dir / "model.ckpt").read_bytes() == \
+            (tmp_path / "direct.ckpt").read_bytes()
+        assert (run_dir / "metrics.csv").read_text().splitlines()[1] == \
+            cli._metrics_lines("model", metrics)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_run_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("[train]\n", "[train]\nlr = 1e300\n"))
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: non-finite training loss at epoch 1\n"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_top_k_pairs_without_top_k_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "pairs.ini"
@@ -560,6 +590,33 @@ class TestDataSource:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message.format(**paths) in err
+
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("granularity, window, message", [
+        (0, None, "granularity 0 must be >= 1 second"),
+        (3600, [18, 6], "bad operating window (18, 6)"),
+        (7, [6, 18], "window (6, 18) does not align with 7s bins"),
+    ], ids=["zero_granularity", "reversed_window", "misaligned_bins"])
+    def test_invalid_series_grid_exits_1(self, tmp_path, capsys, command, granularity,
+                                         window, message):
+        series = tmp_path / "series.bin"
+        dt.write_container(series, dt.SERIES_MAGIC, {
+            "version": dt.SERIES_VERSION, "stations": ["A", "B"], "start_time": 0,
+            "granularity": granularity, "dims": [24, 2, 2], "operating_window": window},
+            [np.ones((24, 2, 2))])
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\nseries = {series}\n[run]\noutput_dir = {tmp_path / 'run'}\n")
+        ckpt = tmp_path / "model.ckpt"
+        model_config = md.ModelConfig(n_entities=2, history=2, horizon=2)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        argv = {"train": ["train", str(cfg)],
+                "eval": ["eval", str(ckpt), str(cfg), "--baseline", "historical_average"],
+                "sweep": ["sweep", "hp", str(cfg)]}[command]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {series}: bad series header: ConfigurationError: {message}\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigValues:

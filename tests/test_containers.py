@@ -7,6 +7,8 @@ raises that typed error, never any other exception. Hypothesis runs
 derandomized, so every run of the suite draws the same examples.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +25,21 @@ VALUES = st.floats(width=64, allow_nan=True, allow_infinity=True)
 
 @st.composite
 def series(draw):
+    """A valid grid: any granularity without a window, else one that divides
+    both of the window's edges."""
     n, t = draw(st.integers(0, 3)), draw(st.integers(0, 4))
-    window = draw(st.none() | st.tuples(st.integers(0, 23), st.integers(1, 24)))
+    window = draw(st.none() | st.integers(0, 23).flatmap(
+        lambda start: st.tuples(st.just(start), st.integers(start + 1, 24))))
+    if window is None:
+        granularity = draw(st.integers(1, 86400))
+    else:
+        edges = math.gcd(window[0] * 3600, window[1] * 3600)
+        granularity = draw(st.sampled_from(
+            [g for g in range(1, edges + 1) if edges % g == 0]))
     return dt.ODSeries(
         stations=draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)),
         start_time=draw(st.integers(-2**40, 2**40)),
-        granularity=draw(st.integers(1, 86400)),
+        granularity=granularity,
         flows=draw(hnp.arrays(np.float64, (t, n, n), elements=VALUES)),
         operating_window=window)
 

@@ -153,8 +153,8 @@ class TestBaselines:
         series = small_series(noise=0.4, seed=4)
         stats, (train, val, test) = windows(series)
         tc = tr.TrainConfig(max_epochs=3, patience=3, batch_size=8)
-        a = ev.PlainMLPBaseline().fit(train, val, tc).predict(test)
-        b = ev.PlainMLPBaseline().fit(train, val, tc).predict(test)
+        a = ev.PlainMLPBaseline(train, val, tc).predict(test)
+        b = ev.PlainMLPBaseline(train, val, tc).predict(test)
         assert np.array_equal(a, b)
 
     def test_plain_mlp_keeps_best_validation_weights(self):
@@ -165,17 +165,11 @@ class TestBaselines:
 
         def fitted_val_loss(epochs):
             tc = tr.TrainConfig(max_epochs=epochs, patience=2, batch_size=8, lr=0.01)
-            mlp = ev.PlainMLPBaseline().fit(train, val, tc)
+            mlp = ev.PlainMLPBaseline(train, val, tc)
             return tr.evaluate_loss(mlp.shape_out, mlp.params, val, tc,
                                     forward=ev._mlp_forward)
 
         assert fitted_val_loss(2) <= fitted_val_loss(1)
-
-    def test_unfitted_query_errors(self):
-        with pytest.raises(RuntimeError):
-            ev.HistoricalAverageBaseline().predict([])
-        with pytest.raises(RuntimeError):
-            ev.PlainMLPBaseline().predict([])
 
     def test_unknown_kind(self):
         with pytest.raises(dt.ConfigurationError):
@@ -215,7 +209,8 @@ class TestSweeps:
         stats = dt.fit_normalizer(series, 0.7)
         cfg = fast_model_config(series)
         result = ev.run_hp_sweep(series, stats, cfg, FAST_TRAIN, grid=[(2, 2)])
-        _, _, standalone = ev._train_and_score(series, cfg, FAST_TRAIN, stats)
+        _, windows = ev.entity_windows(series, cfg, stats)
+        _, _, standalone = ev._train_and_score(cfg, FAST_TRAIN, stats, windows)
         assert result.rows[0][1].mae == standalone.mae
         assert result.rows[0][1].rmse == standalone.rmse
 
@@ -423,7 +418,7 @@ class TestScoringMatchesEarlierCode:
                                      min_size=1, max_size=12), label="anchors")
         samples = self.samples(flows, stats, history, horizon, anchors)
 
-        fitted = ev.HistoricalAverageBaseline().fit(flows, n_train, bins_per_day, stats)
+        fitted = ev.HistoricalAverageBaseline(flows, n_train, bins_per_day, stats)
         oracle = HistoricalAverageOracle().fit(flows, n_train, bins_per_day, stats)
         assert np.array_equal(fitted.profile, oracle.profile)
         assert np.array_equal(fitted.predict(samples), oracle.predict(samples))
@@ -437,7 +432,7 @@ class TestScoringMatchesEarlierCode:
         stats = dt.NormStats(1.5, 2.0)
         samples = self.samples(flows, stats, 2, 3, [1, 3, 4, 8, 9, 15])
         for n_train in (3, 5, 16):
-            fitted = ev.HistoricalAverageBaseline().fit(flows, n_train, 5, stats)
+            fitted = ev.HistoricalAverageBaseline(flows, n_train, 5, stats)
             oracle = HistoricalAverageOracle().fit(flows, n_train, 5, stats)
             assert np.array_equal(fitted.predict(samples), oracle.predict(samples))
         assert np.array_equal(ev.LastValueBaseline().predict(samples),
@@ -446,7 +441,7 @@ class TestScoringMatchesEarlierCode:
     def test_empty_sample_list_raises_as_before(self):
         flows = np.ones((6, 2, 1))
         for new, old in [(ev.LastValueBaseline(), LastValueOracle()),
-                         (ev.HistoricalAverageBaseline().fit(flows, 4, 2, IDENTITY),
+                         (ev.HistoricalAverageBaseline(flows, 4, 2, IDENTITY),
                           HistoricalAverageOracle().fit(flows, 4, 2, IDENTITY))]:
             with pytest.raises(Exception) as before:
                 old.predict([])
