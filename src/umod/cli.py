@@ -383,6 +383,8 @@ def main(argv=None) -> int:
     except (dt.ConfigurationError, dt.IngestionError, dt.SeriesFormatError,
             md.CheckpointError, dm.NumericError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:  # e.g. a span or a series header too large to hold
+        return _fail(f"out of memory: {str(exc) or 'an allocation failed'}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SERIES_MAGIC = b"UMODODS1"
-SERIES_VERSION = 1
+SERIES_VERSION = 2
 SECONDS_PER_DAY = 86400
 SPLIT = (0.7, 0.1, 0.2)  # chronological train : val : test fractions
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -159,6 +159,9 @@ def build_od_series(trips, stations, start_time: int, end_time: int,
     t = (timestamp[keep] - start_time) // granularity
     cells = (t * n + origin[keep]) * n + destination[keep]
     t_total = span // granularity
+    if t_total * n * n > INT64_MAX:  # so no flat cell index below can wrap
+        raise ConfigurationError(f"{t_total} bins of {n} x {n} cells are more than "
+                                 "an array can index")
     # unit weights count in float64 directly; counts below 2**53 stay exact
     flows = np.bincount(cells, weights=np.ones(cells.size),
                         minlength=t_total * n * n).reshape(t_total, n, n)
@@ -445,30 +448,68 @@ def read_container(path, magic: bytes, version: int, shapes, error):
 
 
 def dump_series(series: ODSeries, path) -> None:
-    """Write the ``UMODODS1`` series container: metadata header, ``[T, N, N]`` flows."""
+    """Write the ``UMODODS1`` series container: metadata header, then the flat
+    indices of the cells whose bits are not +0.0, in increasing order, and their
+    values. Comparing bits keeps -0.0 and every NaN payload."""
+    flat = series.flows.reshape(-1)
+    cells = np.flatnonzero(flat.view(np.int64) != 0)
     header = {
         "version": SERIES_VERSION,
         "stations": series.stations,
         "start_time": series.start_time,
         "granularity": series.granularity,
         "dims": list(series.flows.shape),
+        "cells": int(cells.size),
         "operating_window": list(series.operating_window)
         if series.operating_window else None,
     }
-    write_container(path, SERIES_MAGIC, header, [series.flows])
+    write_container(path, SERIES_MAGIC, header, [cells, flat[cells]])
+
+
+def _series_shapes(header: dict) -> list[list[int]]:
+    """The payload a version-2 header promises: ``cells`` indices, then their values."""
+    dims, cells = header["dims"], header["cells"]
+    if not (type(dims) is list and len(dims) == 3
+            and all(type(d) is int and d >= 0 for d in dims)):
+        raise ValueError(f"dims {dims!r} is not three counts")
+    if type(cells) is not int or cells < 0:
+        raise ValueError(f"cells {cells!r} is not a count")
+    return [[cells], [cells]]
+
+
+def _dense_flows(path, dims: list[int], cells, values) -> np.ndarray:
+    """The ``dims`` array holding ``values`` at the flat indices ``cells``, +0.0 elsewhere."""
+    size = math.prod(dims)
+    bad = ~((cells >= 0) & (cells < size) & (cells == np.floor(cells)))
+    bad[1:] |= ~(cells[1:] > cells[:-1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SeriesFormatError(
+            f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
+            f"numbers in [0, {size}), strictly increasing")
+    try:
+        flows = np.zeros(dims)
+    except ValueError as exc:  # too large for numpy to index, let alone allocate
+        raise SeriesFormatError(f"{path}: dims {dims}: {exc}") from exc
+    flows.reshape(-1)[cells.astype(np.int64)] = values
+    return flows
 
 
 def load_series(path) -> ODSeries:
-    header, (flows,) = read_container(path, SERIES_MAGIC, SERIES_VERSION,
-                                      lambda h: [h["dims"]], SeriesFormatError)
+    """Read a ``UMODODS1`` file back into the dense ``[T, N, N]`` series."""
+    header, (cells, values) = read_container(path, SERIES_MAGIC, SERIES_VERSION,
+                                             _series_shapes, SeriesFormatError)
     try:
         stations, window = header["stations"], header["operating_window"]
-        numbers = [header["start_time"], header["granularity"], *(window or [])]
-        if not (isinstance(stations, list) and all(isinstance(s, str) for s in stations)
-                and all(type(v) is int for v in numbers)
-                and (window is None or len(window) == 2)):
-            raise TypeError("stations must be names; start_time, granularity and "
-                            "operating_window integers")
+        if not (type(stations) is list and all(type(s) is str for s in stations)):
+            raise TypeError(f"stations {stations!r} is not a list of names")
+        for key in ("start_time", "granularity"):
+            if type(header[key]) is not int:
+                raise TypeError(f"{key} {header[key]!r} is not an integer")
+        if not (window is None or (type(window) is list and len(window) == 2
+                                   and all(type(v) is int for v in window))):
+            raise TypeError(f"operating_window {window!r} is not null or two integers")
+        flows = _dense_flows(path, header["dims"], cells, values)
         return ODSeries(stations, header["start_time"], header["granularity"], flows,
                         operating_window=tuple(window) if window else None)
     except (KeyError, TypeError, ConfigurationError) as exc:

@@ -135,11 +135,14 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
             x, y = stack_batch(batch)
             for p in plist:
                 p.zero_grad()
-            out = forward(x, params, config)
-            batch_loss = loss(out, y, train_config.loss_kind)
-            if not np.isfinite(batch_loss.data):
-                raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
-            batch_loss.backward()
+            # a diverging run overflows here; the checks below and in adam_step
+            # turn that into NumericError, so numpy's warnings would only be noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = forward(x, params, config)
+                batch_loss = loss(out, y, train_config.loss_kind)
+                if not np.isfinite(batch_loss.data):
+                    raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
+                batch_loss.backward()
             step += 1
             adam_step(plist, moments, train_config, step)
             total += float(batch_loss.data) * len(batch)

@@ -202,9 +202,9 @@ class TestIngest:
         assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
                          "--start", "0", "--end", "172800", "--granularity", "3600",
                          "--window", "6", "23", "--out", str(out)]) == 0
-        # the bytes the per-record binning loop wrote for this log
+        # the version-2 bytes of the flows the per-record binning loop counted
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e9d923e74f466115b4f5e1351babab60e22a0d1db7054e61e3ce01ad973abc90")
+            "aa4a249e89b024c4d382558030d385042b8f21f2304906e43ad1504088de4a75")
         assert capsys.readouterr().out == ("stations=3 bins=34 total_flow=4 dropped=7 "
                                            "out_of_span=2 outside_hours=5\n")
 
@@ -214,6 +214,19 @@ class TestIngest:
         stations = tmp_path / "stations.txt"
         stations.write_text("A\nB\n")
         return trips, stations
+
+    @pytest.mark.parametrize("end, message", [
+        (10**15, "error: out of memory: "),  # 28.4 PiB, past any address space
+        (2**63 - 1, "error: 9223372036854775807 bins of 2 x 2 cells are more than"),
+    ], ids=["past_memory", "past_int64"])
+    def test_span_too_large_to_hold_exits_1(self, tmp_path, capsys, end, message):
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
+        out = tmp_path / "series.bin"
+        assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", str(end), "--granularity", "1",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_three_line_demo(self, tmp_path, capsys):
         trips, stations = self.write_inputs(
@@ -386,8 +399,6 @@ class TestTrain:
         assert (run_dir / "metrics.csv").read_text().splitlines()[1] == \
             cli._metrics_lines("model", metrics)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_run_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(SMALL_RUN.replace("[train]\n", "[train]\nlr = 1e300\n"))
@@ -598,13 +609,33 @@ class TestDataSource:
         (3600, [18, 6], "bad operating window (18, 6)"),
         (7, [6, 18], "window (6, 18) does not align with 7s bins"),
     ], ids=["zero_granularity", "reversed_window", "misaligned_bins"])
-    def test_invalid_series_grid_exits_1(self, tmp_path, capsys, command, granularity,
-                                         window, message):
+    def test_invalid_series_grid_exits_1(self, tmp_path, capsys, write_series_file,
+                                         command, granularity, window, message):
         series = tmp_path / "series.bin"
-        dt.write_container(series, dt.SERIES_MAGIC, {
-            "version": dt.SERIES_VERSION, "stations": ["A", "B"], "start_time": 0,
-            "granularity": granularity, "dims": [24, 2, 2], "operating_window": window},
-            [np.ones((24, 2, 2))])
+        write_series_file(series, {
+            "version": 2, "stations": ["A", "B"], "start_time": 0,
+            "granularity": granularity, "dims": [24, 2, 2], "cells": 96,
+            "operating_window": window}, np.ones((24, 2, 2)))
+        assert self.run_on_series(tmp_path, series, command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {series}: bad series header: ConfigurationError: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_series_too_large_to_hold_exits_1(self, tmp_path, capsys, write_series_file,
+                                              command):
+        # a small file whose header promises 2**46 bins of 2 x 2 cells: 2 PiB
+        series = tmp_path / "series.bin"
+        write_series_file(series, {
+            "version": 2, "stations": ["A", "B"], "start_time": 0, "granularity": 3600,
+            "dims": [2**46, 2, 2], "cells": 0, "operating_window": None}, np.zeros(0))
+        assert self.run_on_series(tmp_path, series, command) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def run_on_series(tmp_path, series, command) -> int:
+        """``umod <command>`` on an INI whose ``[data] series`` is ``series``."""
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[data]\nseries = {series}\n[run]\noutput_dir = {tmp_path / 'run'}\n")
         ckpt = tmp_path / "model.ckpt"
@@ -613,10 +644,7 @@ class TestDataSource:
         argv = {"train": ["train", str(cfg)],
                 "eval": ["eval", str(ckpt), str(cfg), "--baseline", "historical_average"],
                 "sweep": ["sweep", "hp", str(cfg)]}[command]
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {series}: bad series header: ConfigurationError: {message}\n")
-        assert not (tmp_path / "run").exists()
+        return cli.main(argv)
 
 
 class TestConfigValues:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -303,38 +304,107 @@ class TestSerialization:
             dt.load_series(path)
 
     def test_bytes_pinned(self, tmp_path):
-        series = make_series(np.arange(8.0).reshape(2, 2, 2), start_time=3600,
-                             window=(6, 23))
+        flows = np.arange(8.0).reshape(2, 2, 2)
+        series = make_series(flows, start_time=3600, window=(6, 23))
         path = tmp_path / "series.bin"
         dt.dump_series(series, path)
-        header = json.dumps({"dims": [2, 2, 2], "granularity": 1800,
+        # the version-1 file held these eight dense values; version 2 decodes to them
+        v1_payload = struct.pack("<8d", *range(8))
+        assert dt.load_series(path).flows.tobytes() == v1_payload
+        header = json.dumps({"cells": 7, "dims": [2, 2, 2], "granularity": 1800,
                              "operating_window": [6, 23], "start_time": 3600,
-                             "stations": ["S00", "S01"], "version": 1}).encode()
+                             "stations": ["S00", "S01"], "version": 2}).encode()
         assert path.read_bytes() == (b"UMODODS1" + struct.pack("<I", len(header))
-                                     + header + struct.pack("<8d", *range(8)))
+                                     + header + struct.pack("<7d", *range(1, 8))
+                                     + struct.pack("<7d", *range(1, 8)))
 
     @pytest.mark.parametrize("key", ["stations", "start_time", "granularity",
-                                     "operating_window", "dims"])
+                                     "operating_window", "dims", "cells"])
     @pytest.mark.parametrize("value", [None, "x", 1.5])
-    def test_missing_or_ill_typed_header_key(self, tmp_path, key, value):
-        header = {"version": 1, "stations": ["A"], "start_time": 0,
-                  "granularity": 1800, "operating_window": None, "dims": [2, 1, 1]}
+    def test_missing_or_ill_typed_header_key(self, tmp_path, write_series_file, key,
+                                             value):
+        header = {"version": 2, "stations": ["A"], "start_time": 0, "granularity": 1800,
+                  "operating_window": None, "dims": [2, 1, 1], "cells": 1}
         if value is None:
             del header[key]
+            message = f"KeyError: '{key}'"
         else:
             header[key] = value
+            message = f"{key} {value!r} is not"
         path = tmp_path / "series.bin"
-        dt.write_container(path, dt.SERIES_MAGIC, header, [np.zeros((2, 1, 1))])
-        with pytest.raises(dt.SeriesFormatError, match=key if value is None else None):
+        write_series_file(path, header, np.array([0.0, 3.0]).reshape(2, 1, 1))
+        with pytest.raises(dt.SeriesFormatError, match=re.escape(message)):
             dt.load_series(path)
 
-    def test_duplicate_station_is_a_format_error(self, tmp_path):
-        header = {"version": 1, "stations": ["A", "B", "A"], "start_time": 0,
-                  "granularity": 1800, "operating_window": None, "dims": [1, 3, 3]}
+    def test_duplicate_station_is_a_format_error(self, tmp_path, write_series_file):
+        header = {"version": 2, "stations": ["A", "B", "A"], "start_time": 0,
+                  "granularity": 1800, "operating_window": None, "dims": [1, 3, 3],
+                  "cells": 0}
         path = tmp_path / "series.bin"
-        dt.write_container(path, dt.SERIES_MAGIC, header, [np.zeros((1, 3, 3))])
+        write_series_file(path, header, np.zeros((1, 3, 3)))
         with pytest.raises(dt.SeriesFormatError, match="station 'A' is listed twice"):
             dt.load_series(path)
+
+    @pytest.mark.parametrize("cells", [
+        [3.0, 1.0], [1.0, 1.0], [0.5, 2.0], [-1.0, 2.0], [float("nan"), 2.0],
+        [1.0, float("nan")], [1.0, float("inf")], [1.0, 8.0], [1.0, 2.0**53],
+    ], ids=["decreasing", "repeated", "non_integral", "negative", "nan_first",
+            "nan_last", "infinite", "past_end", "far_past_end"])
+    def test_bad_cell_index_is_a_format_error(self, tmp_path, cells):
+        header = {"version": 2, "stations": ["A", "B"], "start_time": 0,
+                  "granularity": 1800, "operating_window": None, "dims": [2, 2, 2],
+                  "cells": 2}
+        path = tmp_path / "series.bin"
+        dt.write_container(path, dt.SERIES_MAGIC, header, [cells, [1.0, 1.0]])
+        with pytest.raises(dt.SeriesFormatError,
+                           match=r"cell \d has index .*whole numbers in \[0, 8\), strictly"):
+            dt.load_series(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dims", [2, 2], "dims [2, 2] is not three counts"),
+        ("dims", [1, 2, 2, 1], "dims [1, 2, 2, 1] is not three counts"),
+        ("dims", [-1, 2, 2], "dims [-1, 2, 2] is not three counts"),
+        ("dims", [1.0, 2, 2], "dims [1.0, 2, 2] is not three counts"),
+        ("dims", [True, 2, 2], "dims [True, 2, 2] is not three counts"),
+        ("dims", {"T": 1}, "dims {'T': 1} is not three counts"),
+        ("dims", [2**62, 2, 2], "dims [4611686018427387904, 2, 2]: array is too big"),
+        ("cells", -1, "cells -1 is not a count"),
+        ("cells", True, "cells True is not a count"),
+        ("cells", [1], "cells [1] is not a count"),
+        ("cells", 2, "payload ends at byte"),
+    ])
+    def test_bad_dims_or_cell_count_is_a_format_error(self, tmp_path, field, value,
+                                                      message):
+        header = {"version": 2, "stations": ["A", "B"], "start_time": 0,
+                  "granularity": 1800, "operating_window": None, "dims": [1, 2, 2],
+                  "cells": 1, field: value}
+        path = tmp_path / "series.bin"
+        dt.write_container(path, dt.SERIES_MAGIC, header, [[1.0], [4.0]])
+        with pytest.raises(dt.SeriesFormatError, match=re.escape(message)):
+            dt.load_series(path)
+
+    @pytest.mark.parametrize("flows, cells", [
+        (np.array([0.0, -0.0, 1.0, 0.0]).reshape(1, 2, 2), 2),
+        (np.array([0.0, struct.unpack("<d", struct.pack("<Q", 0x7FF0_0000_0000_BEEF))[0],
+                   struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0],
+                   0.0]).reshape(1, 2, 2), 2),
+        (np.array([np.inf, 0.0, 0.0, -np.inf]).reshape(1, 2, 2), 2),
+        (np.zeros((3, 2, 2)), 0),
+        (np.zeros((0, 2, 2)), 0),
+        (np.zeros((4, 0, 0)), 0),
+    ], ids=["negative_zero", "nan_payloads", "infinities", "all_zero", "no_bins",
+            "no_stations"])
+    def test_pinned_round_trip(self, tmp_path, flows, cells):
+        series = make_series(flows)
+        path = tmp_path / "series.bin"
+        dt.dump_series(series, path)
+        back = dt.load_series(path)
+        assert back.flows.shape == flows.shape
+        assert back.flows.tobytes() == flows.tobytes()
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        assert json.loads(raw[12:12 + header_len])["cells"] == cells
+        assert len(raw) == 12 + header_len + 16 * cells
 
     def test_version_mismatch(self, tmp_path):
         meta = json.dumps({"version": 99, "stations": [], "start_time": 0,
