@@ -2,9 +2,9 @@
 
 Every forward operation records its parents together with a closed-form
 adjoint, so ``backward()`` on a scalar walks the graph once in reverse
-topological order. Broadcasting is deliberately restricted to leading-axis
-expansion (a smaller operand whose shape is a suffix of the larger one),
-which keeps every adjoint a plain sum over the expanded axes.
+topological order. Nothing broadcasts: elementwise operands have equal
+shapes, and ``linear`` adds its bias over the leading axes itself, so no
+adjoint has to undo an expansion.
 
 Conventions:
   * relu'(0) == 0
@@ -174,20 +174,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum upstream gradient over axes added by leading-axis expansion."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
-
-
-def _check_suffix(a_shape: tuple, b_shape: tuple, op: str):
-    small, big = (a_shape, b_shape) if len(a_shape) <= len(b_shape) else (b_shape, a_shape)
-    if big[len(big) - len(small):] != small:
-        raise DimensionError(f"{op}: shapes {a_shape} and {b_shape} are incompatible")
+def _check_same_shape(a: Tensor, b: Tensor, op: str):
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +185,22 @@ def _check_suffix(a_shape: tuple, b_shape: tuple, op: str):
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape, "add")
-    out = a.data + b.data
-    return Tensor(out, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
-    ])
+    _check_same_shape(a, b, "add")
+    return Tensor(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape, "sub")
-    return Tensor(a.data - b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
-    ])
+    _check_same_shape(a, b, "sub")
+    return Tensor(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_suffix(a.shape, b.shape, "mul")
+    _check_same_shape(a, b, "mul")
     return Tensor(a.data * b.data, [
-        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+        (a, lambda g: g * b.data),
+        (b, lambda g: g * a.data),
     ])
 
 
@@ -319,29 +301,18 @@ def _weight_parents(a: Tensor, W: Tensor) -> list:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product over the last two axes.
+    """Batched matrix product over the last two axes; the leading axes must match.
 
-    Either operand may have extra leading batch axes. A 2-d weight matrix on
-    the right is the common case, with the adjoints of ``_weight_parents``.
+    A weight applied to the last axis goes through ``linear`` instead.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul: operands must be >=2-d, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    if b.data.ndim == 2:
-        return Tensor(out, _weight_parents(a, b))
-
-    def grad_a(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        return _unbroadcast(ga, a.shape)
-
-    def grad_b(g):
-        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-
-    return Tensor(out, [(a, grad_a), (b, grad_b)])
+    if (min(a.data.ndim, b.data.ndim) < 2 or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise DimensionError(f"matmul: cannot multiply {a.shape} x {b.shape}")
+    return Tensor(a.data @ b.data, [
+        (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
+        (b, lambda g: np.swapaxes(a.data, -1, -2) @ g),
+    ])
 
 
 def qkv_projection(x, W_Q, W_K, W_V):
@@ -350,9 +321,9 @@ def qkv_projection(x, W_Q, W_K, W_V):
     The leading axes of ``x`` are flattened into rows in the order they lie
     in memory, so attention's transposed ``x`` is multiplied without a copy,
     and each weight takes one GEMM instead of one small GEMM per slice. Each
-    output has the adjoints ``matmul`` gives a 2-d weight on the right, so
-    backward makes the same products as three ``matmul`` calls. The forward
-    products have other shapes than ``matmul``'s per-slice ones, so BLAS may
+    output has the adjoints of ``linear`` without a bias, so backward makes
+    the same products as three ``linear`` calls. The forward products have
+    other shapes than ``linear``'s per-slice ones, so BLAS may
     round them differently: with OpenBLAS 0.3.31 on x86-64 the bits match at
     widths up to 16 and at multiples of 8 (the default 104 among them), and
     differ in the last place at some other widths, 28 and 84 among them.
@@ -380,14 +351,25 @@ def qkv_projection(x, W_Q, W_K, W_V):
 
 
 def linear(x, W, b=None) -> Tensor:
-    """x @ W + b with the weight applied to the last axis of x."""
+    """``x @ W + b`` with a 2-d weight on the last axis of ``x``, as one tape node.
+
+    The optional bias has shape ``W.shape[1:]``; its adjoint sums the upstream
+    gradient over every leading axis.
+    """
     x, W = _as_tensor(x), _as_tensor(W)
-    if x.shape[-1] != W.shape[0]:
+    if x.data.ndim < 2 or W.data.ndim != 2 or x.shape[-1] != W.shape[0]:
         raise DimensionError(
             f"linear: input {x.shape} does not match weight {W.shape}"
         )
-    out = matmul(x, W)
-    return out if b is None else add(out, b)
+    out = x.data @ W.data
+    parents = _weight_parents(x, W)
+    if b is not None:
+        b = _as_tensor(b)
+        if b.shape != W.shape[1:]:
+            raise DimensionError(f"linear: bias {b.shape} does not match weight {W.shape}")
+        out += b.data
+        parents.append((b, lambda g: g.sum(axis=tuple(range(g.ndim - 1)))))
+    return Tensor(out, parents)
 
 
 def softmax_last(x) -> Tensor:

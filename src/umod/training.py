@@ -111,7 +111,9 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
 
     The parameters are updated in place, and Adam starts from zero moments on
     every call. ``epoch_callback(record)`` fires after every epoch (used for
-    logging). ``forward(x, params, config)`` is the network to fit; it defaults to
+    logging); an epoch that raises ``NumericError`` fires it with the failing
+    batch's loss and ``val_loss = nan`` before the error propagates.
+    ``forward(x, params, config)`` is the network to fit; it defaults to
     ``model.forward``, and ``config`` is passed to it untouched.
     """
     if not train_samples or not val_samples:
@@ -130,23 +132,29 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
         order = rng.permutation(len(train_samples))
         total = 0.0
         count = 0
-        for lo in range(0, len(order), train_config.batch_size):
-            batch = [train_samples[i] for i in order[lo:lo + train_config.batch_size]]
-            x, y = stack_batch(batch)
-            for p in plist:
-                p.zero_grad()
-            # a diverging run overflows here; the checks below and in adam_step
-            # turn that into NumericError, so numpy's warnings would only be noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = forward(x, params, config)
-                batch_loss = loss(out, y, train_config.loss_kind)
-                if not np.isfinite(batch_loss.data):
-                    raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
-                batch_loss.backward()
-            step += 1
-            adam_step(plist, moments, train_config, step)
-            total += float(batch_loss.data) * len(batch)
-            count += len(batch)
+        try:
+            for lo in range(0, len(order), train_config.batch_size):
+                batch = [train_samples[i] for i in order[lo:lo + train_config.batch_size]]
+                x, y = stack_batch(batch)
+                for p in plist:
+                    p.zero_grad()
+                # a diverging run overflows here; the checks below and in adam_step
+                # turn that into NumericError, so numpy's warnings would only be noise
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = forward(x, params, config)
+                    batch_loss = loss(out, y, train_config.loss_kind)
+                    if not np.isfinite(batch_loss.data):
+                        raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
+                    batch_loss.backward()
+                step += 1
+                adam_step(plist, moments, train_config, step)
+                total += float(batch_loss.data) * len(batch)
+                count += len(batch)
+        except dm.NumericError:
+            if epoch_callback is not None:
+                epoch_callback(EpochRecord(epoch, float(batch_loss.data), float("nan"),
+                                           time.perf_counter() - e0))
+            raise
         train_loss = total / count
         val_loss = evaluate_loss(config, params, val_samples, train_config,
                                  forward=forward)

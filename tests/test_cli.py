@@ -405,6 +405,11 @@ class TestTrain:
         assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "error: non-finite training loss at epoch 1\n"
         assert not (tmp_path / "run" / "model.ckpt").exists()
+        # the epoch that diverged is logged, with non-finite losses
+        last = (tmp_path / "run" / "epochs.log").read_text().splitlines()[-1]
+        epoch, train_loss, val_loss, _ = last.split(",")
+        assert epoch == "1"
+        assert not np.isfinite(float(train_loss)) and not np.isfinite(float(val_loss))
 
     def test_top_k_pairs_without_top_k_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "pairs.ini"

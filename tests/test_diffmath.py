@@ -40,6 +40,44 @@ class TestLinear:
         assert err < 1e-6
 
 
+class TestShapeRules:
+    # nothing broadcasts: elementwise operands match, and linear owns its bias
+
+    @pytest.mark.parametrize("op", [dm.add, dm.sub, dm.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (3,)), ((3,), (2, 3)),
+                                                  ((2, 3), (1, 3)), ((2, 3), ())])
+    def test_elementwise_ops_need_equal_shapes(self, op, a_shape, b_shape):
+        with pytest.raises(dm.DimensionError, match=op.__name__):
+            op(dm.Tensor(np.zeros(a_shape)), dm.Tensor(np.zeros(b_shape)))
+
+    def test_bias_must_match_the_weight_output(self):
+        x, w = dm.Tensor(np.zeros((5, 2, 3))), np.zeros((3, 4))
+        with pytest.raises(dm.DimensionError, match=r"bias \(2, 4\)"):
+            dm.linear(x, w, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((5, 2, 3), (3, 4)), ((2, 3), (5, 3, 4)),
+                                                  ((5, 2, 3), (4, 3, 4)), ((3,), (3, 4)),
+                                                  ((2, 3), (3,))])
+    def test_matmul_needs_equal_leading_axes(self, a_shape, b_shape):
+        with pytest.raises(dm.DimensionError, match="matmul"):
+            dm.matmul(dm.Tensor(np.zeros(a_shape)), dm.Tensor(np.zeros(b_shape)))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 2, 3, 4)], ids=["2d", "3d", "4d"])
+    def test_linear_bias_gradient_sums_the_leading_axes(self, shape):
+        rng = np.random.default_rng(12)
+        x = dm.Parameter("x", rng.normal(size=shape))
+        w = dm.Parameter("w", rng.normal(size=(4, 5)))
+        b = dm.Parameter("b", rng.normal(size=5))
+        g = rng.normal(size=shape[:-1] + (5,))
+
+        def loss_fn(params):
+            return dm.sum_all(dm.mul(dm.linear(*params), g))
+
+        assert dm.finite_diff_check(loss_fn, [x, w, b], eps=1e-6) < 1e-6
+        # the sum the earlier broadcasting add made over the expanded axes
+        assert np.array_equal(b.grad, g.sum(axis=tuple(range(g.ndim - 1))))
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
         out = dm.softmax_last(dm.Tensor([0.0, 0.0, 0.0]))
@@ -228,12 +266,12 @@ def test_matmul_weight_adjoints(shape, strided):
         return dm.transpose(t, swap) if strided else t
 
     def loss_fn(params):
-        return dm.sum_all(dm.mul(dm.matmul(left(params[0]), params[1]), g))
+        return dm.sum_all(dm.mul(dm.linear(left(params[0]), params[1]), g))
 
     assert dm.finite_diff_check(loss_fn, [x, w], eps=1e-6) < 1e-6
     a = left(x)
     assert a.data.flags.c_contiguous != strided
-    (_, grad_a), (_, grad_b) = dm.matmul(a, w).parents
+    (_, grad_a), (_, grad_b) = dm.linear(a, w).parents
     batch = tuple(range(len(shape) - 2))
     assert np.abs(grad_b(g) - (np.swapaxes(a.data, -1, -2) @ g).sum(axis=batch)).max() < 1e-12
     assert np.abs(grad_a(g) - g @ w.data.T).max() < 1e-12
@@ -260,7 +298,7 @@ class TestQKVProjection:
 
     @staticmethod
     def separate(x, ws):
-        return tuple(dm.matmul(x, w) for w in ws)
+        return tuple(dm.linear(x, w) for w in ws)
 
     @pytest.mark.parametrize("H", [1, 2, 6])
     def test_bit_identical_to_three_matmuls(self, H):
@@ -427,7 +465,7 @@ class TestReleasedGraph:
         loss.backward()
         grads = x.grad.copy(), w.grad.copy()
         with pytest.raises(dm.GraphReleasedError):
-            dm.sum_all(dm.add(hidden, dm.sum_all(x))).backward()
+            dm.add(dm.sum_all(hidden), dm.sum_all(x)).backward()
         assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
 
     @pytest.mark.parametrize("mode", ["station_rows", "top_k_pairs"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from umod import cli
 from umod import data as dt
 from umod import evaluation as ev
 from umod import model as md
@@ -138,6 +139,31 @@ class TestBaselines:
         targets = np.stack([s.y for s in test])
         rep = ev.compute_metrics(preds, targets, stats)
         assert rep.mae < 1e-9
+
+    @pytest.mark.parametrize("start", [0, 8 * 3600, 12 * 3600 + 1800, 23 * 3600 + 1800],
+                             ids=["00:00", "08:00", "12:30", "23:30"])
+    def test_historical_average_follows_wall_clock(self, tmp_path, start):
+        # one trip log ingested from spans that start at different times of day:
+        # profile[t % bins_per_day] is always the training mean of bin t's
+        # wall-clock second of day
+        rng = np.random.default_rng(8)
+        stamps = rng.integers(0, 8 * 86400, size=4000)
+        names = rng.choice(["A", "B", "C"], size=(stamps.size, 2))
+        trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
+        trips.write_text("".join(f"{o},{d},{t}\n" for (o, d), t in zip(names, stamps)))
+        stations.write_text("A\nB\nC\n")
+        granularity, end = 1800, start + 6 * 86400
+        series = cli._ingest(str(trips), str(stations), start, end, granularity, (6, 23))[0]
+        bin_starts = np.arange(start, end, granularity) % 86400
+        second_of_day = bin_starts[(bin_starts >= 6 * 3600) & (bin_starts < 23 * 3600)]
+        assert second_of_day.size == series.n_bins
+        baseline = ev.fit_baseline("historical_average", series=series,
+                                   stats=dt.fit_normalizer(series))
+        n_train = dt.split_lengths(series.n_bins)[0]
+        for t in range(series.n_bins):
+            same = np.flatnonzero(second_of_day[:n_train] == second_of_day[t])
+            assert np.array_equal(baseline.profile[t % series.bins_per_day],
+                                  series.flows[same].mean(axis=0))
 
     def test_plain_mlp_output_shape(self):
         series = small_series(noise=0.4, seed=4)

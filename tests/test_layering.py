@@ -2,10 +2,13 @@
 
 The package runs on numpy and the standard library alone, and the tensor
 library holds no training or model state, so ``diffmath`` imports none of the
-modules built on it.
+modules built on it. Every public function but a listed few is referenced from
+the package itself, so code that nothing in ``src/umod`` uses is deleted rather
+than kept for tests.
 """
 
 import ast
+import collections
 import pathlib
 import sys
 
@@ -15,6 +18,13 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "umod"
 MODULES = sorted(SRC.glob("*.py"))
 ALLOWED_ROOTS = {"numpy", "umod"} | set(sys.stdlib_module_names)
 NOT_UNDER_DIFFMATH = {"umod.training", "umod.model", "umod.evaluation"}
+# public functions nothing in src/umod refers to, each with its reason
+UNREFERENCED_ALLOWED = {
+    "diffmath.sum_all": "a test utility",
+    "diffmath.finite_diff_check": "the gradient reference the tests check adjoints against",
+    "evaluation.load_embedding": "the UMODEMB1 reader; it goes once `umod inspect` "
+                                 "reads embedding dumps",
+}
 
 
 def imported_modules(path: pathlib.Path) -> set[str]:
@@ -47,3 +57,23 @@ def test_imports_only_numpy_stdlib_and_umod(path):
 
 def test_diffmath_imports_no_layer_above_it():
     assert not imported_modules(SRC / "diffmath.py") & NOT_UNDER_DIFFMATH
+
+
+def referenced_names(node: ast.AST) -> collections.Counter:
+    """How often each bare name or attribute name occurs under ``node``."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_is_referenced_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()),
+                     collections.Counter())
+    unreferenced = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    }
+    assert unreferenced == set(UNREFERENCED_ALLOWED)
