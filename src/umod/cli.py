@@ -183,8 +183,7 @@ def _write_resolved(path, cp: configparser.ConfigParser,
                             for key, v in values.items() if v is not None}
     if cp.has_section("run"):
         out["run"] = dict(cp["run"])
-    with open(path, "w", encoding="utf-8") as fh:
-        out.write(fh)
+    dt.write_atomically(path, out.write)
 
 
 def _metrics_lines(label: str, rep: ev.MetricsReport) -> str:
@@ -258,9 +257,9 @@ def cmd_train(args) -> int:
         params, report, metrics = ev._train_and_score(model_config, train_config, stats,
                                                       windows, epoch_callback=on_epoch)
     md.save_checkpoint(os.path.join(run_dir, "model.ckpt"), params, model_config)
-    with open(os.path.join(run_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("label,mae,rmse,mape_percent,n_total,n_mape_used\n")
-        fh.write(_metrics_lines("model", metrics) + "\n")
+    dt.write_atomically(os.path.join(run_dir, "metrics.csv"), lambda fh: fh.write(
+        "label,mae,rmse,mape_percent,n_total,n_mape_used\n"
+        + _metrics_lines("model", metrics) + "\n"))
     print(f"best_epoch={report.best_epoch} stop={report.stop_reason} "
           f"test_mae={metrics.mae:.4f} test_rmse={metrics.rmse:.4f}")
     return EXIT_OK
@@ -283,8 +282,7 @@ def cmd_eval(args) -> int:
         lines.append(_metrics_lines(kind, ev.compute_metrics(bp, targets, stats)))
     body = "label,mae,rmse,mape_percent,n_total,n_mape_used\n" + "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        dt.write_atomically(args.out, lambda fh: fh.write(body))
     print(body, end="")
     return EXIT_OK
 

@@ -121,6 +121,8 @@ class SyntheticSpec:
                 f"synthetic series needs n_stations >= 1, days >= 1 and noise_std >= 0, "
                 f"got {self.n_stations}, {self.days} and {self.noise_std}")
         _check_grid(self.granularity, self.operating_window)
+        if self.seed < 0:
+            raise ConfigurationError(f"synthetic seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,28 @@ def two_peak_profile(bins_per_day: int) -> np.ndarray:
 # binary containers: series, checkpoints and embedding dumps
 
 
+def write_atomically(path, write, binary: bool = False) -> None:
+    """Call ``write(fh)`` on a new file beside ``path``, then move it over ``path``.
+
+    A write that fails or is interrupted partway removes its temporary file
+    and leaves an existing ``path`` as it was; an ``OSError`` names ``path``,
+    not the temporary file. Text is UTF-8.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path
+        raise
+
+
 def write_container(path, magic: bytes, header: dict, arrays) -> None:
     """Write ``magic (8 B) | u32 LE header length | JSON header | payload``.
 
@@ -391,12 +415,15 @@ def write_container(path, magic: bytes, header: dict, arrays) -> None:
     one at a time, so the payload is never joined into one buffer.
     """
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for a in arrays:
             fh.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
+
+    write_atomically(path, write, binary=True)
 
 
 def read_container(path, magic: bytes, version: int, shapes, error):

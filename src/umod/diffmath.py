@@ -174,34 +174,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
     return Tensor(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape(a, b, "mul")
-    return Tensor(a.data * b.data, [
-        (a, lambda g: g * b.data),
-        (b, lambda g: g * a.data),
-    ])
 
 
 def scale(a, c: float) -> Tensor:
@@ -216,12 +197,6 @@ def relu(a) -> Tensor:
     return Tensor(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
 
 
-def absolute(a) -> Tensor:
-    a = _as_tensor(a)
-    sign = np.sign(a.data)  # subgradient 0 at 0
-    return Tensor(np.abs(a.data), [(a, lambda g: g * sign)])
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -231,12 +206,25 @@ def sum_all(a) -> Tensor:
     return Tensor(a.data.sum(), [(a, lambda g: np.broadcast_to(g, a.shape).copy())])
 
 
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    return Tensor(a.data.mean(), [
-        (a, lambda g: np.broadcast_to(g / n, a.shape).copy())
-    ])
+def mean_error(pred, target, squared: bool) -> Tensor:
+    """``mean((pred - target)**2)`` if ``squared``, else ``mean(|pred - target|)``.
+
+    ``target`` is a plain array of ``pred``'s shape and gets no gradient; the
+    one adjoint goes to ``pred``, with subgradient 0 where the two are equal.
+    """
+    pred = _as_tensor(pred)
+    if pred.shape != np.shape(target):
+        raise DimensionError(f"mean_error: prediction {pred.shape} vs target "
+                             f"{np.shape(target)}")
+    d = pred.data - target
+    n = d.size
+    # the adjoint is C-ordered whatever pred's strides, because the rounding of
+    # the sums and products that consume it downstream follows its layout
+    if squared:
+        return Tensor((d * d).mean(),
+                      [(pred, lambda g: 2.0 * np.multiply(g / n, d, order="C"))])
+    return Tensor(np.abs(d).mean(),
+                  [(pred, lambda g: np.multiply(g / n, np.sign(d), order="C"))])
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +273,19 @@ def expand_leading(a, n: int) -> Tensor:
 # linear algebra
 
 
-def _weight_parents(a: Tensor, W: Tensor) -> list:
+def _weight_parents(a: Tensor, W: Tensor, rows=None) -> list:
     """The parents of ``a @ W`` for a 2-d weight ``W``: each adjoint is one GEMM
     over the leading axes of ``a`` and of the upstream gradient, flattened into
-    rows, so the weight gradient needs no sum over the batch."""
+    rows, so the weight gradient needs no sum over the batch. ``rows()`` gives
+    ``a`` flattened; weights that share an input may share one cached copy."""
     d_in, d_out = W.shape
+    rows = rows or (lambda: a.data.reshape(-1, d_in))
 
     def grad_a(g):
         return (g.reshape(-1, d_out) @ W.data.T).reshape(a.shape)
 
     def grad_w(g):
-        return a.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+        return rows().T @ g.reshape(-1, d_out)
 
     return [(a, grad_a), (W, grad_w)]
 
@@ -347,7 +337,14 @@ def qkv_projection(x, W_Q, W_K, W_V):
         outs = [(flat @ W.data).reshape(rows.shape[:-1] + (-1,)).transpose(back)
                 for W in weights]
 
-    return tuple(Tensor(o, _weight_parents(x, W)) for o, W in zip(outs, weights))
+    shared = []  # the copy of a transposed x, made by the first weight adjoint to run
+
+    def x_rows():
+        if not shared:
+            shared.append(x.data.reshape(-1, d_in))
+        return shared[0]
+
+    return tuple(Tensor(o, _weight_parents(x, W, x_rows)) for o, W in zip(outs, weights))
 
 
 def linear(x, W, b=None) -> Tensor:

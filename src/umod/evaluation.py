@@ -16,7 +16,7 @@ from . import diffmath as dm
 from . import model as m
 from . import training as tr
 from .data import (SPLIT, ConfigurationError, NormStats, ODSeries, read_container,
-                   split_and_window, split_lengths, write_container)
+                   split_and_window, split_lengths, write_atomically, write_container)
 
 HP_GRID = [(6, 2), (6, 4), (2, 2), (4, 4), (6, 6), (2, 4), (2, 6)]
 DIM_VALUES = [4, 8, 16, 32, 64]
@@ -256,8 +256,7 @@ def format_sweep(result: SweepResult) -> str:
 
 
 def write_sweep(path, result: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_sweep(result))
+    write_atomically(path, lambda fh: fh.write(format_sweep(result)))
 
 
 def dump_embedding(path, tensor: np.ndarray) -> None:

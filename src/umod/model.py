@@ -66,6 +66,8 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"model seed must be >= 0, got {self.seed}")
 
     @property
     def feature_dim(self) -> int:

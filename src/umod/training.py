@@ -36,6 +36,8 @@ class TrainConfig:
             raise ConfigurationError("invalid training configuration")
         if self.loss_kind not in (MEAN_ABSOLUTE, MEAN_SQUARED):
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
+        if self.shuffle_seed < 0:
+            raise ConfigurationError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
 
 @dataclass
@@ -54,18 +56,12 @@ class TrainReport:
 
 
 def loss(pred: dm.Tensor, target, kind: str = MEAN_ABSOLUTE) -> dm.Tensor:
-    """Differentiable mean |p - t| or mean (p - t)^2 over all elements."""
-    target = target if isinstance(target, dm.Tensor) else dm.Tensor(target)
-    if pred.shape != target.shape:
-        raise dm.DimensionError(
-            f"loss: prediction {pred.shape} vs target {target.shape}"
-        )
-    diff = dm.sub(pred, target)
-    if kind == MEAN_ABSOLUTE:
-        return dm.mean_all(dm.absolute(diff))
-    if kind == MEAN_SQUARED:
-        return dm.mean_all(dm.mul(diff, diff))
-    raise ValueError(f"unknown loss kind {kind!r}")
+    """Differentiable mean |p - t| or mean (p - t)^2 over all elements, as one
+    tape node. ``target`` is an array of ``pred``'s shape (``DimensionError``
+    otherwise) and gets no gradient."""
+    if kind not in (MEAN_ABSOLUTE, MEAN_SQUARED):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return dm.mean_error(pred, target, kind == MEAN_SQUARED)
 
 
 def adam_step(params, moments, config: TrainConfig, t: int) -> None:

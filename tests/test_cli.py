@@ -490,6 +490,22 @@ class TestEval:
                          "--out", str(out)]) == 0
         assert out.read_text() == train_metrics
 
+    @pytest.mark.parametrize("target, message", [
+        ("missing/eval.csv", "file not found: {out}"),
+        ("eval.csv", "{out}: Is a directory"),
+    ], ids=["missing_directory", "directory"])
+    def test_unwritable_out_exits_2_naming_it(self, run_config, tmp_path, capsys, target,
+                                              message):
+        assert cli.main(["train", str(run_config)]) == 0
+        capsys.readouterr()
+        out = tmp_path / target
+        if target == "eval.csv":
+            out.mkdir()
+        assert cli.main(["eval", str(tmp_path / "run" / "model.ckpt"), str(run_config),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_baseline_adds_row(self, run_config, tmp_path, capsys):
         assert cli.main(["train", str(run_config)]) == 0
         capsys.readouterr()  # discard the train command's output
@@ -725,6 +741,33 @@ class TestConfigValues:
         cfg.write_text(SMALL_RUN.replace("batch_size = 16", line))
         assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def train_with(tmp_path, capsys, section, key, value):
+        """Exit code and stderr of ``umod train`` with ``[section] key = value``."""
+        cp = configparser.ConfigParser()
+        cp.read_string(SMALL_RUN)
+        cp[section][key] = value
+        cfg = tmp_path / "run.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        code = cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")])
+        return code, capsys.readouterr().err
+
+    def test_negative_synthetic_seed_exits_1(self, tmp_path, capsys):
+        assert self.train_with(tmp_path, capsys, "synthetic", "seed", "-1") == (
+            1, "error: synthetic seed must be >= 0, got -1\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_model_seed_exits_1(self, tmp_path, capsys):
+        assert self.train_with(tmp_path, capsys, "model", "seed", "-1") == (
+            1, "error: model seed must be >= 0, got -1\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_shuffle_seed_exits_1(self, tmp_path, capsys):
+        assert self.train_with(tmp_path, capsys, "train", "shuffle_seed", "-1") == (
+            1, "error: shuffle_seed must be >= 0, got -1\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestSweep:

@@ -3,7 +3,8 @@
 For the series (``UMODODS1``), checkpoint (``UMODCKPT``) and embedding
 (``UMODEMB1``) files: a round trip is bit-identical, every truncation raises
 the format's typed error, and a file with any one byte flipped either loads or
-raises that typed error, never any other exception. Hypothesis runs
+raises that typed error, never any other exception. A write that fails
+halfway leaves the file it would have replaced byte for byte. Hypothesis runs
 derandomized, so every run of the suite draws the same examples.
 """
 
@@ -171,3 +172,36 @@ def test_embedding_eight_bytes_short_or_long(scratch):
         path.write_bytes(damaged)
         with pytest.raises(dt.ConfigurationError, match="payload"):
             ev.load_embedding(path)
+
+
+def arrays_then_disk_full():
+    yield np.arange(4.0)
+    raise OSError(28, "No space left on device")
+
+
+def text_then_interrupt(fh):
+    fh.write("label,mae\n")
+    raise KeyboardInterrupt
+
+
+# a write that fails halfway, and the error it raises
+INTERRUPTED_WRITES = {
+    "container": (lambda path: dt.write_container(path, dt.SERIES_MAGIC, {"version": 2},
+                                                  arrays_then_disk_full()), OSError),
+    "sweep": (lambda path: ev.write_sweep(path, ev.SweepResult(rows=[
+        ({"H": 2}, ev.MetricsReport(1.0, 2.0, None, 4, 0)),
+        ({}, ev.MetricsReport(1.0, 2.0, None, 4, 0))])), KeyError),
+    "text": (lambda path: dt.write_atomically(path, text_then_interrupt), KeyboardInterrupt),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(INTERRUPTED_WRITES))
+def test_interrupted_write_leaves_the_old_file(tmp_path, writer):
+    write, error = INTERRUPTED_WRITES[writer]
+    path = tmp_path / "out"
+    dt.dump_series(dt.synth_generate(dt.SyntheticSpec(n_stations=2, days=1)), path)
+    old = path.read_bytes()
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -14,6 +14,12 @@ def scalar_sum_loss(tensors):
     return total
 
 
+def weighted_sum(t, w):
+    """``sum(t * w)`` for a constant array ``w`` as one tape node, so the
+    gradient reaching ``t`` is ``w`` itself."""
+    return dm.Tensor((t.data * w).sum(), [(t, lambda g: g * w)])
+
+
 class TestLinear:
     def test_identity_weight(self):
         out = dm.linear(dm.Tensor([[1.0, 2.0]]), np.eye(2), np.zeros(2))
@@ -40,15 +46,78 @@ class TestLinear:
         assert err < 1e-6
 
 
+class TestMeanError:
+    @staticmethod
+    def three_op_chain(pred, target, squared):
+        # the reference: the loss as three tape nodes, pred - target, then d * d
+        # or |d|, then the mean with its broadcast adjoint; the target is a tensor
+        t = dm.Tensor(target)
+        d = dm.Tensor(pred.data - t.data, [(pred, lambda g: g), (t, lambda g: -g)])
+        if squared:
+            inner = dm.Tensor(d.data * d.data,
+                              [(d, lambda g: g * d.data), (d, lambda g: g * d.data)])
+        else:
+            sign = np.sign(d.data)
+            inner = dm.Tensor(np.abs(d.data), [(d, lambda g: g * sign)])
+        n = inner.data.size
+        return dm.Tensor(inner.data.mean(),
+                         [(inner, lambda g: np.broadcast_to(g / n, inner.shape).copy())])
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["absolute", "squared"])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2, 4)], ids=["2d", "4d"])
+    def test_gradients_match_finite_differences(self, shape, squared):
+        rng = np.random.default_rng(21)
+        pred = dm.Parameter("pred", rng.normal(size=shape))
+        target = rng.normal(size=shape)
+        err = dm.finite_diff_check(lambda ps: dm.mean_error(ps[0], target, squared), [pred],
+                                   eps=1e-6)
+        assert err < 1e-8
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["absolute", "squared"])
+    def test_only_pred_gets_a_gradient_and_it_is_zero_where_equal(self, squared):
+        pred = dm.Parameter("pred", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        target = np.array([[1.0, 0.0], [3.0, 5.0]])
+        out = dm.mean_error(pred, target, squared)
+        assert [p for p, _ in out.parents] == [pred]
+        out.backward()
+        assert np.array_equal(pred.grad, [[0.0, 1.0], [0.0, -0.5]] if squared
+                              else [[0.0, 0.25], [0.0, -0.25]])
+        assert np.array_equal(target, [[1.0, 0.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["absolute", "squared"])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "transposed"])
+    @pytest.mark.parametrize("shape", [(5,), (3, 7), (16, 2, 8, 8), (4, 2, 24, 1)])
+    def test_bit_identical_to_the_three_op_chain(self, shape, strided, squared):
+        # the pair view's predictions and targets are not C-ordered; the gradient
+        # is, as the chain made it, since the rounding of what consumes it follows
+        # its layout
+        rng = np.random.default_rng(len(shape))
+        target = rng.normal(size=shape)
+        values = rng.normal(size=shape) * 3.0
+        values.reshape(-1)[::3] = target.reshape(-1)[::3]  # some d == 0
+        if strided:
+            values, target = np.asfortranarray(values), np.asfortranarray(target)
+        pred, ref = dm.Parameter("pred", values), dm.Parameter("ref", values.copy(order="K"))
+        out, want = dm.mean_error(pred, target, squared), self.three_op_chain(ref, target, squared)
+        assert out.data.tobytes() == want.data.tobytes()
+        out.backward()
+        want.backward()
+        assert pred.grad.tobytes() == ref.grad.tobytes()
+        assert pred.grad.strides == ref.grad.strides
+
+
 class TestShapeRules:
     # nothing broadcasts: elementwise operands match, and linear owns its bias
+    ELEMENTWISE = {"add": dm.add,
+                   "mean_absolute": lambda a, b: dm.mean_error(a, b.data, squared=False),
+                   "mean_squared": lambda a, b: dm.mean_error(a, b.data, squared=True)}
 
-    @pytest.mark.parametrize("op", [dm.add, dm.sub, dm.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("op", list(ELEMENTWISE))
     @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (3,)), ((3,), (2, 3)),
                                                   ((2, 3), (1, 3)), ((2, 3), ())])
     def test_elementwise_ops_need_equal_shapes(self, op, a_shape, b_shape):
-        with pytest.raises(dm.DimensionError, match=op.__name__):
-            op(dm.Tensor(np.zeros(a_shape)), dm.Tensor(np.zeros(b_shape)))
+        with pytest.raises(dm.DimensionError, match="add:" if op == "add" else "mean_error:"):
+            self.ELEMENTWISE[op](dm.Tensor(np.zeros(a_shape)), dm.Tensor(np.zeros(b_shape)))
 
     def test_bias_must_match_the_weight_output(self):
         x, w = dm.Tensor(np.zeros((5, 2, 3))), np.zeros((3, 4))
@@ -71,7 +140,7 @@ class TestShapeRules:
         g = rng.normal(size=shape[:-1] + (5,))
 
         def loss_fn(params):
-            return dm.sum_all(dm.mul(dm.linear(*params), g))
+            return weighted_sum(dm.linear(*params), g)
 
         assert dm.finite_diff_check(loss_fn, [x, w, b], eps=1e-6) < 1e-6
         # the sum the earlier broadcasting add made over the expanded axes
@@ -200,7 +269,7 @@ class TestFiniteDiffCheck:
 
         def loss_fn(params):
             v = params[0]
-            return dm.scale(dm.sum_all(dm.mul(v, v)), 0.5)
+            return dm.mean_error(v, np.zeros(2), squared=True)  # gradient 2v / 2
 
         err = dm.finite_diff_check(loss_fn, [p], eps=1e-5)
         assert err < 1e-8
@@ -230,6 +299,7 @@ def test_every_op_passes_gradient_check(seed):
     a = dm.Parameter("a", rng.normal(size=(2, 3)))
     b = dm.Parameter("b", rng.normal(size=(2, 3)))
     w = dm.Parameter("w", rng.normal(size=(3, 3)))
+    target = rng.normal(size=(2, 1, 2, 6))
 
     def loss_fn(params):
         a_, b_, w_ = params
@@ -237,13 +307,12 @@ def test_every_op_passes_gradient_check(seed):
         y = dm.add(y, b_)
         y = dm.relu(y)
         y = dm.softmax_last(y)
-        y = dm.mul(y, b_)
-        y = dm.sub(y, dm.scale(a_, 0.3))
+        y = dm.add(y, dm.scale(a_, -0.3))
         y = dm.concat_last(y, dm.transpose(dm.reshape(a_, (3, 2))))
         o, _ = dm.scaled_dot_attention(
             dm.reshape(y, (1, 2, 6)), dm.reshape(y, (1, 2, 6)),
             dm.reshape(y, (1, 2, 6)))
-        return dm.mean_all(dm.absolute(dm.expand_leading(o, 2)))
+        return dm.mean_error(dm.expand_leading(o, 2), target, squared=seed % 2 == 1)
 
     err = dm.finite_diff_check(loss_fn, [a, b, w], eps=1e-6)
     assert err < 1e-4
@@ -266,7 +335,7 @@ def test_matmul_weight_adjoints(shape, strided):
         return dm.transpose(t, swap) if strided else t
 
     def loss_fn(params):
-        return dm.sum_all(dm.mul(dm.linear(left(params[0]), params[1]), g))
+        return weighted_sum(dm.linear(left(params[0]), params[1]), g)
 
     assert dm.finite_diff_check(loss_fn, [x, w], eps=1e-6) < 1e-6
     a = left(x)
@@ -289,7 +358,7 @@ class TestQKVProjection:
         target = rng.normal(size=(B, E, H, d))
         q, k, v = project(dm.transpose(e, (0, 2, 1, 3)), ws)
         o, _ = dm.scaled_dot_attention(q, k, v)
-        dm.mean_all(dm.absolute(dm.sub(o, target))).backward()
+        dm.mean_error(o, target, squared=False).backward()
         return [t.data for t in (q, k, v)], [p.grad for p in (e, *ws)]
 
     @staticmethod
@@ -331,7 +400,7 @@ class TestQKVProjection:
 
         def loss_fn(params):
             outs = dm.qkv_projection(*params)
-            return scalar_sum_loss([dm.mul(o, g) for o, g in zip(outs, gs)])
+            return scalar_sum_loss([weighted_sum(o, g) for o, g in zip(outs, gs)])
 
         assert dm.finite_diff_check(loss_fn, [x, *ws], eps=1e-6) < 1e-6
 
@@ -356,9 +425,9 @@ class TestQKVProjection:
 
 def test_grad_accumulates_on_reuse():
     x = dm.Tensor(np.array([2.0]))
-    y = dm.mul(x, x)  # x used twice
+    y = dm.add(x, x)  # x used twice
     dm.sum_all(y).backward()
-    assert np.allclose(x.grad, [4.0])
+    assert np.array_equal(x.grad, [2.0])
 
 
 def test_expand_leading_gradient_sums():
@@ -408,7 +477,7 @@ def small_graph():
     x = dm.Parameter("x", np.array([[1.0, -2.0]]))
     w = dm.Parameter("w", np.array([[0.5], [-0.25]]))
     hidden = dm.relu(dm.linear(x, w))  # [[1.0]]
-    return x, w, hidden, dm.sum_all(dm.mul(hidden, hidden))
+    return x, w, hidden, dm.mean_error(hidden, np.zeros((1, 1)), squared=True)
 
 
 class TestNoGrad:
@@ -416,28 +485,28 @@ class TestNoGrad:
         x = dm.Parameter("x", np.array([1.0, 2.0]))
         t = dm.Parameter("t", np.ones((2, 3)))
         with dm.no_grad():
-            y = dm.mul(x, x)
+            y = dm.add(x, x)
             o, a = dm.scaled_dot_attention(t, t, t)
         assert y.parents == () and o.parents == () and a.parents == ()
-        assert np.array_equal(y.data, [1.0, 4.0])
+        assert np.array_equal(y.data, [2.0, 4.0])
 
     def test_mode_restored_after_exception_and_nested_blocks(self):
         x = dm.Parameter("x", np.array([1.0]))
         with pytest.raises(KeyError):
             with dm.no_grad():
                 raise KeyError("inside")
-        assert dm.mul(x, x).parents
+        assert dm.add(x, x).parents
         with dm.no_grad():
             with dm.no_grad():
                 pass
-            assert dm.mul(x, x).parents == ()
-        assert dm.mul(x, x).parents
+            assert dm.add(x, x).parents == ()
+        assert dm.add(x, x).parents
 
     def test_backward_works_after_the_block(self):
         x = dm.Parameter("x", np.array([3.0]))
         with dm.no_grad():
-            dm.mul(x, x)
-        dm.sum_all(dm.mul(x, x)).backward()
+            dm.add(x, x)
+        dm.mean_error(x, np.zeros(1), squared=True).backward()
         assert np.array_equal(x.grad, [6.0])
 
 
@@ -451,8 +520,8 @@ class TestReleasedGraph:
         assert np.array_equal(w.grad, [[2.0], [-4.0]])
         # a parameter stays a leaf: the next graph can start from it
         x.zero_grad()
-        dm.sum_all(dm.mul(x, x)).backward()
-        assert np.array_equal(x.grad, [[2.0, -4.0]])
+        dm.mean_error(x, np.zeros((1, 2)), squared=True).backward()
+        assert np.array_equal(x.grad, [[1.0, -2.0]])  # 2x / 2
 
     def test_second_backward_raises(self):
         *_, loss = small_graph()
@@ -479,7 +548,7 @@ class TestReleasedGraph:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 3, 5, cfg.feature_dim))
         y = rng.normal(size=(4, 2, 5, cfg.d_output))
-        loss = dm.mean_all(dm.absolute(dm.sub(md.forward(x, params, cfg), dm.Tensor(y))))
+        loss = dm.mean_error(md.forward(x, params, cfg), y, squared=False)
         expected = unreleased_leaf_grads(loss)
         loss.backward()
         for p in params.values():
