@@ -187,9 +187,12 @@ def _write_resolved(path, cp: configparser.ConfigParser,
 
 
 def _metrics_lines(label: str, rep: ev.MetricsReport) -> str:
-    mape = "NA" if rep.mape_percent is None else f"{rep.mape_percent:.6f}"
-    return (f"{label},{rep.mae:.6f},{rep.rmse:.6f},{mape},"
-            f"{rep.n_total},{rep.n_mape_used}")
+    return ",".join([label, *ev.metric_cells(rep), str(rep.n_total), str(rep.n_mape_used)])
+
+
+def _metrics_csv(lines: list[str]) -> str:
+    """The ``metrics.csv`` table: its header, then ``lines``."""
+    return "\n".join(["label,mae,rmse,mape_percent,n_total,n_mape_used", *lines]) + "\n"
 
 
 def _prepare(cp, model_config=None):
@@ -257,9 +260,8 @@ def cmd_train(args) -> int:
         params, report, metrics = ev._train_and_score(model_config, train_config, stats,
                                                       windows, epoch_callback=on_epoch)
     md.save_checkpoint(os.path.join(run_dir, "model.ckpt"), params, model_config)
-    dt.write_atomically(os.path.join(run_dir, "metrics.csv"), lambda fh: fh.write(
-        "label,mae,rmse,mape_percent,n_total,n_mape_used\n"
-        + _metrics_lines("model", metrics) + "\n"))
+    dt.write_atomically(os.path.join(run_dir, "metrics.csv"),
+                        lambda fh: fh.write(_metrics_csv([_metrics_lines("model", metrics)])))
     print(f"best_epoch={report.best_epoch} stop={report.stop_reason} "
           f"test_mae={metrics.mae:.4f} test_rmse={metrics.rmse:.4f}")
     return EXIT_OK
@@ -280,7 +282,7 @@ def cmd_eval(args) -> int:
             train_config=_train_config(cp))
         bp = baseline.predict(test_s)
         lines.append(_metrics_lines(kind, ev.compute_metrics(bp, targets, stats)))
-    body = "label,mae,rmse,mape_percent,n_total,n_mape_used\n" + "\n".join(lines) + "\n"
+    body = _metrics_csv(lines)
     if args.out:
         dt.write_atomically(args.out, lambda fh: fh.write(body))
     print(body, end="")

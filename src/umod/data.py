@@ -123,6 +123,9 @@ class SyntheticSpec:
         _check_grid(self.granularity, self.operating_window)
         if self.seed < 0:
             raise ConfigurationError(f"synthetic seed must be >= 0, got {self.seed}")
+        n = self.n_stations
+        t_total = self.days * _bins_per_day(self.granularity, self.operating_window)
+        check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +160,12 @@ def build_od_series(trips, stations, start_time: int, end_time: int,
     if bad.size:
         raise IngestionError(f"station index out of range for {n} stations "
                              f"at record {bad[0]}")
+    t_total = span // granularity
+    # also keeps every flat cell index below int64, so none of them can wrap
+    check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
     keep = (timestamp >= start_time) & (timestamp < end_time)
     t = (timestamp[keep] - start_time) // granularity
     cells = (t * n + origin[keep]) * n + destination[keep]
-    t_total = span // granularity
-    if t_total * n * n > INT64_MAX:  # so no flat cell index below can wrap
-        raise ConfigurationError(f"{t_total} bins of {n} x {n} cells are more than "
-                                 "an array can index")
     # unit weights count in float64 directly; counts below 2**53 stay exact
     flows = np.bincount(cells, weights=np.ones(cells.size),
                         minlength=t_total * n * n).reshape(t_total, n, n)
@@ -259,6 +261,15 @@ def _bins_per_day(granularity: int, window: tuple[int, int] | None) -> int:
     """Bins in one day of the grid, or in its operating window when one is set."""
     seconds = SECONDS_PER_DAY if window is None else (window[1] - window[0]) * 3600
     return seconds // granularity
+
+
+def check_float64_shape(shape, what: str) -> None:
+    """Raise ConfigurationError naming ``what`` if numpy cannot describe a
+    float64 array of ``shape``: an extent, or 8 bytes times the product of the
+    extents each taken as at least 1, is above 2**63 - 1 (so ``(2**62, 0)`` is
+    refused too). Smaller shapes can still fail when they are allocated."""
+    if max(shape) > INT64_MAX or 8 * math.prod(max(d, 1) for d in shape) > INT64_MAX:
+        raise ConfigurationError(f"{what} are more than a float64 array can hold")
 
 
 def _check_grid(granularity: int, window: tuple[int, int] | None) -> None:

@@ -69,7 +69,7 @@ class Tensor:
     upstream gradient to this parent's gradient contribution. A tensor made
     under ``no_grad()`` has no parents. ``backward()`` accumulates gradients
     into ``.grad`` of the leaves (tensors with no parents, such as every
-    ``Parameter``) only, and releases the graph as it walks it: each
+    model parameter) only, and releases the graph as it walks it: each
     intermediate drops its parents, so a second ``backward()`` through it
     raises ``GraphReleasedError``.
     """
@@ -84,13 +84,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -157,19 +150,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-class Parameter(Tensor):
-    """A named leaf tensor that learns."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, value) -> None:
-        super().__init__(value)
-        self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.shape})"
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -199,11 +179,6 @@ def relu(a) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor(a.data.sum(), [(a, lambda g: np.broadcast_to(g, a.shape).copy())])
 
 
 def mean_error(pred, target, squared: bool) -> Tensor:
@@ -240,10 +215,8 @@ def reshape(a, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return Tensor(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
@@ -396,16 +369,12 @@ def scaled_dot_attention(Q, K, V):
             f"attention: Q {Q.shape}, K {K.shape}, V {V.shape} must match"
         )
     d = Q.shape[-1]
-    scores = scale(matmul(Q, transpose(K, _swap_last2(K))), 1.0 / math.sqrt(d))
+    last = K.data.ndim - 1
+    k_t = transpose(K, (*range(last - 1), last, last - 1))
+    scores = scale(matmul(Q, k_t), 1.0 / math.sqrt(d))
     A = softmax_last(scores)
     O = matmul(A, V)
     return O, A
-
-
-def _swap_last2(t: Tensor):
-    axes = list(range(t.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return axes
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +396,13 @@ def finite_diff_check(loss_fn, params, eps: float = 1e-5) -> float:
     if not np.isfinite(out.data).all():
         raise NumericError("loss is not finite")
     out.backward()
-    analytic = {
-        p.name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-        for p in params
-    }
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+                for p in params]
 
     max_err = 0.0
-    for p in params:
+    for p, grad in zip(params, analytic):
         flat = p.data.reshape(-1)
-        aflat = analytic[p.name].reshape(-1)
+        aflat = grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps

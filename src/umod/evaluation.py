@@ -104,7 +104,7 @@ class HistoricalAverageBaseline:
         return self.stats.apply(self.profile[bods])
 
 
-def _mlp_forward(x, params: dict[str, dm.Parameter], out_shape: tuple) -> dm.Tensor:
+def _mlp_forward(x, params: dict[str, dm.Tensor], out_shape: tuple) -> dm.Tensor:
     """Flattened window -> ReLU hidden layer -> ``[B, *out_shape]`` forecast."""
     batch = x.shape[0]
     flat = dm.reshape(dm.Tensor(x), (batch, int(np.prod(x.shape[1:]))))
@@ -243,15 +243,19 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
 # output files
 
 
+def metric_cells(rep: MetricsReport) -> list[str]:
+    """MAE, RMSE and MAPE to six places; MAPE is ``NA`` when every entry is masked."""
+    mape = "NA" if rep.mape_percent is None else f"{rep.mape_percent:.6f}"
+    return [f"{rep.mae:.6f}", f"{rep.rmse:.6f}", mape]
+
+
 def format_sweep(result: SweepResult) -> str:
     """Delimited table: config columns, then the metric columns."""
     keys = list(result.rows[0][0].keys())
     lines = [",".join(keys + ["mae", "rmse", "mape_percent", "n_mape_used"])]
     for desc, rep in result.rows:
-        mape = "NA" if rep.mape_percent is None else f"{rep.mape_percent:.6f}"
-        lines.append(",".join(
-            [str(desc[k]) for k in keys]
-            + [f"{rep.mae:.6f}", f"{rep.rmse:.6f}", mape, str(rep.n_mape_used)]))
+        lines.append(",".join([str(desc[k]) for k in keys] + metric_cells(rep)
+                              + [str(rep.n_mape_used)]))
     return "\n".join(lines) + "\n"
 
 

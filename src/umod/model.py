@@ -20,7 +20,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import diffmath as dm
-from .data import ODSeries, ConfigurationError, read_container, split_lengths, write_container
+from .data import (ODSeries, ConfigurationError, check_float64_shape, read_container,
+                   split_lengths, write_container)
 
 CHECKPOINT_MAGIC = b"UMODCKPT"
 CHECKPOINT_VERSION = 2
@@ -68,6 +69,8 @@ class ModelConfig:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.seed < 0:
             raise ConfigurationError(f"model seed must be >= 0, got {self.seed}")
+        for name, shape in param_shapes(self):
+            check_float64_shape(shape, f"the entries of {name} {list(shape)}")
 
     @property
     def feature_dim(self) -> int:
@@ -94,10 +97,10 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
                      ("W_out", (head_in, head_out)), ("b_out", (head_out,))]
 
 
-def xavier_init(shapes, seed: int) -> dict[str, dm.Parameter]:
+def xavier_init(shapes, seed: int) -> dict[str, dm.Tensor]:
     """Xavier-uniform weights with their fans on the last two axes, zero 1-d biases.
 
-    Returns name -> Parameter in ``shapes`` order. Draws in that order from a
+    Returns name -> leaf Tensor in ``shapes`` order. Draws in that order from a
     generator seeded by ``seed``, so the values are fully determined by the
     layout and the seed.
     """
@@ -109,11 +112,11 @@ def xavier_init(shapes, seed: int) -> dict[str, dm.Parameter]:
         else:
             bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
             value = rng.uniform(-bound, bound, size=shape)
-        params[name] = dm.Parameter(name, value)
+        params[name] = dm.Tensor(value)
     return params
 
 
-def init_params(config: ModelConfig) -> dict[str, dm.Parameter]:
+def init_params(config: ModelConfig) -> dict[str, dm.Tensor]:
     """The parameters of ``param_shapes(config)``, initialised from config.seed."""
     return xavier_init(param_shapes(config), config.seed)
 
@@ -122,7 +125,7 @@ def init_params(config: ModelConfig) -> dict[str, dm.Parameter]:
 # forward pieces
 
 
-def embed(x: dm.Tensor, params: dict[str, dm.Parameter], config: ModelConfig) -> dm.Tensor:
+def embed(x: dm.Tensor, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
     """Project inputs and/or append the learnable embedding: [B,H,E,d_h]."""
     batch = x.shape[0]
     parts = []
@@ -140,7 +143,7 @@ def embed(x: dm.Tensor, params: dict[str, dm.Parameter], config: ModelConfig) ->
     return out
 
 
-def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter]):
+def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Tensor]):
     """Self-attention over the time axis, per entity.
 
     Returns the output [B,H,E,d] and the attention weights [B,E,H,H].
@@ -156,7 +159,7 @@ def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Parameter]):
     return dm.transpose(o, (0, 2, 1, 3)), a
 
 
-def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Parameter],
+def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Tensor],
                  config: ModelConfig) -> dm.Tensor:
     """Residual entity mixing plus the per-entity regression head."""
     B = o_t.shape[0]
@@ -179,7 +182,7 @@ def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Parameter],
     return dm.transpose(y, (0, 2, 1, 3))  # [B,P,E,d_o]
 
 
-def forward(x, params: dict[str, dm.Parameter], config: ModelConfig) -> dm.Tensor:
+def forward(x, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
     """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,d_output]."""
     x = x if isinstance(x, dm.Tensor) else dm.Tensor(x)
     o_t, _ = temporal_attention(embed(x, params, config), params)
@@ -228,7 +231,7 @@ def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
 # checkpoints
 
 
-def save_checkpoint(path, params: dict[str, dm.Parameter], config: ModelConfig) -> None:
+def save_checkpoint(path, params: dict[str, dm.Tensor], config: ModelConfig) -> None:
     """``UMODCKPT`` container: config and parameter names/shapes in the header."""
     header = {"version": CHECKPOINT_VERSION, "config": asdict(config),
               "params": [[name, list(p.shape)] for name, p in params.items()]}
@@ -251,4 +254,4 @@ def load_checkpoint(path):
     if stored != expected:
         raise CheckpointError(
             f"{path}: parameters {stored} are not the {expected} of its config")
-    return {name: dm.Parameter(name, a) for (name, _), a in zip(stored, arrays)}, config
+    return {name: dm.Tensor(a) for (name, _), a in zip(stored, arrays)}, config

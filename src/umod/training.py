@@ -32,8 +32,12 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or not self.lr > 0 or self.patience < 1 or self.max_epochs < 1:
-            raise ConfigurationError("invalid training configuration")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not self.lr > 0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr!r}")
         if self.loss_kind not in (MEAN_ABSOLUTE, MEAN_SQUARED):
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
         if self.shuffle_seed < 0:
@@ -64,27 +68,27 @@ def loss(pred: dm.Tensor, target, kind: str = MEAN_ABSOLUTE) -> dm.Tensor:
     return dm.mean_error(pred, target, kind == MEAN_SQUARED)
 
 
-def adam_step(params, moments, config: TrainConfig, t: int) -> None:
+def adam_step(params: dict[str, dm.Tensor], moments, config: TrainConfig, t: int) -> None:
     """One bias-corrected Adam update, reading gradients off the parameters.
 
-    ``moments`` holds one ``(first, second)`` array pair per parameter and is
-    updated in place. Aborts before touching any state if a gradient is
-    missing finiteness, so a failed step leaves parameters and moments untouched.
+    ``moments`` holds one ``(first, second)`` array pair per parameter, in
+    ``params`` order, and is updated in place. A gradient that is not finite
+    raises before any state changes, naming the parameter by its key.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
     grads = []
-    for p in params:
+    for name, p in params.items():
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         if not np.isfinite(g).all():
-            raise dm.NumericError(f"non-finite gradient for {p.name}")
+            raise dm.NumericError(f"non-finite gradient for {name}")
         grads.append(g)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for p, g, (first, second) in zip(params, grads, moments):
+    for p, g, (first, second) in zip(params.values(), grads, moments):
         # b1 * m + (1 - b1) * g, in place: the same bits without new arrays
         first *= b1
         first += (1.0 - b1) * g
@@ -99,10 +103,10 @@ def stack_batch(samples: list[WindowSample]):
     return x, y
 
 
-def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
+def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
           train_samples: list[WindowSample], val_samples: list[WindowSample],
           train_config: TrainConfig,
-          epoch_callback=None, forward=None) -> tuple[dict[str, dm.Parameter], TrainReport]:
+          epoch_callback=None, forward=None) -> tuple[dict[str, dm.Tensor], TrainReport]:
     """Run the training loop and return the best-validation parameters.
 
     The parameters are updated in place, and Adam starts from zero moments on
@@ -143,7 +147,7 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
                         raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
                     batch_loss.backward()
                 step += 1
-                adam_step(plist, moments, train_config, step)
+                adam_step(params, moments, train_config, step)
                 total += float(batch_loss.data) * len(batch)
                 count += len(batch)
         except dm.NumericError:
@@ -176,7 +180,7 @@ def train(config: m.ModelConfig, params: dict[str, dm.Parameter],
     return params, report
 
 
-def evaluate_loss(config: m.ModelConfig, params: dict[str, dm.Parameter],
+def evaluate_loss(config: m.ModelConfig, params: dict[str, dm.Tensor],
                   samples: list[WindowSample], train_config: TrainConfig,
                   batch_size: int = 64, forward=None) -> float:
     """Forward-only loss over a sample list, under ``diffmath.no_grad()``.
@@ -196,7 +200,7 @@ def evaluate_loss(config: m.ModelConfig, params: dict[str, dm.Parameter],
     return total / count
 
 
-def predict(config: m.ModelConfig, params: dict[str, dm.Parameter],
+def predict(config: m.ModelConfig, params: dict[str, dm.Tensor],
             samples: list[WindowSample], batch_size: int = 64,
             forward=None) -> np.ndarray:
     """Stacked forward predictions for a sample list: [S, P, E, d_o].

@@ -218,7 +218,9 @@ class TestIngest:
     @pytest.mark.parametrize("end, message", [
         (10**15, "error: out of memory: "),  # 28.4 PiB, past any address space
         (2**63 - 1, "error: 9223372036854775807 bins of 2 x 2 cells are more than"),
-    ], ids=["past_memory", "past_int64"])
+        # 2**62 cells index in int64, but their 2**65 bytes are more than numpy describes
+        (2**60, "error: 1152921504606846976 bins of 2 x 2 cells are more than"),
+    ], ids=["past_memory", "past_int64", "past_int64_bytes"])
     def test_span_too_large_to_hold_exits_1(self, tmp_path, capsys, end, message):
         trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
         out = tmp_path / "series.bin"
@@ -733,14 +735,16 @@ class TestConfigValues:
                             "model": {"n_entities", "d_output"}, "train": set()}
 
     @pytest.mark.parametrize("line, message", [
-        ("batch_size = 0", "invalid training configuration"),
+        ("batch_size = 0", "batch_size must be an integer >= 1, got 0"),
+        ("lr = 0", "lr must be > 0, got 0.0"),
+        ("patience = 0", "patience must be an integer >= 1, got 0"),
+        ("max_epochs = 0", "max_epochs must be an integer >= 1, got 0"),
         ("loss = huber", "unknown loss kind 'huber'"),
     ])
     def test_rejected_train_config_exits_1(self, tmp_path, capsys, line, message):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(SMALL_RUN.replace("batch_size = 16", line))
-        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        key, value = line.split(" = ")
+        assert self.train_with(tmp_path, capsys, "train", key, value) == (1, f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
 
     @staticmethod
     def train_with(tmp_path, capsys, section, key, value):
@@ -767,6 +771,29 @@ class TestConfigValues:
     def test_negative_shuffle_seed_exits_1(self, tmp_path, capsys):
         assert self.train_with(tmp_path, capsys, "train", "shuffle_seed", "-1") == (
             1, "error: shuffle_seed must be >= 0, got -1\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, key, value, what", [
+        ("synthetic", "stations", 2**32, f"96 bins of {2**32} x {2**32} cells"),
+        ("synthetic", "stations", 2**63, f"96 bins of {2**63} x {2**63} cells"),
+        ("synthetic", "stations", 2**64, f"96 bins of {2**64} x {2**64} cells"),
+        ("synthetic", "days", 2**63, f"{12 * 2**63} bins of 3 x 3 cells"),
+        ("synthetic", "days", 2**64, f"{12 * 2**64} bins of 3 x 3 cells"),
+        ("model", "d_input", 2**63, f"the entries of W_in [3, {2**63}]"),
+        ("model", "d_input", 2**64, f"the entries of W_in [3, {2**64}]"),
+        ("model", "d_adaptive", 2**63 - 1, f"the entries of E_a [2, 3, {2**63 - 1}]"),
+        ("model", "d_adaptive", 2**63, f"the entries of E_a [2, 3, {2**63}]"),
+        ("model", "d_adaptive", 2**64, f"the entries of E_a [2, 3, {2**64}]"),
+        ("model", "spatial_hidden", 2**63, f"the entries of W_s1 [3, {2**63}]"),
+        ("model", "spatial_hidden", 2**64, f"the entries of W_s1 [3, {2**64}]"),
+    ], ids=["stations=2**32", "stations=2**63", "stations=2**64", "days=2**63", "days=2**64",
+            "d_input=2**63", "d_input=2**64", "d_adaptive=2**63-1", "d_adaptive=2**63",
+            "d_adaptive=2**64", "spatial_hidden=2**63", "spatial_hidden=2**64"])
+    def test_size_numpy_cannot_describe_exits_1(self, tmp_path, capsys, section, key,
+                                                value, what):
+        # numpy refuses these shapes with a ValueError before allocating anything
+        assert self.train_with(tmp_path, capsys, section, key, str(value)) == (
+            1, f"error: {what} are more than a float64 array can hold\n")
         assert not (tmp_path / "run").exists()
 
 

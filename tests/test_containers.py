@@ -114,8 +114,8 @@ class TestRoundTrip:
         md.save_checkpoint(path, params, config)
         back, back_config = md.load_checkpoint(path)
         assert back_config == config
-        assert [(p.name, p.data.tobytes()) for p in back.values()] \
-            == [(p.name, p.data.tobytes()) for p in params.values()]
+        assert [(name, p.data.tobytes()) for name, p in back.items()] \
+            == [(name, p.data.tobytes()) for name, p in params.items()]
         raw = path.read_bytes()
         md.save_checkpoint(path, back, back_config)
         assert path.read_bytes() == raw

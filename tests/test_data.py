@@ -64,6 +64,18 @@ class TestBuildSeries:
         with pytest.raises(dt.ConfigurationError, match="beyond int64 seconds"):
             dt.build_od_series(columns((0, 1, -2**63)), ["A", "B"], start, end, 60)
 
+    @pytest.mark.parametrize("shape", [(2**60 - 1, 0), (2**60, 0), (2**62, 0), (0, 2**63 - 1),
+                                       (0, 2**63), (2**59, 0, 8), (3, 0, 2**60 // 3)])
+    def test_float64_shape_rule_is_numpys(self, shape):
+        # each shape holds no element, so asking numpy itself allocates nothing
+        try:
+            np.empty(shape)
+        except ValueError:
+            with pytest.raises(dt.ConfigurationError, match="more than a float64 array"):
+                dt.check_float64_shape(shape, "cells")
+        else:
+            dt.check_float64_shape(shape, "cells")
+
     @pytest.mark.parametrize("granularity", [0, -1800])
     def test_granularity_below_one(self, granularity):
         with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):

@@ -6,18 +6,23 @@ import pytest
 from umod import diffmath as dm
 
 
-def scalar_sum_loss(tensors):
-    total = None
-    for t in tensors:
-        s = dm.sum_all(t)
-        total = s if total is None else dm.add(total, s)
-    return total
-
-
 def weighted_sum(t, w):
     """``sum(t * w)`` for a constant array ``w`` as one tape node, so the
     gradient reaching ``t`` is ``w`` itself."""
     return dm.Tensor((t.data * w).sum(), [(t, lambda g: g * w)])
+
+
+def sum_all(t):
+    """``sum(t)`` as one tape node, so the gradient reaching ``t`` is all ones."""
+    return weighted_sum(t, np.ones(t.shape))
+
+
+def scalar_sum_loss(tensors):
+    total = None
+    for t in tensors:
+        s = sum_all(t)
+        total = s if total is None else dm.add(total, s)
+    return total
 
 
 class TestLinear:
@@ -35,12 +40,12 @@ class TestLinear:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        x = dm.Parameter("x", rng.normal(size=(2, 3)))
-        W = dm.Parameter("W", rng.normal(size=(3, 4)))
-        b = dm.Parameter("b", rng.normal(size=4))
+        x = dm.Tensor(rng.normal(size=(2, 3)))
+        W = dm.Tensor(rng.normal(size=(3, 4)))
+        b = dm.Tensor(rng.normal(size=4))
 
         def loss_fn(params):
-            return dm.sum_all(dm.linear(params[0], params[1], params[2]))
+            return sum_all(dm.linear(params[0], params[1], params[2]))
 
         err = dm.finite_diff_check(loss_fn, [x, W, b], eps=1e-6)
         assert err < 1e-6
@@ -67,7 +72,7 @@ class TestMeanError:
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2, 4)], ids=["2d", "4d"])
     def test_gradients_match_finite_differences(self, shape, squared):
         rng = np.random.default_rng(21)
-        pred = dm.Parameter("pred", rng.normal(size=shape))
+        pred = dm.Tensor(rng.normal(size=shape))
         target = rng.normal(size=shape)
         err = dm.finite_diff_check(lambda ps: dm.mean_error(ps[0], target, squared), [pred],
                                    eps=1e-6)
@@ -75,7 +80,7 @@ class TestMeanError:
 
     @pytest.mark.parametrize("squared", [False, True], ids=["absolute", "squared"])
     def test_only_pred_gets_a_gradient_and_it_is_zero_where_equal(self, squared):
-        pred = dm.Parameter("pred", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        pred = dm.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         target = np.array([[1.0, 0.0], [3.0, 5.0]])
         out = dm.mean_error(pred, target, squared)
         assert [p for p, _ in out.parents] == [pred]
@@ -97,7 +102,7 @@ class TestMeanError:
         values.reshape(-1)[::3] = target.reshape(-1)[::3]  # some d == 0
         if strided:
             values, target = np.asfortranarray(values), np.asfortranarray(target)
-        pred, ref = dm.Parameter("pred", values), dm.Parameter("ref", values.copy(order="K"))
+        pred, ref = dm.Tensor(values), dm.Tensor(values.copy(order="K"))
         out, want = dm.mean_error(pred, target, squared), self.three_op_chain(ref, target, squared)
         assert out.data.tobytes() == want.data.tobytes()
         out.backward()
@@ -134,9 +139,9 @@ class TestShapeRules:
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 2, 3, 4)], ids=["2d", "3d", "4d"])
     def test_linear_bias_gradient_sums_the_leading_axes(self, shape):
         rng = np.random.default_rng(12)
-        x = dm.Parameter("x", rng.normal(size=shape))
-        w = dm.Parameter("w", rng.normal(size=(4, 5)))
-        b = dm.Parameter("b", rng.normal(size=5))
+        x = dm.Tensor(rng.normal(size=shape))
+        w = dm.Tensor(rng.normal(size=(4, 5)))
+        b = dm.Tensor(rng.normal(size=5))
         g = rng.normal(size=shape[:-1] + (5,))
 
         def loss_fn(params):
@@ -222,10 +227,10 @@ class TestElementwise:
 
     def test_relu_subgradient_zero_at_zero(self):
         x = dm.Tensor([-1.0, 2.0])
-        dm.sum_all(dm.relu(x)).backward()
+        sum_all(dm.relu(x)).backward()
         assert np.array_equal(x.grad, [0.0, 1.0])
         z = dm.Tensor([0.0])
-        dm.sum_all(dm.relu(z)).backward()
+        sum_all(dm.relu(z)).backward()
         assert np.array_equal(z.grad, [0.0])
 
     def test_incompatible_shapes(self):
@@ -246,7 +251,7 @@ class TestReshapeOps:
 
     def test_transpose_involution(self):
         x = np.random.default_rng(4).normal(size=(3, 5))
-        twice = dm.transpose(dm.transpose(dm.Tensor(x)))
+        twice = dm.transpose(dm.transpose(dm.Tensor(x), (1, 0)), (1, 0))
         assert np.array_equal(twice.data, x)
 
     def test_layout_ops_preserve_elements(self):
@@ -265,7 +270,7 @@ class TestReshapeOps:
 
 class TestFiniteDiffCheck:
     def test_quadratic_closed_form(self):
-        p = dm.Parameter("p", np.array([3.0, 4.0]))
+        p = dm.Tensor(np.array([3.0, 4.0]))
 
         def loss_fn(params):
             v = params[0]
@@ -276,10 +281,10 @@ class TestFiniteDiffCheck:
         assert np.allclose(p.grad, [3.0, 4.0])
 
     def test_constant_loss_zero_error(self):
-        p = dm.Parameter("p", np.array([1.0, -2.0]))
+        p = dm.Tensor(np.array([1.0, -2.0]))
 
         def loss_fn(params):
-            return dm.sum_all(dm.scale(params[0], 0.0))
+            return sum_all(dm.scale(params[0], 0.0))
 
         assert dm.finite_diff_check(loss_fn, [p], eps=1e-5) == 0.0
 
@@ -288,7 +293,7 @@ class TestFiniteDiffCheck:
             dm.finite_diff_check(lambda ps: dm.Tensor(0.0), [], eps=0.0)
 
     def test_nonfinite_loss(self):
-        p = dm.Parameter("p", np.array([1.0]))
+        p = dm.Tensor(np.array([1.0]))
         with pytest.raises(dm.NumericError):
             dm.finite_diff_check(lambda ps: dm.Tensor(float("nan")), [p])
 
@@ -296,9 +301,9 @@ class TestFiniteDiffCheck:
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_passes_gradient_check(seed):
     rng = np.random.default_rng(seed)
-    a = dm.Parameter("a", rng.normal(size=(2, 3)))
-    b = dm.Parameter("b", rng.normal(size=(2, 3)))
-    w = dm.Parameter("w", rng.normal(size=(3, 3)))
+    a = dm.Tensor(rng.normal(size=(2, 3)))
+    b = dm.Tensor(rng.normal(size=(2, 3)))
+    w = dm.Tensor(rng.normal(size=(3, 3)))
     target = rng.normal(size=(2, 1, 2, 6))
 
     def loss_fn(params):
@@ -308,7 +313,7 @@ def test_every_op_passes_gradient_check(seed):
         y = dm.relu(y)
         y = dm.softmax_last(y)
         y = dm.add(y, dm.scale(a_, -0.3))
-        y = dm.concat_last(y, dm.transpose(dm.reshape(a_, (3, 2))))
+        y = dm.concat_last(y, dm.transpose(dm.reshape(a_, (3, 2)), (1, 0)))
         o, _ = dm.scaled_dot_attention(
             dm.reshape(y, (1, 2, 6)), dm.reshape(y, (1, 2, 6)),
             dm.reshape(y, (1, 2, 6)))
@@ -325,8 +330,8 @@ def test_matmul_weight_adjoints(shape, strided):
     rng = np.random.default_rng(11)
     swap = (1, 0) + tuple(range(2, len(shape)))  # leading-axis swap, self-inverse
     stored = tuple(shape[i] for i in swap) if strided else shape
-    x = dm.Parameter("x", rng.normal(size=stored))
-    w = dm.Parameter("w", rng.normal(size=(4, 5)))
+    x = dm.Tensor(rng.normal(size=stored))
+    w = dm.Tensor(rng.normal(size=(4, 5)))
     g = rng.normal(size=shape[:-1] + (5,))
     if strided:
         g = np.ascontiguousarray(g.transpose(swap)).transpose(swap)
@@ -352,9 +357,8 @@ class TestQKVProjection:
         # the model's path: a transposed [B,E,H,d] view, three projections,
         # attention, and an MAE-style loss
         rng = np.random.default_rng(seed)
-        e = dm.Parameter("e", rng.normal(size=(B, H, E, d)))
-        ws = [dm.Parameter(name, rng.normal(size=(d, d)) / math.sqrt(d))
-              for name in ("W_Q", "W_K", "W_V")]
+        e = dm.Tensor(rng.normal(size=(B, H, E, d)))
+        ws = [dm.Tensor(rng.normal(size=(d, d)) / math.sqrt(d)) for _ in range(3)]
         target = rng.normal(size=(B, E, H, d))
         q, k, v = project(dm.transpose(e, (0, 2, 1, 3)), ws)
         o, _ = dm.scaled_dot_attention(q, k, v)
@@ -394,8 +398,8 @@ class TestQKVProjection:
                              ids=["2d", "3d", "4d", "4d_one_row"])
     def test_gradients_match_finite_differences(self, shape):
         rng = np.random.default_rng(5)
-        x = dm.Parameter("x", rng.normal(size=shape))
-        ws = [dm.Parameter(f"w{i}", rng.normal(size=(4, 3 + i))) for i in range(3)]
+        x = dm.Tensor(rng.normal(size=shape))
+        ws = [dm.Tensor(rng.normal(size=(4, 3 + i))) for i in range(3)]
         gs = [rng.normal(size=shape[:-1] + (3 + i,)) for i in range(3)]
 
         def loss_fn(params):
@@ -406,8 +410,8 @@ class TestQKVProjection:
 
     def test_each_weight_gets_its_own_gradient(self):
         # the adjoints are built in a loop; each must close over its own weight
-        x = dm.Parameter("x", np.ones((2, 2, 3)))
-        ws = [dm.Parameter(f"w{i}", np.full((3, 2), float(i))) for i in range(3)]
+        x = dm.Tensor(np.ones((2, 2, 3)))
+        ws = [dm.Tensor(np.full((3, 2), float(i))) for i in range(3)]
         q, k, v = dm.qkv_projection(x, *ws)
         assert [t.data[0, 0, 0] for t in (q, k, v)] == [0.0, 3.0, 6.0]
         scalar_sum_loss([dm.scale(t, c) for t, c in zip((q, k, v), (1.0, 10.0, 100.0))]
@@ -426,13 +430,13 @@ class TestQKVProjection:
 def test_grad_accumulates_on_reuse():
     x = dm.Tensor(np.array([2.0]))
     y = dm.add(x, x)  # x used twice
-    dm.sum_all(y).backward()
+    sum_all(y).backward()
     assert np.array_equal(x.grad, [2.0])
 
 
 def test_expand_leading_gradient_sums():
     x = dm.Tensor(np.array([1.0, 2.0]))
-    dm.sum_all(dm.expand_leading(x, 3)).backward()
+    sum_all(dm.expand_leading(x, 3)).backward()
     assert np.array_equal(x.grad, [3.0, 3.0])
 
 
@@ -474,16 +478,16 @@ def unreleased_leaf_grads(root):
 
 
 def small_graph():
-    x = dm.Parameter("x", np.array([[1.0, -2.0]]))
-    w = dm.Parameter("w", np.array([[0.5], [-0.25]]))
+    x = dm.Tensor(np.array([[1.0, -2.0]]))
+    w = dm.Tensor(np.array([[0.5], [-0.25]]))
     hidden = dm.relu(dm.linear(x, w))  # [[1.0]]
     return x, w, hidden, dm.mean_error(hidden, np.zeros((1, 1)), squared=True)
 
 
 class TestNoGrad:
     def test_tensors_made_inside_have_no_parents(self):
-        x = dm.Parameter("x", np.array([1.0, 2.0]))
-        t = dm.Parameter("t", np.ones((2, 3)))
+        x = dm.Tensor(np.array([1.0, 2.0]))
+        t = dm.Tensor(np.ones((2, 3)))
         with dm.no_grad():
             y = dm.add(x, x)
             o, a = dm.scaled_dot_attention(t, t, t)
@@ -491,7 +495,7 @@ class TestNoGrad:
         assert np.array_equal(y.data, [2.0, 4.0])
 
     def test_mode_restored_after_exception_and_nested_blocks(self):
-        x = dm.Parameter("x", np.array([1.0]))
+        x = dm.Tensor(np.array([1.0]))
         with pytest.raises(KeyError):
             with dm.no_grad():
                 raise KeyError("inside")
@@ -503,7 +507,7 @@ class TestNoGrad:
         assert dm.add(x, x).parents
 
     def test_backward_works_after_the_block(self):
-        x = dm.Parameter("x", np.array([3.0]))
+        x = dm.Tensor(np.array([3.0]))
         with dm.no_grad():
             dm.add(x, x)
         dm.mean_error(x, np.zeros(1), squared=True).backward()
@@ -534,7 +538,7 @@ class TestReleasedGraph:
         loss.backward()
         grads = x.grad.copy(), w.grad.copy()
         with pytest.raises(dm.GraphReleasedError):
-            dm.add(dm.sum_all(hidden), dm.sum_all(x)).backward()
+            dm.add(sum_all(hidden), sum_all(x)).backward()
         assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
 
     @pytest.mark.parametrize("mode", ["station_rows", "top_k_pairs"])
@@ -551,5 +555,5 @@ class TestReleasedGraph:
         loss = dm.mean_error(md.forward(x, params, cfg), y, squared=False)
         expected = unreleased_leaf_grads(loss)
         loss.backward()
-        for p in params.values():
-            assert p.grad.tobytes() == expected[id(p)].tobytes(), p.name
+        for name, p in params.items():
+            assert p.grad.tobytes() == expected[id(p)].tobytes(), name

@@ -2,9 +2,9 @@
 
 The package runs on numpy and the standard library alone, and the tensor
 library holds no training or model state, so ``diffmath`` imports none of the
-modules built on it. Every public function but a listed few is referenced from
-the package itself, so code that nothing in ``src/umod`` uses is deleted rather
-than kept for tests.
+modules built on it. Every public function, method and property but a listed
+few is referenced from the package itself, so code that nothing in
+``src/umod`` uses is deleted rather than kept for tests.
 """
 
 import ast
@@ -18,9 +18,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "umod"
 MODULES = sorted(SRC.glob("*.py"))
 ALLOWED_ROOTS = {"numpy", "umod"} | set(sys.stdlib_module_names)
 NOT_UNDER_DIFFMATH = {"umod.training", "umod.model", "umod.evaluation"}
-# public functions nothing in src/umod refers to, each with its reason
+# public functions and methods nothing in src/umod refers to, each with its reason
 UNREFERENCED_ALLOWED = {
-    "diffmath.sum_all": "a test utility",
     "diffmath.finite_diff_check": "the gradient reference the tests check adjoints against",
     "evaluation.load_embedding": "the UMODEMB1 reader; it goes once `umod inspect` "
                                  "reads embedding dumps",
@@ -66,14 +65,23 @@ def referenced_names(node: ast.AST) -> collections.Counter:
         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def public_functions(module: str, tree: ast.Module):
+    """``(dotted name, node)`` of each public function, method and property."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{module}.{node.name}.{member.name}", member)
+                        for member in node.body if isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_"))
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+
+
 def test_every_public_function_is_referenced_in_the_package():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     everywhere = sum((referenced_names(tree) for tree in trees.values()),
                      collections.Counter())
     unreferenced = {
-        f"{module}.{node.name}"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and everywhere[node.name] == referenced_names(node)[node.name]
+        name for module, tree in trees.items() for name, node in public_functions(module, tree)
+        if everywhere[node.name] == referenced_names(node)[node.name]
     }
     assert unreferenced == set(UNREFERENCED_ALLOWED)
