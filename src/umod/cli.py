@@ -249,6 +249,8 @@ def cmd_train(args) -> int:
     series, stats, model_config = _prepare(cp)
     train_config = _train_config(cp)
     _, windows = ev.entity_windows(series, model_config, stats)
+    # parameters too large to hold fail here, before the run directory is made
+    params = md.init_params(model_config)
     os.makedirs(run_dir, exist_ok=True)
     _write_resolved(os.path.join(run_dir, "resolved.ini"), cp, series,
                     model_config, train_config)
@@ -257,8 +259,8 @@ def cmd_train(args) -> int:
             log.write(f"{rec.epoch},{rec.train_loss:.10f},"
                       f"{rec.val_loss:.10f},{rec.seconds:.3f}\n")
             log.flush()
-        params, report, metrics = ev._train_and_score(model_config, train_config, stats,
-                                                      windows, epoch_callback=on_epoch)
+        params, report, metrics = ev._train_and_score(params, model_config, train_config,
+                                                      stats, windows, epoch_callback=on_epoch)
     md.save_checkpoint(os.path.join(run_dir, "model.ckpt"), params, model_config)
     dt.write_atomically(os.path.join(run_dir, "metrics.csv"),
                         lambda fh: fh.write(_metrics_csv([_metrics_lines("model", metrics)])))

@@ -2,9 +2,12 @@
 
 Every forward operation records its parents together with a closed-form
 adjoint, so ``backward()`` on a scalar walks the graph once in reverse
-topological order. Nothing broadcasts: elementwise operands have equal
-shapes, and ``linear`` adds its bias over the leading axes itself, so no
-adjoint has to undo an expansion.
+topological order. The graph is kept apart from the data: an operation's
+output points at a small node that holds its parents, and each adjoint
+captures only the arrays it reads, so an intermediate that no adjoint reads
+is freed as soon as the caller drops it. Nothing broadcasts: elementwise
+operands have equal shapes, and ``linear`` adds its bias over the leading
+axes itself, so no adjoint has to undo an expansion.
 
 Conventions:
   * relu'(0) == 0
@@ -32,7 +35,7 @@ class GraphReleasedError(RuntimeError):
 
 
 class _Released(tuple):
-    """The empty ``parents`` of a tensor whose graph ``backward()`` freed.
+    """The empty ``parents`` of a node whose graph ``backward()`` freed.
 
     It is still a tuple, so code that walks ``parents`` sees no parents;
     only ``backward()`` tells it from a leaf's ``()``.
@@ -62,24 +65,55 @@ def no_grad():
         _grad_enabled = outer
 
 
+class _Node:
+    """A non-leaf tensor's place on the graph: its parents, and not its data."""
+
+    __slots__ = ("parents",)
+
+    def __init__(self, parents):
+        self.parents = parents
+
+
+def _on_graph(parents) -> tuple:
+    # (tensor, adjoint) pairs as the graph keeps them: a non-leaf tensor by its
+    # node, a leaf by itself
+    return tuple((p._node or p if isinstance(p, Tensor) else p, adjoint)
+                 for p, adjoint in parents)
+
+
 class Tensor:
     """A float64 array plus an optional gradient accumulator.
 
-    ``parents`` holds ``(tensor, adjoint_fn)`` pairs; ``adjoint_fn`` maps the
+    ``parents`` holds ``(parent, adjoint_fn)`` pairs; ``adjoint_fn`` maps the
     upstream gradient to this parent's gradient contribution. A tensor made
-    under ``no_grad()`` has no parents. ``backward()`` accumulates gradients
-    into ``.grad`` of the leaves (tensors with no parents, such as every
-    model parameter) only, and releases the graph as it walks it: each
-    intermediate drops its parents, so a second ``backward()`` through it
-    raises ``GraphReleasedError``.
+    under ``no_grad()`` has no parents. The pairs live on a node apart from
+    ``data``, and a consumer points at that node, so the graph does not keep
+    an intermediate's array alive; ``parents`` lists a non-leaf parent by its
+    node, which has ``parents`` too, and a leaf by the tensor itself.
+    ``backward()`` accumulates gradients into ``.grad`` of the leaves
+    (tensors with no parents, such as every model parameter) only, and
+    releases the graph as it walks it: each node drops its parents, so a
+    second ``backward()`` through it raises ``GraphReleasedError``.
     """
 
-    __slots__ = ("data", "grad", "parents")
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = tuple(parents) if _grad_enabled else ()
+        self._node = _Node(_on_graph(parents)) if parents and _grad_enabled else None
+
+    @property
+    def parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @parents.setter
+    def parents(self, parents):
+        parents = _on_graph(parents)
+        if self._node is not None:
+            self._node.parents = parents
+        elif parents:
+            self._node = _Node(parents)
 
     @property
     def shape(self):
@@ -101,8 +135,9 @@ class Tensor:
             raise DimensionError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
             )
-        topo = _toposort(self)
-        pending = {id(self): np.ones_like(self.data)}
+        root = self._node or self
+        topo = _toposort(root)
+        pending = {id(root): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
             g = pending.pop(id(node), None)
@@ -121,10 +156,10 @@ class Tensor:
             node.parents = _RELEASED
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root) -> list:
     # Iterative DFS; returns nodes in topological order, root last. Raises
-    # before any gradient moves if the graph reaches a released tensor.
-    order: list[Tensor] = []
+    # before any gradient moves if the graph reaches a released node.
+    order = []
     state: dict[int, int] = {}  # 0 = entered, 1 = done
     stack = [root]
     while stack:
@@ -193,13 +228,20 @@ def mean_error(pred, target, squared: bool) -> Tensor:
                              f"{np.shape(target)}")
     d = pred.data - target
     n = d.size
-    # the adjoint is C-ordered whatever pred's strides, because the rounding of
-    # the sums and products that consume it downstream follows its layout
+    # each adjoint makes one C-ordered array whatever pred's strides, because
+    # the rounding of the sums and products that consume it follows its layout
     if squared:
-        return Tensor((d * d).mean(),
-                      [(pred, lambda g: 2.0 * np.multiply(g / n, d, order="C"))])
-    return Tensor(np.abs(d).mean(),
-                  [(pred, lambda g: np.multiply(g / n, np.sign(d), order="C"))])
+        def adjoint(g):
+            out = np.multiply(g / n, d, order="C")
+            out *= 2.0
+            return out
+
+        return Tensor((d * d).mean(), [(pred, adjoint)])
+    # sign(d) is exact in float32, NaN included, at half the size of d
+    sign = np.sign(d, out=np.empty(d.shape, np.float32))
+    np.abs(d, out=d)
+    return Tensor(d.mean(), [(pred, lambda g: np.multiply(g / n, sign, order="C",
+                                                          dtype=np.float64))])
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +294,11 @@ def _weight_parents(a: Tensor, W: Tensor, rows=None) -> list:
     rows, so the weight gradient needs no sum over the batch. ``rows()`` gives
     ``a`` flattened; weights that share an input may share one cached copy."""
     d_in, d_out = W.shape
-    rows = rows or (lambda: a.data.reshape(-1, d_in))
+    w, shape = W.data, a.shape
+    rows = rows or (lambda x=a.data: x.reshape(-1, d_in))
 
     def grad_a(g):
-        return (g.reshape(-1, d_out) @ W.data.T).reshape(a.shape)
+        return (g.reshape(-1, d_out) @ w.T).reshape(shape)
 
     def grad_w(g):
         return rows().T @ g.reshape(-1, d_out)
@@ -272,9 +315,10 @@ def matmul(a, b) -> Tensor:
     if (min(a.data.ndim, b.data.ndim) < 2 or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise DimensionError(f"matmul: cannot multiply {a.shape} x {b.shape}")
-    return Tensor(a.data @ b.data, [
-        (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
-        (b, lambda g: np.swapaxes(a.data, -1, -2) @ g),
+    ad, bd = a.data, b.data
+    return Tensor(ad @ bd, [
+        (a, lambda g: g @ np.swapaxes(bd, -1, -2)),
+        (b, lambda g: np.swapaxes(ad, -1, -2) @ g),
     ])
 
 
@@ -310,11 +354,12 @@ def qkv_projection(x, W_Q, W_K, W_V):
         outs = [(flat @ W.data).reshape(rows.shape[:-1] + (-1,)).transpose(back)
                 for W in weights]
 
+    data = x.data
     shared = []  # the copy of a transposed x, made by the first weight adjoint to run
 
     def x_rows():
         if not shared:
-            shared.append(x.data.reshape(-1, d_in))
+            shared.append(data.reshape(-1, d_in))
         return shared[0]
 
     return tuple(Tensor(o, _weight_parents(x, W, x_rows)) for o, W in zip(outs, weights))

@@ -162,12 +162,12 @@ def entity_windows(series: ODSeries, model_config: m.ModelConfig, stats: NormSta
                                    model_config.horizon)
 
 
-def _train_and_score(model_config: m.ModelConfig, train_config: tr.TrainConfig,
+def _train_and_score(params, model_config: m.ModelConfig, train_config: tr.TrainConfig,
                      stats: NormStats, windows, epoch_callback=None):
-    """Train a fresh model on the (train, val, test) ``windows`` and score it on
-    the test windows; ``epoch_callback`` goes to ``training.train``."""
+    """Train the fresh ``params`` on the (train, val, test) ``windows`` and score
+    them on the test windows; ``epoch_callback`` goes to ``training.train``."""
     train_s, val_s, test_s = windows
-    params, report = tr.train(model_config, m.init_params(model_config), train_s, val_s,
+    params, report = tr.train(model_config, params, train_s, val_s,
                               train_config, epoch_callback=epoch_callback)
     preds = tr.predict(model_config, params, test_s)
     metrics = compute_metrics(preds, np.stack([s.y for s in test_s]), stats)
@@ -187,7 +187,8 @@ def run_hp_sweep(series: ODSeries, stats: NormStats,
     for (hist, horizon), cfg in zip(grid, configs):
         try:
             _, _, metrics = _train_and_score(
-                cfg, train_config, stats, entity_windows(series, cfg, stats)[1])
+                m.init_params(cfg), cfg, train_config, stats,
+                entity_windows(series, cfg, stats)[1])
         except ConfigurationError as exc:
             result.skipped.append(({"H": hist, "P": horizon}, str(exc)))
             continue
@@ -213,7 +214,8 @@ def run_ablations(series: ODSeries, stats: NormStats,
     result = SweepResult()
     for name, cfg in zip(ABLATION_ORDER, configs):
         params, _, metrics = _train_and_score(
-            cfg, train_config, stats, entity_windows(series, cfg, stats)[1])
+            m.init_params(cfg), cfg, train_config, stats,
+            entity_windows(series, cfg, stats)[1])
         result.rows.append(({"ablation": name}, metrics))
         if name == "full" and embedding_dump_path is not None:
             dump_embedding(embedding_dump_path, params["E_a"].data)
@@ -232,7 +234,8 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
     result = SweepResult()
     for v, cfg in zip(values, configs):
         _, _, metrics = _train_and_score(
-            cfg, train_config, stats, entity_windows(series, cfg, stats)[1])
+            m.init_params(cfg), cfg, train_config, stats,
+            entity_windows(series, cfg, stats)[1])
         result.rows.append(
             ({"axis": axis, "value": v, "d_input": cfg.d_input,
               "d_adaptive": cfg.d_adaptive}, metrics))

@@ -141,8 +141,10 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
                 # a diverging run overflows here; the checks below and in adam_step
                 # turn that into NumericError, so numpy's warnings would only be noise
                 with np.errstate(over="ignore", invalid="ignore"):
-                    out = forward(x, params, config)
-                    batch_loss = loss(out, y, train_config.loss_kind)
+                    # no name holds the output, and y goes before backward: the
+                    # tape keeps only what its adjoints read
+                    batch_loss = loss(forward(x, params, config), y, train_config.loss_kind)
+                    del y
                     if not np.isfinite(batch_loss.data):
                         raise dm.NumericError(f"non-finite training loss at epoch {epoch}")
                     batch_loss.backward()

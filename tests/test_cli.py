@@ -393,7 +393,8 @@ class TestTrain:
         config = md.ModelConfig(3, history=2, horizon=2, d_input=3, d_adaptive=4, seed=0)
         _, windows = ev.entity_windows(series, config, stats)
         params, _, metrics = ev._train_and_score(
-            config, tr.TrainConfig(batch_size=16, max_epochs=2, patience=2), stats, windows)
+            md.init_params(config), config,
+            tr.TrainConfig(batch_size=16, max_epochs=2, patience=2), stats, windows)
         md.save_checkpoint(tmp_path / "direct.ckpt", params, config)
         run_dir = tmp_path / "run"
         assert (run_dir / "model.ckpt").read_bytes() == \
@@ -794,6 +795,15 @@ class TestConfigValues:
         # numpy refuses these shapes with a ValueError before allocating anything
         assert self.train_with(tmp_path, capsys, section, key, str(value)) == (
             1, f"error: {what} are more than a float64 array can hold\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_parameters_too_large_to_allocate_exit_1_before_the_run_directory(
+            self, tmp_path, capsys):
+        # W_s1 is 3 x 2**55 float64, 768 PiB: a shape numpy describes, and
+        # refuses before allocating anything
+        code, err = self.train_with(tmp_path, capsys, "model", "spatial_hidden",
+                                    str(2**55))
+        assert code == 1 and err.startswith("error: out of memory: ")
         assert not (tmp_path / "run").exists()
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,18 @@ class TestMeanError:
         want.backward()
         assert pred.grad.tobytes() == ref.grad.tobytes()
         assert pred.grad.strides == ref.grad.strides
+
+    def test_nan_difference_gives_a_nan_gradient_entry(self):
+        # the absolute branch keeps sign(d) narrower than d, and NaN stays NaN,
+        # as np.sign gives it
+        pred = dm.Tensor(np.array([[np.nan, 2.0], [-1.0, 0.5]]))
+        target = np.array([[0.0, 1.0], [0.0, 0.5]])
+        out = dm.mean_error(pred, target, squared=False)
+        assert np.isnan(out.data)
+        out.backward()
+        assert pred.grad.tobytes() == np.multiply(
+            1.0 / 4, np.sign(pred.data - target), order="C").tobytes()
+        assert np.isnan(pred.grad[0, 0]) and pred.grad[1, 1] == 0.0
 
 
 class TestShapeRules:
@@ -484,6 +498,135 @@ def small_graph():
     return x, w, hidden, dm.mean_error(hidden, np.zeros((1, 1)), squared=True)
 
 
+def leaf_grads_hold(loss, leaves):
+    """``backward()`` gives each leaf the bytes of the unreleased walk."""
+    expected = unreleased_leaf_grads(loss)
+    loss.backward()
+    return all(p.grad.tobytes() == expected[id(p)].tobytes() for p in leaves)
+
+
+def model_case(mode):
+    from umod import model as md
+    pairs = mode == md.TOP_K_PAIRS
+    cfg = md.ModelConfig(n_entities=5, history=3, horizon=2, d_input=3, d_adaptive=2,
+                         entity_mode=mode, top_k=5 if pairs else None, seed=3)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 3, 5, cfg.feature_dim))
+    y = rng.normal(size=(4, 2, 5, cfg.d_output))
+    return cfg, md.init_params(cfg), x, y
+
+
+class TestGraphKeepsNoUnreadData:
+    # the graph points at nodes, not at tensors, so an array no adjoint reads
+    # goes as soon as its tensor does, with no help from the cycle collector
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_collector(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_linear_output_fed_to_relu_is_freed(self):
+        rng = np.random.default_rng(4)
+        x, w, b = (dm.Tensor(rng.normal(size=shape)) for shape in [(3, 4), (4, 5), (5,)])
+        h = dm.linear(x, w, b)
+        hidden = dm.relu(h)
+        freed = [weakref.ref(h.data), weakref.ref(hidden.data)]
+        loss = dm.mean_error(hidden, rng.normal(size=(3, 5)), squared=False)
+        del h, hidden
+        assert [r() for r in freed] == [None, None]
+        assert leaf_grads_hold(loss, [x, w, b])
+
+    @pytest.mark.parametrize("mode", ["station_rows", "top_k_pairs"])
+    def test_model_output_is_freed_once_the_caller_drops_it(self, mode):
+        from umod import model as md
+        cfg, params, x, y = model_case(mode)
+        out = md.forward(x, params, cfg)
+        freed = [weakref.ref(out.data), weakref.ref(out.data.base)]
+        loss = dm.mean_error(out, y, squared=False)
+        del out
+        assert [r() for r in freed] == [None, None]
+        assert leaf_grads_hold(loss, params.values())
+
+
+def pure_cases():
+    """Each op the model and the loss use: ``leaf -> (outputs, other arrays)``,
+    with ``leaf(*shape)`` a new random leaf tensor."""
+    def linear(leaf):
+        return [dm.linear(leaf(2, 3, 4), leaf(4, 5), leaf(5))], []
+
+    def relu(leaf):
+        x = leaf(3, 4)
+        x.data[0] = 0.0
+        return [dm.relu(x)], []
+
+    def loss(squared):
+        def case(leaf):
+            pred = dm.transpose(leaf(4, 3), (1, 0))  # not C-ordered
+            target = leaf(3, 4).data
+            target[0] = pred.data[0]
+            return [dm.mean_error(pred, target, squared)], [pred.data, target]
+        return case
+
+    return {
+        "add": lambda leaf: ([dm.add(leaf(2, 3), leaf(2, 3))], []),
+        "scale": lambda leaf: ([dm.scale(leaf(2, 3), 0.25)], []),
+        "relu": relu,
+        "reshape": lambda leaf: ([dm.reshape(leaf(2, 3, 4), (6, 4))], []),
+        "transpose": lambda leaf: ([dm.transpose(leaf(2, 3, 4), (2, 0, 1))], []),
+        "concat_last": lambda leaf: ([dm.concat_last(leaf(2, 3), leaf(2, 4))], []),
+        "expand_leading": lambda leaf: ([dm.expand_leading(leaf(2, 3), 4)], []),
+        "linear": linear,
+        "matmul": lambda leaf: ([dm.matmul(leaf(2, 3, 4), leaf(2, 4, 3))], []),
+        "qkv_projection": lambda leaf: (list(dm.qkv_projection(
+            dm.transpose(leaf(2, 3, 4, 5), (0, 2, 1, 3)), leaf(5, 5), leaf(5, 5),
+            leaf(5, 5))), []),
+        "softmax_last": lambda leaf: ([dm.softmax_last(leaf(2, 3, 4))], []),
+        "mean_absolute": loss(squared=False),
+        "mean_squared": loss(squared=True),
+    }
+
+
+def captured(fn) -> list:
+    """What ``fn`` closes over or defaults to, and so on through the functions among them."""
+    found = [c.cell_contents for c in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+    return found + [v for f in found if hasattr(f, "__code__") for v in captured(f)]
+
+
+@pytest.mark.parametrize("op", list(pure_cases()))
+def test_adjoints_capture_arrays_not_tensors(op):
+    # a captured tensor would keep its node and its data, read or not
+    outs, _ = pure_cases()[op](lambda *shape: dm.Tensor(np.ones(shape)))
+    for out in outs:
+        for _, adjoint in out.parents:
+            assert not [v for v in captured(adjoint) if isinstance(v, dm.Tensor)]
+
+
+@pytest.mark.parametrize("op", list(pure_cases()))
+def test_adjoints_are_pure(op):
+    # unreleased_leaf_grads and any second walk rely on it: an adjoint called
+    # twice on one upstream gradient gives the same bytes, and writes neither
+    # to the gradient nor to any forward array
+    rng = np.random.default_rng(9)
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(dm.Tensor(rng.normal(size=shape)))
+        return leaves[-1]
+
+    outs, others = pure_cases()[op](leaf)
+    watched = [t.data for t in leaves + outs] + others
+    before = [a.tobytes() for a in watched]
+    for out in outs:
+        g = np.asarray(rng.normal(size=out.shape))
+        g_before = g.tobytes()
+        for _, adjoint in out.parents:
+            first = adjoint(g).tobytes()
+            assert adjoint(g).tobytes() == first
+            assert g.tobytes() == g_before
+    assert [a.tobytes() for a in watched] == before
+
+
 class TestNoGrad:
     def test_tensors_made_inside_have_no_parents(self):
         x = dm.Tensor(np.array([1.0, 2.0]))
@@ -544,14 +687,7 @@ class TestReleasedGraph:
     @pytest.mark.parametrize("mode", ["station_rows", "top_k_pairs"])
     def test_parameter_grads_match_the_unreleased_walk(self, mode):
         from umod import model as md
-        pairs = mode == md.TOP_K_PAIRS
-        cfg = md.ModelConfig(n_entities=5, history=3, horizon=2, d_input=3,
-                             d_adaptive=2, entity_mode=mode,
-                             top_k=5 if pairs else None, seed=3)
-        params = md.init_params(cfg)
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(4, 3, 5, cfg.feature_dim))
-        y = rng.normal(size=(4, 2, 5, cfg.d_output))
+        cfg, params, x, y = model_case(mode)
         loss = dm.mean_error(md.forward(x, params, cfg), y, squared=False)
         expected = unreleased_leaf_grads(loss)
         loss.backward()

@@ -236,7 +236,8 @@ class TestSweeps:
         cfg = fast_model_config(series)
         result = ev.run_hp_sweep(series, stats, cfg, FAST_TRAIN, grid=[(2, 2)])
         _, windows = ev.entity_windows(series, cfg, stats)
-        _, _, standalone = ev._train_and_score(cfg, FAST_TRAIN, stats, windows)
+        _, _, standalone = ev._train_and_score(md.init_params(cfg), cfg, FAST_TRAIN, stats,
+                                               windows)
         assert result.rows[0][1].mae == standalone.mae
         assert result.rows[0][1].rmse == standalone.rmse
 

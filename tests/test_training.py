@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,35 @@ class TestTrainLoop:
         fresh, _ = tr.train(cfg, copy, train_s, val_s, tc)
         for name, p in again.items():
             assert np.array_equal(p.data, fresh[name].data)
+
+    def test_step_lets_go_of_the_output_and_the_target_before_backward(self, monkeypatch):
+        # neither array is read by an adjoint, so neither should live through backward
+        refs = []
+        stack_batch = tr.stack_batch
+
+        def stacking(samples):
+            x, y = stack_batch(samples)
+            refs.append(weakref.ref(y))
+            return x, y
+
+        def forward(x, params, config):
+            out = md.forward(x, params, config)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        alive = []
+        backward = dm.Tensor.backward
+
+        def checking(tensor):
+            alive.append([r() is not None for r in refs[-2:]])
+            backward(tensor)
+
+        monkeypatch.setattr(tr, "stack_batch", stacking)
+        monkeypatch.setattr(dm.Tensor, "backward", checking)
+        cfg = tiny_config()
+        tr.train(cfg, md.init_params(cfg), make_samples(6, seed=1), make_samples(2, seed=2),
+                 tr.TrainConfig(max_epochs=2, patience=2, batch_size=4), forward=forward)
+        assert alive == [[False, False]] * 4
 
     def test_needs_samples(self):
         cfg = tiny_config()
