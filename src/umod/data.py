@@ -287,15 +287,21 @@ def _check_grid(granularity: int, window: tuple[int, int] | None) -> None:
 
 
 def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormStats:
-    """Fit global mean/std over the first ``floor(frac * T)`` bins."""
+    """Fit global mean/std over the first ``floor(frac * T)`` bins.
+
+    Raises ConfigurationError if either is not finite."""
     if not (0.0 < train_fraction <= 1.0):
         raise ConfigurationError(f"train_fraction {train_fraction} out of (0, 1]")
     n_train = int(series.n_bins * train_fraction)
     if n_train < 1:
         raise ConfigurationError("training portion is empty")
     chunk = series.flows[:n_train]
-    mean = float(chunk.mean())
-    std = float(chunk.std())  # population formula
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(chunk.mean())
+        std = float(chunk.std())  # population formula
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ConfigurationError(f"the training portion of the series has mean {mean} "
+                                 f"and std {std}; both must be finite")
     if std <= 0.0:
         return NormStats(mean=mean, std=1.0, used_fallback=True)
     return NormStats(mean=mean, std=std)
@@ -358,7 +364,8 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
     ``flows[t, i, j] = round(max(0, amp[i, j] * profile[t mod bpd] + eps))``
     with ``profile = two_peak_profile(bpd)``, and ``amp ~ U(2, 12)`` and
     ``eps ~ N(0, noise_std)`` drawn in that order from a generator seeded by
-    ``spec.seed``. Only in-window bins are emitted.
+    ``spec.seed``. Only in-window bins are emitted. Raises ConfigurationError
+    if the counts or their sum are not finite.
     """
     n = spec.n_stations
     bpd = _bins_per_day(spec.granularity, spec.operating_window)
@@ -371,6 +378,11 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
         noise = rng.normal(0.0, spec.noise_std, size=(bpd, n, n)) if spec.noise_std > 0 \
             else 0.0
         flows[day * bpd:(day + 1) * bpd] = np.round(np.maximum(0.0, base + noise))
+    with np.errstate(over="ignore"):
+        total = flows.sum()
+    if not math.isfinite(total):
+        raise ConfigurationError(f"noise_std = {spec.noise_std} gives flows whose total "
+                                 f"is not finite")
     return ODSeries(
         stations=[f"S{k:02d}" for k in range(n)],
         start_time=0,

@@ -109,11 +109,7 @@ class Tensor:
 
     @parents.setter
     def parents(self, parents):
-        parents = _on_graph(parents)
-        if self._node is not None:
-            self._node.parents = parents
-        elif parents:
-            self._node = _Node(parents)
+        self._node.parents = _on_graph(parents)
 
     @property
     def shape(self):
@@ -288,20 +284,18 @@ def expand_leading(a, n: int) -> Tensor:
 # linear algebra
 
 
-def _weight_parents(a: Tensor, W: Tensor, rows=None) -> list:
+def _weight_parents(a: Tensor, W: Tensor) -> list:
     """The parents of ``a @ W`` for a 2-d weight ``W``: each adjoint is one GEMM
     over the leading axes of ``a`` and of the upstream gradient, flattened into
-    rows, so the weight gradient needs no sum over the batch. ``rows()`` gives
-    ``a`` flattened; weights that share an input may share one cached copy."""
+    rows, so the weight gradient needs no sum over the batch."""
     d_in, d_out = W.shape
-    w, shape = W.data, a.shape
-    rows = rows or (lambda x=a.data: x.reshape(-1, d_in))
+    x, w, shape = a.data, W.data, a.shape
 
     def grad_a(g):
         return (g.reshape(-1, d_out) @ w.T).reshape(shape)
 
     def grad_w(g):
-        return rows().T @ g.reshape(-1, d_out)
+        return x.reshape(-1, d_in).T @ g.reshape(-1, d_out)
 
     return [(a, grad_a), (W, grad_w)]
 
@@ -353,16 +347,7 @@ def qkv_projection(x, W_Q, W_K, W_V):
         flat, back = rows.reshape(-1, d_in), np.argsort(order)
         outs = [(flat @ W.data).reshape(rows.shape[:-1] + (-1,)).transpose(back)
                 for W in weights]
-
-    data = x.data
-    shared = []  # the copy of a transposed x, made by the first weight adjoint to run
-
-    def x_rows():
-        if not shared:
-            shared.append(data.reshape(-1, d_in))
-        return shared[0]
-
-    return tuple(Tensor(o, _weight_parents(x, W, x_rows)) for o, W in zip(outs, weights))
+    return tuple(Tensor(o, _weight_parents(x, W)) for o, W in zip(outs, weights))
 
 
 def linear(x, W, b=None) -> Tensor:

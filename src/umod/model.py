@@ -125,22 +125,14 @@ def init_params(config: ModelConfig) -> dict[str, dm.Tensor]:
 # forward pieces
 
 
-def embed(x: dm.Tensor, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
+def embed(x, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
     """Project inputs and/or append the learnable embedding: [B,H,E,d_h]."""
-    batch = x.shape[0]
     parts = []
     if config.use_input_embedding:
-        if x.shape[-1] != config.feature_dim:
-            raise dm.DimensionError(
-                f"input features {x.shape} do not match feature_dim {config.feature_dim}"
-            )
         parts.append(dm.linear(x, params["W_in"], params["b_in"]))
     if config.use_adaptive_embedding:
-        parts.append(dm.expand_leading(params["E_a"], batch))
-    out = parts[0]
-    for extra in parts[1:]:
-        out = dm.concat_last(out, extra)
-    return out
+        parts.append(dm.expand_leading(params["E_a"], x.shape[0]))
+    return dm.concat_last(*parts) if len(parts) == 2 else parts[0]
 
 
 def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Tensor]):
@@ -148,11 +140,6 @@ def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Tensor]):
 
     Returns the output [B,H,E,d] and the attention weights [B,E,H,H].
     """
-    d_h = e_h.shape[-1]
-    if params["W_Q"].shape != (d_h, d_h):
-        raise dm.DimensionError(
-            f"hidden width {d_h} does not match projection {params['W_Q'].shape}"
-        )
     x = dm.transpose(e_h, (0, 2, 1, 3))  # [B,E,H,d]
     q, k, v = dm.qkv_projection(x, params["W_Q"], params["W_K"], params["W_V"])
     o, a = dm.scaled_dot_attention(q, k, v)  # o [B,E,H,d], a [B,E,H,H]
@@ -162,12 +149,7 @@ def temporal_attention(e_h: dm.Tensor, params: dict[str, dm.Tensor]):
 def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Tensor],
                  config: ModelConfig) -> dm.Tensor:
     """Residual entity mixing plus the per-entity regression head."""
-    B = o_t.shape[0]
-    H, E, d_h = config.history, config.n_entities, config.d_hidden
-    if o_t.shape != (B, H, E, d_h):
-        raise dm.DimensionError(
-            f"spatial head expects {(B, H, E, d_h)}, got {o_t.shape}"
-        )
+    B, H, E, d_h = o_t.shape
     # stage 1: two-layer MLP along the entity axis, then residual
     z = dm.transpose(o_t, (0, 1, 3, 2))  # [B,H,d_h,E]
     hidden = dm.relu(dm.linear(z, params["W_s1"], params["b_s1"]))
@@ -184,7 +166,6 @@ def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Tensor],
 
 def forward(x, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
     """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,d_output]."""
-    x = x if isinstance(x, dm.Tensor) else dm.Tensor(x)
     o_t, _ = temporal_attention(embed(x, params, config), params)
     return spatial_head(o_t, params, config)
 

@@ -112,7 +112,8 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
     The parameters are updated in place, and Adam starts from zero moments on
     every call. ``epoch_callback(record)`` fires after every epoch (used for
     logging); an epoch that raises ``NumericError`` fires it with the failing
-    batch's loss and ``val_loss = nan`` before the error propagates.
+    batch's loss and ``val_loss = nan`` before the error propagates, and one
+    whose validation loss is not finite fires it and then raises.
     ``forward(x, params, config)`` is the network to fit; it defaults to
     ``model.forward``, and ``config`` is passed to it untouched.
     """
@@ -158,13 +159,16 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
                                            time.perf_counter() - e0))
             raise
         train_loss = total / count
-        val_loss = evaluate_loss(config, params, val_samples, train_config,
-                                 forward=forward)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, as above
+            val_loss = evaluate_loss(config, params, val_samples, train_config,
+                                     forward=forward)
         record = EpochRecord(epoch, train_loss, val_loss,
                              time.perf_counter() - e0)
         report.epochs.append(record)
         if epoch_callback is not None:
             epoch_callback(record)
+        if not np.isfinite(val_loss):
+            raise dm.NumericError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_val:
             best_val = val_loss
             best_snap = [p.data.copy() for p in plist]

@@ -1,16 +1,19 @@
 import codecs
 import configparser
+import contextlib
 import dataclasses
+import io
 import hashlib
 import json
 import os
 import re
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umod import cli
 from umod import data as dt
@@ -106,8 +109,10 @@ class TestSynth:
         ("[data]\noperating_start = 8\noperating_end = 30\n",
          "bad operating window (8, 30)"),
         ("[data]\ngranularity = 7\n", "window (6, 23) does not align with 7s bins"),
+        ("[synthetic]\nnoise_std = 1e308\n",
+         "noise_std = 1e+308 gives flows whose total is not finite"),
     ], ids=["no_stations", "no_days", "negative_noise", "zero_granularity",
-            "window_past_midnight", "misaligned_bins"])
+            "window_past_midnight", "misaligned_bins", "noise_past_float64"])
     def test_bad_series_settings_exit_1(self, tmp_path, capsys, text, message):
         spec, out = tmp_path / "spec.ini", tmp_path / "series.bin"
         spec.write_text(text)
@@ -413,6 +418,19 @@ class TestTrain:
         epoch, train_loss, val_loss, _ = last.split(",")
         assert epoch == "1"
         assert not np.isfinite(float(train_loss)) and not np.isfinite(float(val_loss))
+
+    def test_run_diverging_at_validation_exits_1(self, tmp_path, capsys):
+        # one step per epoch: the overflowing update shows first in the validation loss
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("batch_size = 16", "batch_size = 1024")
+                       .replace("[train]\n", "[train]\nlr = 1e200\n"))
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: non-finite validation loss at epoch 1\n"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+        epoch, train_loss, val_loss, _ = (
+            (tmp_path / "run" / "epochs.log").read_text().splitlines()[-1].split(","))
+        assert epoch == "1"
+        assert np.isfinite(float(train_loss)) and not np.isfinite(float(val_loss))
 
     def test_top_k_pairs_without_top_k_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "pairs.ini"
@@ -805,6 +823,85 @@ class TestConfigValues:
                                     str(2**55))
         assert code == 1 and err.startswith("error: out of memory: ")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("noise_std, message", [
+        ("1e200", r"the training portion of the series has mean \S+ and std inf; "
+                  r"both must be finite"),
+        ("1e308", re.escape("noise_std = 1e+308 gives flows whose total is not finite")),
+    ], ids=["1e200", "1e308"])
+    def test_non_finite_series_exits_1(self, tmp_path, capsys, noise_std, message):
+        code, err = self.train_with(tmp_path, capsys, "synthetic", "noise_std", noise_std)
+        assert code == 1 and re.fullmatch(f"error: {message}\n", err)
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_on_non_finite_statistics_exits_1(self, tmp_path, capsys):
+        ckpt, cfg = tmp_path / "model.ckpt", tmp_path / "run.ini"
+        model_config = md.ModelConfig(n_entities=3, history=2, horizon=2, d_input=3,
+                                      d_adaptive=4)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        cfg.write_text(SMALL_RUN.replace("noise_std = 0.4", "noise_std = 1e200"))
+        assert cli.main(["eval", str(ckpt), str(cfg)]) == 1
+        assert re.fullmatch(r"error: the training portion of the series has mean \S+ "
+                            r"and std inf; both must be finite\n", capsys.readouterr().err)
+
+
+# every key of cli.SECTIONS but [data]'s source keys, set so that synth, train and
+# eval each take well under a second: 24 bins of 3 x 3 cells, H = P = 1 and one
+# epoch of one batch
+TINY_RUN = {
+    "data": {"granularity": "900", "operating_start": "6", "operating_end": "8"},
+    "synthetic": {"stations": "3", "days": "3", "seed": "0", "noise_std": "0.5"},
+    "model": {"history": "1", "horizon": "1", "d_input": "2", "d_adaptive": "2",
+              "spatial_hidden": "2", "use_input_embedding": "true",
+              "use_adaptive_embedding": "true", "entity_mode": "station_rows",
+              "top_k": "2", "seed": "0"},
+    "train": {"batch_size": "1024", "lr": "0.001", "max_epochs": "1", "patience": "1",
+              "loss": "mean_absolute", "shuffle_seed": "0"},
+    "run": {"output_dir": "run"},
+}
+# negative, 0, 1, 2**63, 2**64, subnormal, nan/inf text, blank, non-ASCII, and two
+# magnitudes whose sums or squares overflow; a size of 2**63 or more is refused
+# before anything is allocated
+EDGE_VALUES = ["-1", "0", "1", str(2**63), str(2**64), "5e-324", "nan", "inf", "",
+               "\u00e9", "\u0663", "1e200", "1e308"]
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """Exit code of ``cli.main(argv)``, and its stderr with a line for each
+    warning Python would print there."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n"
+                                          for w in caught)
+
+
+class TestGeneratedConfigs:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(key=st.sampled_from([(section, key) for section, keys in cli.SECTIONS.items()
+                                for key in keys]),
+           value=st.sampled_from(EDGE_VALUES))
+    @example(key=("synthetic", "noise_std"), value="1e200")
+    @example(key=("synthetic", "noise_std"), value="1e308")
+    def test_synth_train_and_eval_exit_cleanly(self, key, value):
+        cp = configparser.ConfigParser()
+        cp.read_dict(TINY_RUN)
+        cp.set(*key, value)
+        model_config = md.ModelConfig(n_entities=3, history=1, horizon=1, d_input=2,
+                                      d_adaptive=2, spatial_hidden=2)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            with open("run.ini", "w", encoding="utf-8") as fh:
+                cp.write(fh)
+            md.save_checkpoint("model.ckpt", md.init_params(model_config), model_config)
+            for argv in (["synth", "run.ini", "series.bin"], ["train", "run.ini"],
+                         ["eval", "model.ckpt", "run.ini", "--baseline", "historical_average",
+                          "--baseline", "last_value", "--baseline", "plain_mlp"]):
+                code, err = run_quietly(argv)
+                assert code in (0, 1, 2), (argv[0], code)
+                assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), \
+                    (argv[0], err)
 
 
 class TestSweep:

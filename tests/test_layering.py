@@ -4,7 +4,10 @@ The package runs on numpy and the standard library alone, and the tensor
 library holds no training or model state, so ``diffmath`` imports none of the
 modules built on it. Every public function, method and property but a listed
 few is referenced from the package itself, so code that nothing in
-``src/umod`` uses is deleted rather than kept for tests.
+``src/umod`` uses is deleted rather than kept for tests. A method or property
+counts as referenced only through an attribute of something other than a
+module, and one named like an ``np.ndarray`` attribute must be listed, because
+reads off arrays would hide whether it is used.
 """
 
 import ast
@@ -12,18 +15,21 @@ import collections
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "umod"
 MODULES = sorted(SRC.glob("*.py"))
 ALLOWED_ROOTS = {"numpy", "umod"} | set(sys.stdlib_module_names)
 NOT_UNDER_DIFFMATH = {"umod.training", "umod.model", "umod.evaluation"}
-# public functions and methods nothing in src/umod refers to, each with its reason
+# public names the reference check cannot vouch for, each with its reason
 UNREFERENCED_ALLOWED = {
     "diffmath.finite_diff_check": "the gradient reference the tests check adjoints against",
     "evaluation.load_embedding": "the UMODEMB1 reader; it goes once `umod inspect` "
                                  "reads embedding dumps",
+    "diffmath.Tensor.shape": "named like ndarray.shape; the model reads it off tensors",
 }
+NDARRAY_NAMES = set(dir(np.ndarray))
 
 
 def imported_modules(path: pathlib.Path) -> set[str]:
@@ -58,30 +64,74 @@ def test_diffmath_imports_no_layer_above_it():
     assert not imported_modules(SRC / "diffmath.py") & NOT_UNDER_DIFFMATH
 
 
-def referenced_names(node: ast.AST) -> collections.Counter:
-    """How often each bare name or attribute name occurs under ``node``."""
-    return collections.Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+def module_aliases(tree: ast.Module) -> set[str]:
+    """Names that ``tree``'s imports bind to modules: ``np``, ``dm`` and the like."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.level and not node.module)
+            for alias in node.names}
+
+
+def referenced_names(node: ast.AST, aliases: set[str]):
+    """How often each name occurs under ``node``: as a function (a bare name or
+    any attribute), and as a member (an attribute of something not in ``aliases``)."""
+    functions, members = collections.Counter(), collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            functions[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            functions[n.attr] += 1
+            if not (isinstance(n.value, ast.Name) and n.value.id in aliases):
+                members[n.attr] += 1
+    return functions, members
 
 
 def public_functions(module: str, tree: ast.Module):
-    """``(dotted name, node)`` of each public function, method and property."""
+    """``(dotted name, node, is_member)`` of each public function, method and property."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{module}.{node.name}.{member.name}", member)
+            yield from ((f"{module}.{node.name}.{member.name}", member, True)
                         for member in node.body if isinstance(member, ast.FunctionDef)
                         and not member.name.startswith("_"))
         elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, False
+
+
+def flagged_names(sources: dict[str, str]) -> set[str]:
+    """Public names in ``sources`` (module name -> code) referenced nowhere but in
+    themselves, and public members named like an ``np.ndarray`` attribute."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    aliases = {module: module_aliases(tree) for module, tree in trees.items()}
+    everywhere = [collections.Counter(), collections.Counter()]
+    for module, tree in trees.items():
+        for total, counts in zip(everywhere, referenced_names(tree, aliases[module])):
+            total.update(counts)
+    return {
+        name for module, tree in trees.items()
+        for name, node, is_member in public_functions(module, tree)
+        if (is_member and node.name in NDARRAY_NAMES)
+        or everywhere[is_member][node.name]
+        == referenced_names(node, aliases[module])[is_member][node.name]
+    }
 
 
 def test_every_public_function_is_referenced_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
-    everywhere = sum((referenced_names(tree) for tree in trees.values()),
-                     collections.Counter())
-    unreferenced = {
-        name for module, tree in trees.items() for name, node in public_functions(module, tree)
-        if everywhere[node.name] == referenced_names(node)[node.name]
-    }
-    assert unreferenced == set(UNREFERENCED_ALLOWED)
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert flagged_names(sources) == set(UNREFERENCED_ALLOWED)
+
+
+def test_the_guard_tells_members_from_functions_of_the_same_name():
+    # a dead Tensor.size hides among reads of ndarray.size, and a dead
+    # Baseline.predict among calls of the module function tr.predict
+    flagged = flagged_names({
+        "tensors": "class Tensor:\n"
+                   "    @property\n    def size(self):\n        return self.data.size\n"
+                   "    def zero_grad(self):\n        self.grad = None\n",
+        "baselines": "from . import training as tr\n"
+                     "class Baseline:\n    def predict(self, xs):\n        return xs\n"
+                     "def _score(t, xs, a):\n"
+                     "    t.zero_grad()\n    return tr.predict(xs), a.size\n",
+        "training": "def predict(xs):\n    return xs\n",
+    })
+    assert flagged == {"tensors.Tensor.size", "baselines.Baseline.predict"}

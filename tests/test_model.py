@@ -217,6 +217,24 @@ class TestForward:
 
         assert dm.finite_diff_check(loss_fn, list(params.values()), eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("embeddings", ["both", "input_only", "adaptive_only"])
+    @pytest.mark.parametrize("axis", [1, 2, 3], ids=["history", "entities", "features"])
+    def test_mis_shaped_input(self, embeddings, axis):
+        cfg = tiny_config(use_input_embedding=embeddings != "adaptive_only",
+                          use_adaptive_embedding=embeddings != "input_only")
+        params = md.init_params(cfg)
+        shape = [2, cfg.history, cfg.n_entities, cfg.feature_dim]
+        good = np.zeros(shape)
+        shape[axis] += 1
+        x = np.full(shape, np.nan)
+        if cfg.use_input_embedding:
+            with pytest.raises(dm.DimensionError):
+                md.forward(x, params, cfg)
+        else:
+            # only the batch size of x is read, so a NaN input of any width is ignored
+            assert np.array_equal(md.forward(x, params, cfg).data,
+                                  md.forward(good, params, cfg).data)
+
     def test_input_gradient_zero_without_input_embedding(self):
         cfg = tiny_config(use_input_embedding=False)
         params = md.init_params(cfg)
