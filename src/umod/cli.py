@@ -160,9 +160,10 @@ def _train_config(cp: configparser.ConfigParser) -> tr.TrainConfig:
     return tr.TrainConfig(**_fields(cp, "train"))
 
 
-def _write_resolved(path, cp: configparser.ConfigParser,
-                    series: dt.ODSeries, model_config: md.ModelConfig,
-                    train_config: tr.TrainConfig) -> None:
+def _resolved(cp: configparser.ConfigParser, series: dt.ODSeries,
+              model_config: md.ModelConfig,
+              train_config: tr.TrainConfig) -> configparser.ConfigParser:
+    """Every setting the run used, as ``resolved.ini`` writes it."""
     out = configparser.ConfigParser()
     data = cp["data"] if cp.has_section("data") else {}
     out["data"] = {}
@@ -183,7 +184,7 @@ def _write_resolved(path, cp: configparser.ConfigParser,
                             for key, v in values.items() if v is not None}
     if cp.has_section("run"):
         out["run"] = dict(cp["run"])
-    dt.write_atomically(path, out.write)
+    return out
 
 
 def _metrics_lines(label: str, rep: ev.MetricsReport) -> str:
@@ -249,11 +250,12 @@ def cmd_train(args) -> int:
     series, stats, model_config = _prepare(cp)
     train_config = _train_config(cp)
     _, windows = ev.entity_windows(series, model_config, stats)
-    # parameters too large to hold fail here, before the run directory is made
+    # a bad [synthetic] section and parameters too large to hold fail here,
+    # before the run directory is made
+    resolved = _resolved(cp, series, model_config, train_config)
     params = md.init_params(model_config)
     os.makedirs(run_dir, exist_ok=True)
-    _write_resolved(os.path.join(run_dir, "resolved.ini"), cp, series,
-                    model_config, train_config)
+    dt.write_atomically(os.path.join(run_dir, "resolved.ini"), resolved.write)
     with open(os.path.join(run_dir, "epochs.log"), "w", encoding="utf-8") as log:
         def on_epoch(rec):
             log.write(f"{rec.epoch},{rec.train_loss:.10f},"
@@ -299,14 +301,11 @@ def cmd_sweep(args) -> int:
                      EXIT_USAGE)
     series, stats, model_config = _prepare(cp)
     train_config = _train_config(cp)
-    os.makedirs(run_dir, exist_ok=True)
     if args.kind == "hp":
         result = ev.run_hp_sweep(series, stats, model_config, train_config)
         out_name = "hp_sweep.csv"
     elif args.kind == "ablate":
-        result = ev.run_ablations(
-            series, stats, model_config, train_config,
-            embedding_dump_path=os.path.join(run_dir, "adaptive_embedding.bin"))
+        result = ev.run_ablations(series, stats, model_config, train_config)
         out_name = "ablations.csv"
     else:
         axis = "adaptive_dim" if args.axis == "adaptive" else "input_dim"
@@ -317,19 +316,20 @@ def cmd_sweep(args) -> int:
         desc, reason = result.skipped[0]
         raise dt.ConfigurationError(f"{args.kind} sweep trained no row; "
                                     f"first skipped {desc}: {reason}")
-    ev.write_sweep(os.path.join(run_dir, out_name), result)
-    _print_sweep_summary(result)
-    return EXIT_OK
-
-
-def _print_sweep_summary(result: ev.SweepResult) -> None:
-    print(ev.format_sweep(result), end="")
+    table = ev.format_sweep(result)
+    os.makedirs(run_dir, exist_ok=True)
+    dt.write_atomically(os.path.join(run_dir, out_name), lambda fh: fh.write(table))
+    if result.full_params:  # not model.ckpt: a train run may share the directory
+        md.save_checkpoint(os.path.join(run_dir, "ablation_full.ckpt"),
+                           result.full_params, model_config)
+    print(table, end="")
     best_mae = min(result.rows, key=lambda r: r[1].mae)
     best_rmse = min(result.rows, key=lambda r: r[1].rmse)
     print(f"best mae: {best_mae[0]} -> {best_mae[1].mae:.4f}")
     print(f"best rmse: {best_rmse[0]} -> {best_rmse[1].rmse:.4f}")
     for desc, reason in result.skipped:
         print(f"skipped {desc}: {reason}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

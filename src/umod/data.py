@@ -405,7 +405,7 @@ def two_peak_profile(bins_per_day: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary containers: series, checkpoints and embedding dumps
+# binary containers: series and checkpoints
 
 
 def write_atomically(path, write, binary: bool = False) -> None:

@@ -15,13 +15,10 @@ import numpy as np
 from . import diffmath as dm
 from . import model as m
 from . import training as tr
-from .data import (SPLIT, ConfigurationError, NormStats, ODSeries, read_container,
-                   split_and_window, split_lengths, write_atomically, write_container)
+from .data import SPLIT, ConfigurationError, NormStats, ODSeries, split_and_window, split_lengths
 
 HP_GRID = [(6, 2), (6, 4), (2, 2), (4, 4), (6, 6), (2, 4), (2, 6)]
 DIM_VALUES = [4, 8, 16, 32, 64]
-EMBEDDING_MAGIC = b"UMODEMB1"
-EMBEDDING_VERSION = 1
 
 BASELINE_KINDS = ("historical_average", "last_value", "plain_mlp")
 MAPE_MASK_THRESHOLD = 1e-6  # targets at most this far from zero are left out of MAPE
@@ -39,10 +36,12 @@ class MetricsReport:
 
 @dataclass
 class SweepResult:
-    """Rows of (config descriptor, MetricsReport) plus skip reasons."""
+    """Rows of (config descriptor, MetricsReport) plus skip reasons, and the
+    ablation's trained full model (empty for the other sweeps)."""
 
     rows: list[tuple[dict, MetricsReport]] = field(default_factory=list)
     skipped: list[tuple[dict, str]] = field(default_factory=list)
+    full_params: dict[str, dm.Tensor] = field(default_factory=dict)
 
 
 def compute_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,
@@ -200,13 +199,9 @@ ABLATION_ORDER = ["full", "no_input_embedding", "no_adaptive_embedding"]
 
 
 def run_ablations(series: ODSeries, stats: NormStats,
-                  model_config: m.ModelConfig, train_config: tr.TrainConfig,
-                  embedding_dump_path=None) -> SweepResult:
-    """Full model vs each embedding removed, trained identically.
-
-    When ``embedding_dump_path`` is given, the trained full model's learnable
-    embedding tensor is exported for external visualization.
-    """
+                  model_config: m.ModelConfig, train_config: tr.TrainConfig) -> SweepResult:
+    """Full model vs each embedding removed, trained identically; the full
+    model's trained parameters are kept as ``full_params``."""
     if not (model_config.use_input_embedding and model_config.use_adaptive_embedding):
         raise ConfigurationError("ablation base config must enable both embeddings")
     configs = [model_config, replace(model_config, use_input_embedding=False),
@@ -217,8 +212,8 @@ def run_ablations(series: ODSeries, stats: NormStats,
             m.init_params(cfg), cfg, train_config, stats,
             entity_windows(series, cfg, stats)[1])
         result.rows.append(({"ablation": name}, metrics))
-        if name == "full" and embedding_dump_path is not None:
-            dump_embedding(embedding_dump_path, params["E_a"].data)
+        if name == "full":
+            result.full_params = params
     return result
 
 
@@ -243,7 +238,7 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
 
 
 # ---------------------------------------------------------------------------
-# output files
+# tables
 
 
 def metric_cells(rep: MetricsReport) -> list[str]:
@@ -261,19 +256,3 @@ def format_sweep(result: SweepResult) -> str:
                               + [str(rep.n_mape_used)]))
     return "\n".join(lines) + "\n"
 
-
-def write_sweep(path, result: SweepResult) -> None:
-    write_atomically(path, lambda fh: fh.write(format_sweep(result)))
-
-
-def dump_embedding(path, tensor: np.ndarray) -> None:
-    """``UMODEMB1`` container: the shape in the header, then the values."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    write_container(path, EMBEDDING_MAGIC,
-                    {"version": EMBEDDING_VERSION, "shape": list(tensor.shape)}, [tensor])
-
-
-def load_embedding(path) -> np.ndarray:
-    _, (tensor,) = read_container(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
-                                  lambda h: [h["shape"]], ConfigurationError)
-    return tensor

@@ -132,7 +132,6 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
         rng = np.random.default_rng([train_config.shuffle_seed, epoch])
         order = rng.permutation(len(train_samples))
         total = 0.0
-        count = 0
         try:
             for lo in range(0, len(order), train_config.batch_size):
                 batch = [train_samples[i] for i in order[lo:lo + train_config.batch_size]]
@@ -152,13 +151,12 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
                 step += 1
                 adam_step(params, moments, train_config, step)
                 total += float(batch_loss.data) * len(batch)
-                count += len(batch)
         except dm.NumericError:
             if epoch_callback is not None:
                 epoch_callback(EpochRecord(epoch, float(batch_loss.data), float("nan"),
                                            time.perf_counter() - e0))
             raise
-        train_loss = total / count
+        train_loss = total / len(order)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below, as above
             val_loss = evaluate_loss(config, params, val_samples, train_config,
                                      forward=forward)
@@ -186,37 +184,31 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
     return params, report
 
 
-def evaluate_loss(config: m.ModelConfig, params: dict[str, dm.Tensor],
-                  samples: list[WindowSample], train_config: TrainConfig,
-                  batch_size: int = 64, forward=None) -> float:
-    """Forward-only loss over a sample list, under ``diffmath.no_grad()``.
-
-    No tape is recorded and no parameter or gradient changes.
-    """
+def _forward_only(config: m.ModelConfig, params: dict[str, dm.Tensor],
+                  samples: list[WindowSample], batch_size: int, forward):
+    """Each ``batch_size`` chunk of ``samples`` and ``forward``'s output on it,
+    under ``diffmath.no_grad()``, as is the caller's work on each: no tape."""
     forward = forward or m.forward
-    total = 0.0
-    count = 0
     with dm.no_grad():
         for lo in range(0, len(samples), batch_size):
             batch = samples[lo:lo + batch_size]
-            x, y = stack_batch(batch)
-            out = forward(x, params, config)
-            total += float(loss(out, y, train_config.loss_kind).data) * len(batch)
-            count += len(batch)
-    return total / count
+            yield batch, forward(np.stack([s.x for s in batch]), params, config)
+
+
+def evaluate_loss(config: m.ModelConfig, params: dict[str, dm.Tensor],
+                  samples: list[WindowSample], train_config: TrainConfig,
+                  batch_size: int = 64, forward=None) -> float:
+    """Forward-only loss over a sample list; no parameter or gradient changes."""
+    total = 0.0
+    for batch, out in _forward_only(config, params, samples, batch_size, forward):
+        total += float(loss(out, np.stack([s.y for s in batch]),
+                            train_config.loss_kind).data) * len(batch)
+    return total / len(samples)
 
 
 def predict(config: m.ModelConfig, params: dict[str, dm.Tensor],
             samples: list[WindowSample], batch_size: int = 64,
             forward=None) -> np.ndarray:
-    """Stacked forward predictions for a sample list: [S, P, E, d_o].
-
-    Runs under ``diffmath.no_grad()``, so no tape is recorded.
-    """
-    forward = forward or m.forward
-    chunks = []
-    with dm.no_grad():
-        for lo in range(0, len(samples), batch_size):
-            x = np.stack([s.x for s in samples[lo:lo + batch_size]])
-            chunks.append(forward(x, params, config).data)
-    return np.concatenate(chunks, axis=0)
+    """Stacked forward-only predictions for a sample list: [S, P, E, d_o]."""
+    return np.concatenate([out.data for _, out in _forward_only(
+        config, params, samples, batch_size, forward)], axis=0)

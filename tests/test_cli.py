@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import tempfile
 import warnings
@@ -406,6 +407,30 @@ class TestTrain:
             (tmp_path / "direct.ckpt").read_bytes()
         assert (run_dir / "metrics.csv").read_text().splitlines()[1] == \
             cli._metrics_lines("model", metrics)
+
+    @pytest.mark.parametrize("source, synthetic", [
+        ("series", "stations = 0"), ("trips", "days = 0")])
+    def test_bad_synthetic_section_beside_a_data_source_exits_1(self, tmp_path, capsys,
+                                                                source, synthetic):
+        # resolved.ini echoes [synthetic] under any source, so it is checked before
+        # the run directory is made
+        series, trips, stations = (tmp_path / name for name in
+                                   ("series.bin", "trips.csv", "stations.txt"))
+        dt.dump_series(dt.synth_generate(dt.SyntheticSpec(
+            n_stations=3, days=8, granularity=3600, operating_window=(6, 18))), series)
+        trips.write_text("A,B,100\nB,C,90000\nC,A,400000\n")
+        stations.write_text("A\nB\nC\n")
+        data = {"series": f"series = {series}\n",
+                "trips": f"trips = {trips}\nstations = {stations}\nstart_time = 0\n"
+                         f"end_time = {8 * 86400}\ngranularity = 3600\n"}[source]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\n{data}[synthetic]\n{synthetic}\n"
+                       "[model]\nd_input = 3\nd_adaptive = 4\n[train]\nmax_epochs = 1\n"
+                       f"[run]\noutput_dir = {tmp_path / 'run1'}\n")
+        assert cli.main(["train", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: synthetic series needs n_stations >= 1, days >= 1")
+        assert not (tmp_path / "run1").exists()
 
     def test_diverging_run_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -878,38 +903,92 @@ def run_quietly(argv) -> tuple[int, str]:
                                           for w in caught)
 
 
+# the INIs the generated test starts from: a synthetic source, and the series file
+# that `umod synth` writes from the unchanged INI, beside a [synthetic] section that
+# resolved.ini echoes
+BASES = {"synthetic": TINY_RUN,
+         "series": {**TINY_RUN, "data": {**TINY_RUN["data"], "series": "series.bin"}}}
+
+
 class TestGeneratedConfigs:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(key=st.sampled_from([(section, key) for section, keys in cli.SECTIONS.items()
+    @given(base=st.sampled_from(sorted(BASES)),
+           key=st.sampled_from([(section, key) for section, keys in cli.SECTIONS.items()
                                 for key in keys]),
            value=st.sampled_from(EDGE_VALUES))
-    @example(key=("synthetic", "noise_std"), value="1e200")
-    @example(key=("synthetic", "noise_std"), value="1e308")
-    def test_synth_train_and_eval_exit_cleanly(self, key, value):
+    @example(base="synthetic", key=("synthetic", "noise_std"), value="1e200")
+    @example(base="synthetic", key=("synthetic", "noise_std"), value="1e308")
+    @example(base="series", key=("synthetic", "stations"), value="0")
+    @example(base="synthetic", key=("model", "use_input_embedding"), value="0")
+    def test_synth_train_and_eval_exit_cleanly(self, base, key, value):
+        # and `umod sweep ablate`; a command that fails leaves no file or directory
         cp = configparser.ConfigParser()
-        cp.read_dict(TINY_RUN)
-        cp.set(*key, value)
+        cp.read_dict(BASES[base])
         model_config = md.ModelConfig(n_entities=3, history=1, horizon=1, d_input=2,
                                       d_adaptive=2, spatial_hidden=2)
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            with open("run.ini", "w", encoding="utf-8") as fh:
-                cp.write(fh)
-            md.save_checkpoint("model.ckpt", md.init_params(model_config), model_config)
-            for argv in (["synth", "run.ini", "series.bin"], ["train", "run.ini"],
-                         ["eval", "model.ckpt", "run.ini", "--baseline", "historical_average",
-                          "--baseline", "last_value", "--baseline", "plain_mlp"]):
-                code, err = run_quietly(argv)
-                assert code in (0, 1, 2), (argv[0], code)
-                assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), \
-                    (argv[0], err)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                with open("base.ini", "w", encoding="utf-8") as fh:
+                    cp.write(fh)
+                assert cli.main(["synth", "base.ini", "series.bin"]) == 0
+                cp.set(*key, value)
+                with open("run.ini", "w", encoding="utf-8") as fh:
+                    cp.write(fh)
+                md.save_checkpoint("model.ckpt", md.init_params(model_config), model_config)
+                self.run_each(["synth", "run.ini", "out.bin"], ["train", "run.ini"],
+                              ["eval", "model.ckpt", "run.ini", "--baseline",
+                               "historical_average", "--baseline", "last_value",
+                               "--baseline", "plain_mlp"],
+                              ["sweep", "ablate", "run.ini"])
+            finally:
+                os.chdir(cwd)
+
+    @staticmethod
+    def run_each(*commands):
+        """Run each command from the same files: what one makes is removed."""
+        for argv in commands:
+            before = set(os.listdir())
+            code, err = run_quietly(argv)
+            assert code in (0, 1, 2), (argv[0], code)
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), \
+                (argv[0], err)
+            made = set(os.listdir()) - before
+            assert not (code and made), (argv[0], err, made)
+            for name in made:
+                if os.path.isdir(name):
+                    shutil.rmtree(name)
+                else:
+                    os.remove(name)
 
 
 class TestSweep:
     def test_ablate_writes_three_rows(self, run_config, tmp_path):
+        # the full row is the model `umod train` makes from the same INI, saved
+        # under its own name beside that run's files
+        assert cli.main(["train", str(run_config)]) == 0
         assert cli.main(["sweep", "ablate", str(run_config)]) == 0
-        table = (tmp_path / "run" / "ablations.csv").read_text().strip().split("\n")
+        run_dir = tmp_path / "run"
+        table = (run_dir / "ablations.csv").read_text().strip().split("\n")
         assert len(table) == 4  # header + 3 rows
-        assert (tmp_path / "run" / "adaptive_embedding.bin").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "ablation_full.ckpt", "ablations.csv", "epochs.log", "metrics.csv",
+            "model.ckpt", "resolved.ini"]
+        assert (run_dir / "ablation_full.ckpt").read_bytes() == \
+            (run_dir / "model.ckpt").read_bytes()
+        params, config = md.load_checkpoint(run_dir / "ablation_full.ckpt")
+        assert params["E_a"].shape == (config.history, config.n_entities, config.d_adaptive)
+
+    @pytest.mark.parametrize("key", ["use_input_embedding", "use_adaptive_embedding"])
+    def test_ablate_without_both_embeddings_exits_1(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("[model]\n", f"[model]\n{key} = false\n"))
+        run_dir = tmp_path / "run"
+        assert cli.main(["sweep", "ablate", str(cfg), "--output-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == \
+            "error: ablation base config must enable both embeddings\n"
+        assert not run_dir.exists()
 
     def test_dims_axis_selection(self, run_config, tmp_path):
         assert cli.main(["sweep", "dims", str(run_config), "--axis",
@@ -934,7 +1013,7 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: hp sweep trained no row; first skipped {'H': 6, 'P': 2}: "
             "val split has 2 bins but needs at least 8 (H=6, P=2)\n")
-        assert not (run_dir / "hp_sweep.csv").exists()
+        assert not run_dir.exists()
 
     def test_sweep_requires_output_dir(self, tmp_path):
         cfg = tmp_path / "run.ini"

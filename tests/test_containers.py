@@ -1,11 +1,11 @@
-"""Property tests of the one binary-container codec and its three formats.
+"""Property tests of the one binary-container codec and its two formats.
 
-For the series (``UMODODS1``), checkpoint (``UMODCKPT``) and embedding
-(``UMODEMB1``) files: a round trip is bit-identical, every truncation raises
-the format's typed error, and a file with any one byte flipped either loads or
-raises that typed error, never any other exception. A write that fails
-halfway leaves the file it would have replaced byte for byte. Hypothesis runs
-derandomized, so every run of the suite draws the same examples.
+For the series (``UMODODS1``) and checkpoint (``UMODCKPT``) files: a round
+trip is bit-identical, every truncation raises the format's typed error, and a
+file with any one byte flipped either loads or raises that typed error, never
+any other exception. A write that fails halfway leaves the file it would have
+replaced byte for byte. Hypothesis runs derandomized, so every run of the suite
+draws the same examples.
 """
 
 import math
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from umod import data as dt
-from umod import evaluation as ev
 from umod import model as md
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -63,20 +62,12 @@ def checkpoints(draw):
     return params, config
 
 
-@st.composite
-def embeddings(draw):
-    shape = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
-    return draw(hnp.arrays(np.float64, shape, elements=VALUES))
-
-
 # strategy, writer(example, path), loader, the loader's typed error
 FORMATS = {
     "series": (series(), lambda s, path: dt.dump_series(s, path),
                dt.load_series, dt.SeriesFormatError),
     "checkpoint": (checkpoints(), lambda c, path: md.save_checkpoint(path, *c),
                    md.load_checkpoint, md.CheckpointError),
-    "embedding": (embeddings(), lambda e, path: ev.dump_embedding(path, e),
-                  ev.load_embedding, dt.ConfigurationError),
 }
 
 
@@ -120,15 +111,6 @@ class TestRoundTrip:
         md.save_checkpoint(path, back, back_config)
         assert path.read_bytes() == raw
 
-    @PROPERTY
-    @given(embeddings())
-    def test_embedding(self, scratch, tensor):
-        path = scratch / "embedding.bin"
-        ev.dump_embedding(path, tensor)
-        back = ev.load_embedding(path)
-        assert back.shape == tensor.shape
-        assert back.tobytes() == tensor.tobytes()
-
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 class TestDamagedFiles:
@@ -164,16 +146,6 @@ class TestDamagedFiles:
                 pass
 
 
-def test_embedding_eight_bytes_short_or_long(scratch):
-    path = scratch / "embedding.bin"
-    ev.dump_embedding(path, np.arange(6.0).reshape(2, 3))
-    raw = path.read_bytes()
-    for damaged in (raw[:-8], raw + raw[-8:]):
-        path.write_bytes(damaged)
-        with pytest.raises(dt.ConfigurationError, match="payload"):
-            ev.load_embedding(path)
-
-
 def arrays_then_disk_full():
     yield np.arange(4.0)
     raise OSError(28, "No space left on device")
@@ -188,9 +160,6 @@ def text_then_interrupt(fh):
 INTERRUPTED_WRITES = {
     "container": (lambda path: dt.write_container(path, dt.SERIES_MAGIC, {"version": 2},
                                                   arrays_then_disk_full()), OSError),
-    "sweep": (lambda path: ev.write_sweep(path, ev.SweepResult(rows=[
-        ({"H": 2}, ev.MetricsReport(1.0, 2.0, None, 4, 0)),
-        ({}, ev.MetricsReport(1.0, 2.0, None, 4, 0))])), KeyError),
     "text": (lambda path: dt.write_atomically(path, text_then_interrupt), KeyboardInterrupt),
 }
 

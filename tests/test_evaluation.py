@@ -241,16 +241,21 @@ class TestSweeps:
         assert result.rows[0][1].mae == standalone.mae
         assert result.rows[0][1].rmse == standalone.rmse
 
-    def test_ablations_three_rows_and_embedding_dump(self, tmp_path):
+    def test_ablations_three_rows_and_embedding_dump(self):
+        # the full row's trained parameters, E_a among them, are kept for the CLI
         series = small_series(days=8, noise=0.3, seed=7)
         stats = dt.fit_normalizer(series, 0.7)
         cfg = fast_model_config(series)
-        dump = tmp_path / "embedding.bin"
-        result = ev.run_ablations(series, stats, cfg, FAST_TRAIN,
-                                  embedding_dump_path=dump)
+        result = ev.run_ablations(series, stats, cfg, FAST_TRAIN)
         assert [d["ablation"] for d, _ in result.rows] == ev.ABLATION_ORDER
-        emb = ev.load_embedding(dump)
-        assert emb.shape == (cfg.history, cfg.n_entities, cfg.d_adaptive)
+        _, windows = ev.entity_windows(series, cfg, stats)
+        params, _, metrics = ev._train_and_score(md.init_params(cfg), cfg, FAST_TRAIN,
+                                                 stats, windows)
+        assert result.rows[0][1] == metrics
+        assert [(k, p.data.tobytes()) for k, p in result.full_params.items()] == \
+            [(k, p.data.tobytes()) for k, p in params.items()]
+        assert result.full_params["E_a"].shape == (cfg.history, cfg.n_entities,
+                                                   cfg.d_adaptive)
 
     def test_ablation_requires_both_embeddings(self):
         series = small_series()
@@ -291,16 +296,13 @@ class TestSweeps:
 
 
 class TestSweepOutput:
-    def test_format_and_write(self, tmp_path):
+    def test_format_and_write(self):
         rep = ev.MetricsReport(1.0, 2.0, 50.0, 10, 8)
         result = ev.SweepResult(rows=[({"H": 2, "P": 2}, rep)])
         text = ev.format_sweep(result)
         lines = text.strip().split("\n")
         assert lines[0] == "H,P,mae,rmse,mape_percent,n_mape_used"
         assert lines[1] == "2,2,1.000000,2.000000,50.000000,8"
-        path = tmp_path / "sweep.csv"
-        ev.write_sweep(path, result)
-        assert path.read_text() == text
 
     def test_undefined_mape_marker(self):
         rep = ev.MetricsReport(1.0, 2.0, None, 10, 0)

@@ -25,8 +25,6 @@ NOT_UNDER_DIFFMATH = {"umod.training", "umod.model", "umod.evaluation"}
 # public names the reference check cannot vouch for, each with its reason
 UNREFERENCED_ALLOWED = {
     "diffmath.finite_diff_check": "the gradient reference the tests check adjoints against",
-    "evaluation.load_embedding": "the UMODEMB1 reader; it goes once `umod inspect` "
-                                 "reads embedding dumps",
     "diffmath.Tensor.shape": "named like ndarray.shape; the model reads it off tensors",
 }
 NDARRAY_NAMES = set(dir(np.ndarray))
