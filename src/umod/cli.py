@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -293,6 +294,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_makedirs(path: str) -> None:
+    """Raise the error ``os.makedirs(path, exist_ok=True)`` would raise where
+    ``path`` or its nearest existing ancestor is not a directory; makes nothing."""
+    missing, head = None, path
+    while head and not os.path.lexists(head.rstrip(os.sep) or os.sep):  # false below a file
+        missing, head = head, os.path.dirname(head.rstrip(os.sep))
+    if head and not os.path.isdir(head):
+        code = errno.ENOTDIR if missing else errno.EEXIST
+        raise OSError(code, os.strerror(code), missing or head)
+
+
 def cmd_sweep(args) -> int:
     cp = _read_config(args.config)
     run_dir = args.output_dir or cp.get("run", "output_dir", fallback=None)
@@ -301,6 +313,7 @@ def cmd_sweep(args) -> int:
                      EXIT_USAGE)
     series, stats, model_config = _prepare(cp)
     train_config = _train_config(cp)
+    _check_makedirs(run_dir)  # before any row trains
     if args.kind == "hp":
         result = ev.run_hp_sweep(series, stats, model_config, train_config)
         out_name = "hp_sweep.csv"

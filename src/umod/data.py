@@ -84,7 +84,6 @@ class NormStats:
 
     mean: float
     std: float
-    used_fallback: bool = False  # std was degenerate and clamped to 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64) - self.mean
@@ -302,9 +301,7 @@ def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormSt
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise ConfigurationError(f"the training portion of the series has mean {mean} "
                                  f"and std {std}; both must be finite")
-    if std <= 0.0:
-        return NormStats(mean=mean, std=1.0, used_fallback=True)
-    return NormStats(mean=mean, std=std)
+    return NormStats(mean=mean, std=std if std > 0.0 else 1.0)  # a zero std is clamped
 
 
 def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int):

@@ -136,9 +136,7 @@ class Tensor:
         pending = {id(root): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
+            g = pending.pop(id(node))  # every consumer ran before it
             if not node.parents:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
@@ -194,12 +192,6 @@ def add(a, b) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
     return Tensor(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-    return Tensor(a.data * c, [(a, lambda g: g * c)])
 
 
 def relu(a) -> Tensor:
@@ -372,16 +364,17 @@ def linear(x, W, b=None) -> Tensor:
     return Tensor(out, parents)
 
 
-def softmax_last(x) -> Tensor:
-    """Row-wise softmax over the last axis, max-subtracted for stability."""
+def softmax_last(x, c: float) -> Tensor:
+    """Row-wise softmax of ``x * c`` over the last axis, max-subtracted for
+    stability, as one tape node."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    z = x.data * c
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
 
     def adjoint(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        return s * (g - inner)
+        return (s * (g - inner)) * c
 
     return Tensor(s, [(x, adjoint)])
 
@@ -389,22 +382,15 @@ def softmax_last(x) -> Tensor:
 def scaled_dot_attention(Q, K, V):
     """Scaled dot-product attention over the last two axes.
 
-    Q, K, V share a shape ``[..., T, d]``. Returns ``(O, A)`` where
-    ``A = softmax(Q K^T / sqrt(d))`` and ``O = A V``; both stay on the
-    gradient graph.
+    Q and K have shape ``[..., T, d]`` and V ``[..., T, d_v]``. Returns
+    ``(O, A)`` where ``A = softmax(Q K^T / sqrt(d))`` and ``O = A V``; both
+    stay on the gradient graph. Operands that do not fit raise
+    ``DimensionError`` from ``matmul``.
     """
-    Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
-    if Q.shape != K.shape or Q.shape != V.shape:
-        raise DimensionError(
-            f"attention: Q {Q.shape}, K {K.shape}, V {V.shape} must match"
-        )
-    d = Q.shape[-1]
     last = K.data.ndim - 1
     k_t = transpose(K, (*range(last - 1), last, last - 1))
-    scores = scale(matmul(Q, k_t), 1.0 / math.sqrt(d))
-    A = softmax_last(scores)
-    O = matmul(A, V)
-    return O, A
+    A = softmax_last(matmul(Q, k_t), 1.0 / math.sqrt(Q.shape[-1]))
+    return matmul(A, V), A
 
 
 # ---------------------------------------------------------------------------

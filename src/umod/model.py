@@ -56,6 +56,9 @@ class ModelConfig:
                 isinstance(self.top_k, int) and self.top_k >= 1):
             raise ConfigurationError(f"entity_mode {TOP_K_PAIRS} needs an integer "
                                      f"top_k >= 1, got {self.top_k!r}")
+        if self.top_k is not None and self.entity_mode != TOP_K_PAIRS:
+            raise ConfigurationError(f"top_k = {self.top_k!r} needs entity_mode "
+                                     f"{TOP_K_PAIRS}, not {self.entity_mode}")
         if self.d_output is None:
             self.d_output = self.feature_dim
         if self.spatial_hidden is None:

@@ -124,8 +124,6 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in plist]
     report = TrainReport()
     best_val = float("inf")
-    best_snap = [p.data.copy() for p in plist]
-    bad_epochs = 0
     step = 0
     for epoch in range(1, train_config.max_epochs + 1):
         e0 = time.perf_counter()
@@ -171,13 +169,10 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
             best_val = val_loss
             best_snap = [p.data.copy() for p in plist]
             report.best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= train_config.patience:
-                report.stop_reason = "early_stopped"
-                break
-    if not report.stop_reason:
+        elif epoch - report.best_epoch >= train_config.patience:
+            report.stop_reason = "early_stopped"
+            break
+    else:
         report.stop_reason = "max_epochs"
     for p, best in zip(plist, best_snap):
         p.data[...] = best

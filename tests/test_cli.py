@@ -859,6 +859,18 @@ class TestConfigValues:
         assert code == 1 and re.fullmatch(f"error: {message}\n", err)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "ablate"]],
+                             ids=["train", "sweep"])
+    def test_top_k_outside_pair_mode_exits_1(self, tmp_path, capsys, command):
+        # station rows would train and store a top_k they never read
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("[model]\n", "[model]\ntop_k = 5\n"))
+        run_dir = tmp_path / "run"
+        assert cli.main([*command, str(cfg), "--output-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == \
+            "error: top_k = 5 needs entity_mode top_k_pairs, not station_rows\n"
+        assert not run_dir.exists()
+
     def test_eval_on_non_finite_statistics_exits_1(self, tmp_path, capsys):
         ckpt, cfg = tmp_path / "model.ckpt", tmp_path / "run.ini"
         model_config = md.ModelConfig(n_entities=3, history=2, horizon=2, d_input=3,
@@ -870,16 +882,16 @@ class TestConfigValues:
                             r"and std inf; both must be finite\n", capsys.readouterr().err)
 
 
-# every key of cli.SECTIONS but [data]'s source keys, set so that synth, train and
-# eval each take well under a second: 24 bins of 3 x 3 cells, H = P = 1 and one
-# epoch of one batch
+# every key of cli.SECTIONS but [data]'s source keys and [model] top_k, which only
+# pair mode takes, set so that synth, train and eval each take well under a
+# second: 24 bins of 3 x 3 cells, H = P = 1 and one epoch of one batch
 TINY_RUN = {
     "data": {"granularity": "900", "operating_start": "6", "operating_end": "8"},
     "synthetic": {"stations": "3", "days": "3", "seed": "0", "noise_std": "0.5"},
     "model": {"history": "1", "horizon": "1", "d_input": "2", "d_adaptive": "2",
               "spatial_hidden": "2", "use_input_embedding": "true",
               "use_adaptive_embedding": "true", "entity_mode": "station_rows",
-              "top_k": "2", "seed": "0"},
+              "seed": "0"},
     "train": {"batch_size": "1024", "lr": "0.001", "max_epochs": "1", "patience": "1",
               "loss": "mean_absolute", "shuffle_seed": "0"},
     "run": {"output_dir": "run"},
@@ -920,6 +932,7 @@ class TestGeneratedConfigs:
     @example(base="synthetic", key=("synthetic", "noise_std"), value="1e308")
     @example(base="series", key=("synthetic", "stations"), value="0")
     @example(base="synthetic", key=("model", "use_input_embedding"), value="0")
+    @example(base="synthetic", key=("model", "top_k"), value="5")
     def test_synth_train_and_eval_exit_cleanly(self, base, key, value):
         # and `umod sweep ablate`; a command that fails leaves no file or directory
         cp = configparser.ConfigParser()
@@ -1014,6 +1027,25 @@ class TestSweep:
             "error: hp sweep trained no row; first skipped {'H': 6, 'P': 2}: "
             "val split has 2 bins but needs at least 8 (H=6, P=2)\n")
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["hp", "ablate", "dims"])
+    @pytest.mark.parametrize("suffix, failed, error", [
+        ("/run", "/run", "Not a directory"), ("/sub/run", "/sub", "Not a directory"),
+        ("", "", "File exists"), ("/", "/", "File exists"),
+    ], ids=["child", "grandchild", "itself", "itself_slash"])
+    def test_output_dir_that_cannot_be_made_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, kind, suffix, failed, error):
+        # the error os.makedirs gives on the path, before any row trains
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["sweep", kind, str(cfg), "--output-dir", f"{afile}{suffix}"]) == 2
+        assert capsys.readouterr().err == f"error: {afile}{failed}: {error}\n"
+        assert calls == [] and sorted(tmp_path.iterdir()) == before
 
     def test_sweep_requires_output_dir(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -168,15 +168,16 @@ class TestShapeRules:
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
-        out = dm.softmax_last(dm.Tensor([0.0, 0.0, 0.0]))
+        out = dm.softmax_last(dm.Tensor([0.0, 0.0, 0.0]), 1.0)
         assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_closed_form_exponentials(self):
-        out = dm.softmax_last(dm.Tensor([0.0, math.log(2.0)]))
+        # the factor scales the logits: exp(0.5 log 4) = 2
+        out = dm.softmax_last(dm.Tensor([0.0, math.log(4.0)]), 0.5)
         assert np.allclose(out.data, [1 / 3, 2 / 3], atol=1e-15)
 
     def test_no_overflow_on_huge_logits(self):
-        out = dm.softmax_last(dm.Tensor([1000.0, 1000.0]))
+        out = dm.softmax_last(dm.Tensor([1000.0, 1000.0]), 2.0)
         assert np.allclose(out.data, [0.5, 0.5])
         assert np.isfinite(out.data).all()
 
@@ -184,10 +185,32 @@ class TestSoftmax:
         rng = np.random.default_rng(3)
         for _ in range(25):
             x = rng.normal(size=(4, 6)) * 10
-            s = dm.softmax_last(dm.Tensor(x))
+            s = dm.softmax_last(dm.Tensor(x), 1.0)
             assert np.abs(s.data.sum(-1) - 1.0).max() < 1e-12
-            shifted = dm.softmax_last(dm.Tensor(x + 17.5))
+            shifted = dm.softmax_last(dm.Tensor(x + 17.5), 1.0)
             assert np.abs(s.data - shifted.data).max() < 1e-9
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1 / math.sqrt(104), 3.0])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["c_order", "transposed"])
+    def test_bit_identical_to_scale_then_softmax(self, c, transposed):
+        # the two-node chain attention ran before the softmax took the factor:
+        # x * c with adjoint g * c, then an unscaled softmax
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 5, 5)) * 4
+        if transposed:
+            x = x.transpose(0, 1, 3, 2)
+        g = rng.normal(size=x.shape)
+        scaled = x * c
+        shifted = scaled - scaled.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        s = e / e.sum(axis=-1, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
+        grad = (s * (g - inner)) * c
+
+        out = dm.softmax_last(dm.Tensor(x), c)
+        (_, adjoint), = out.parents
+        assert out.data.tobytes() == s.tobytes()
+        assert adjoint(g).tobytes() == grad.tobytes()
 
 
 class TestAttention:
@@ -225,9 +248,14 @@ class TestAttention:
                 assert abs(a.data[0, t, u] - weights[u]) < 1e-12
 
     def test_shape_mismatch(self):
+        # matmul owns the check: a key of another width cannot meet the
+        # queries, while a value of another width only widens the output
         q = dm.Tensor(np.zeros((1, 2, 3)))
-        with pytest.raises(dm.DimensionError):
-            dm.scaled_dot_attention(q, q, dm.Tensor(np.zeros((1, 2, 4))))
+        wide = dm.Tensor(np.zeros((1, 2, 4)))
+        with pytest.raises(dm.DimensionError, match="matmul"):
+            dm.scaled_dot_attention(q, wide, q)
+        o, _ = dm.scaled_dot_attention(q, q, wide)
+        assert o.shape == (1, 2, 4)
 
 
 class TestElementwise:
@@ -298,7 +326,7 @@ class TestFiniteDiffCheck:
         p = dm.Tensor(np.array([1.0, -2.0]))
 
         def loss_fn(params):
-            return sum_all(dm.scale(params[0], 0.0))
+            return weighted_sum(params[0], np.zeros(2))
 
         assert dm.finite_diff_check(loss_fn, [p], eps=1e-5) == 0.0
 
@@ -325,8 +353,8 @@ def test_every_op_passes_gradient_check(seed):
         y = dm.linear(a_, w_)
         y = dm.add(y, b_)
         y = dm.relu(y)
-        y = dm.softmax_last(y)
-        y = dm.add(y, dm.scale(a_, -0.3))
+        y = dm.softmax_last(y, 0.7)
+        y = dm.add(y, a_)
         y = dm.concat_last(y, dm.transpose(dm.reshape(a_, (3, 2)), (1, 0)))
         o, _ = dm.scaled_dot_attention(
             dm.reshape(y, (1, 2, 6)), dm.reshape(y, (1, 2, 6)),
@@ -428,8 +456,8 @@ class TestQKVProjection:
         ws = [dm.Tensor(np.full((3, 2), float(i))) for i in range(3)]
         q, k, v = dm.qkv_projection(x, *ws)
         assert [t.data[0, 0, 0] for t in (q, k, v)] == [0.0, 3.0, 6.0]
-        scalar_sum_loss([dm.scale(t, c) for t, c in zip((q, k, v), (1.0, 10.0, 100.0))]
-                        ).backward()
+        scalar_sum_loss([weighted_sum(t, np.full(t.shape, c))
+                         for t, c in zip((q, k, v), (1.0, 10.0, 100.0))]).backward()
         assert [w.grad[0, 0] for w in ws] == [4.0, 40.0, 400.0]
         assert np.array_equal(x.grad, np.full((2, 2, 3), 420.0))  # 1·0·2 + 10·1·2 + 100·2·2
 
@@ -570,7 +598,6 @@ def pure_cases():
 
     return {
         "add": lambda leaf: ([dm.add(leaf(2, 3), leaf(2, 3))], []),
-        "scale": lambda leaf: ([dm.scale(leaf(2, 3), 0.25)], []),
         "relu": relu,
         "reshape": lambda leaf: ([dm.reshape(leaf(2, 3, 4), (6, 4))], []),
         "transpose": lambda leaf: ([dm.transpose(leaf(2, 3, 4), (2, 0, 1))], []),
@@ -581,7 +608,7 @@ def pure_cases():
         "qkv_projection": lambda leaf: (list(dm.qkv_projection(
             dm.transpose(leaf(2, 3, 4, 5), (0, 2, 1, 3)), leaf(5, 5), leaf(5, 5),
             leaf(5, 5))), []),
-        "softmax_last": lambda leaf: ([dm.softmax_last(leaf(2, 3, 4))], []),
+        "softmax_last": lambda leaf: ([dm.softmax_last(leaf(2, 3, 4), 0.25)], []),
         "mean_absolute": loss(squared=False),
         "mean_squared": loss(squared=True),
     }

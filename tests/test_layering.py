@@ -7,7 +7,9 @@ few is referenced from the package itself, so code that nothing in
 ``src/umod`` uses is deleted rather than kept for tests. A method or property
 counts as referenced only through an attribute of something other than a
 module, and one named like an ``np.ndarray`` attribute must be listed, because
-reads off arrays would hide whether it is used.
+reads off arrays would hide whether it is used. Every field of a ``@dataclass``
+is read as an attribute (``obj.field``) somewhere in the package, so no field
+is kept that nothing reads.
 """
 
 import ast
@@ -117,6 +119,40 @@ def flagged_names(sources: dict[str, str]) -> set[str]:
 def test_every_public_function_is_referenced_in_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert flagged_names(sources) == set(UNREFERENCED_ALLOWED)
+
+
+def unread_fields(sources: dict[str, str]) -> set[str]:
+    """Fields of each ``@dataclass`` in ``sources`` that no attribute of anything
+    but a module reads: set as a keyword or assigned alone, a field is unread."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    read = collections.Counter(
+        n.attr for tree in trees.values() for aliases in [module_aliases(tree)]
+        for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and not (isinstance(n.value, ast.Name) and n.value.id in aliases))
+    return {f"{module}.{node.name}.{field.target.id}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+            for field in node.body
+            if isinstance(field, ast.AnnAssign) and not read[field.target.id]}
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_fields(sources) == set()
+
+
+def test_the_field_guard_needs_a_read():
+    # a field set only as a keyword, read only off a module, or only assigned
+    flagged = unread_fields({
+        "stats": "import numpy as np\nfrom dataclasses import dataclass\n"
+                 "@dataclass\nclass Stats:\n    mean: float\n    clamped: bool = False\n"
+                 "    size: int = 0\n    kept: int = 0\n"
+                 "def fit(x):\n    s = Stats(mean=x, clamped=True)\n    s.kept = 1\n"
+                 "    return s.mean, np.size\n",
+    })
+    assert flagged == {"stats.Stats.clamped", "stats.Stats.size", "stats.Stats.kept"}
 
 
 def test_the_guard_tells_members_from_functions_of_the_same_name():

@@ -196,6 +196,21 @@ class TestTrainLoop:
         best = min(r.train_loss for r in report.epochs)
         assert best <= 0.1 * first
 
+    def test_step_records_37_tape_nodes(self):
+        # walked over .parents from the loss, as perfbench/tracer.py counts a
+        # step's tape; perfbench pins 7 transposes per forward, and fusing
+        # attention into one node (ROADMAP item 4) lowers the count again
+        cfg = md.ModelConfig(n_entities=8)
+        x, y = tr.stack_batch(make_samples(16, n_entities=8))
+        root = tr.loss(md.forward(x, md.init_params(cfg), cfg), y)
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent, _ in stack.pop().parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) == 37
+
 
 class TestEvaluatePredict:
     def test_evaluate_matches_manual_loss(self):
