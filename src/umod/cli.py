@@ -19,11 +19,14 @@ Config sections and keys (all optional unless noted):
 ``KEYS`` maps the [synthetic], [model] and [train] keys onto the fields of
 ``data.SyntheticSpec``, ``model.ModelConfig`` and ``training.TrainConfig``;
 an absent or blank key takes its field's default, and [data] granularity and
-operating hours take SyntheticSpec's. Under [data] trips the series is cut to
+operating hours take SyntheticSpec's. [model] top_k sets n_entities, so it is
+set, to at least 1, exactly when entity_mode = top_k_pairs; station rows take
+n_entities from the series. Under [data] trips the series is cut to
 operating hours only when both are set; under [data] series a grid key that
-is set must equal the file's. A value that does not parse as its
-field's type, an unknown section or key, and a malformed file are each a
-ConfigurationError naming the file or the section and key.
+is set must equal the file's, and neither [data] series nor a synthetic
+source takes trips, stations, start_time or end_time. A value that does not
+parse as its field's type, an unknown section or key, and a malformed file
+are each a ConfigurationError naming the file or the section and key.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ KEYS = {
         "d_adaptive": "d_adaptive", "spatial_hidden": "spatial_hidden",
         "use_input_embedding": "use_input_embedding",
         "use_adaptive_embedding": "use_adaptive_embedding",
-        "entity_mode": "entity_mode", "seed": "seed", "top_k": "top_k"}),
+        "entity_mode": "entity_mode", "seed": "seed", "top_k": "n_entities"}),
     "train": (tr.TrainConfig, {
         "batch_size": "batch_size", "lr": "lr", "max_epochs": "max_epochs",
         "patience": "patience", "loss": "loss_kind", "shuffle_seed": "shuffle_seed"}),
@@ -129,6 +132,10 @@ def _synthetic_spec(cp: configparser.ConfigParser) -> dt.SyntheticSpec:
 
 def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
     data = cp["data"] if cp.has_section("data") else {}
+    unread = [key for key in ("trips", "stations", "start_time", "end_time") if data.get(key)]
+    if unread and (data.get("series") or not data.get("trips")):  # a trip log reads all four
+        source = f"[data] series = {data['series']}" if data.get("series") else "a synthetic source"
+        raise dt.ConfigurationError(f"{source} reads no [data] {', '.join(unread)}")
     if data.get("series"):
         grid = _grid(cp)
         series = dt.load_series(data["series"])
@@ -153,8 +160,14 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
 
 def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.ModelConfig:
     values = _fields(cp, "model")
-    pairs = values.get("entity_mode") == md.TOP_K_PAIRS
-    return md.ModelConfig(values.get("top_k") if pairs else series.n_stations, **values)
+    mode, top_k = values.get("entity_mode", md.STATION_ROWS), values.get("n_entities")
+    if mode != md.TOP_K_PAIRS and top_k is not None:
+        raise dt.ConfigurationError(f"[model] top_k = {top_k} needs entity_mode "
+                                    f"{md.TOP_K_PAIRS}, not {mode}")
+    if mode == md.TOP_K_PAIRS and (top_k is None or top_k < 1):
+        raise dt.ConfigurationError(f"entity_mode {md.TOP_K_PAIRS} needs [model] top_k "
+                                    f">= 1, got {top_k}")
+    return md.ModelConfig(**{"n_entities": series.n_stations, **values})
 
 
 def _train_config(cp: configparser.ConfigParser) -> tr.TrainConfig:
@@ -182,7 +195,9 @@ def _resolved(cp: configparser.ConfigParser, series: dt.ODSeries,
         if section in configs:
             values = {key: getattr(configs[section], name) for key, name in keys.items()}
             out[section] = {key: str(v).lower() if isinstance(v, bool) else str(v)
-                            for key, v in values.items() if v is not None}
+                            for key, v in values.items()}
+    if model_config.entity_mode != md.TOP_K_PAIRS:  # n_entities is the series'
+        del out["model"]["top_k"]
     if cp.has_section("run"):
         out["run"] = dict(cp["run"])
     return out

@@ -248,6 +248,8 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"transpose: axes {axes} do not permute the axes of {a.shape}")
     inv = tuple(np.argsort(axes))
     return Tensor(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
 

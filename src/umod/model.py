@@ -24,14 +24,14 @@ from .data import (ODSeries, ConfigurationError, check_float64_shape, read_conta
                    split_lengths, write_container)
 
 CHECKPOINT_MAGIC = b"UMODCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 STATION_ROWS = "station_rows"
 TOP_K_PAIRS = "top_k_pairs"
 
 
 class CheckpointError(ValueError):
-    """Raised when a checkpoint cannot be read or does not match its own config."""
+    """Raised when a checkpoint's parameters are not its config's, or it cannot be read."""
 
 
 @dataclass
@@ -41,32 +41,20 @@ class ModelConfig:
     horizon: int = 2
     d_input: int = 24
     d_adaptive: int = 80
-    d_output: int | None = None  # defaults to feature_dim
     spatial_hidden: int | None = None  # defaults to n_entities
     use_input_embedding: bool = True
     use_adaptive_embedding: bool = True
-    entity_mode: str = STATION_ROWS
-    top_k: int | None = None
+    entity_mode: str = STATION_ROWS  # top_k_pairs: K = n_entities
     seed: int = 0
 
     def __post_init__(self):
         if self.entity_mode not in (STATION_ROWS, TOP_K_PAIRS):
             raise ConfigurationError(f"unknown entity_mode {self.entity_mode!r}")
-        if self.entity_mode == TOP_K_PAIRS and not (
-                isinstance(self.top_k, int) and self.top_k >= 1):
-            raise ConfigurationError(f"entity_mode {TOP_K_PAIRS} needs an integer "
-                                     f"top_k >= 1, got {self.top_k!r}")
-        if self.top_k is not None and self.entity_mode != TOP_K_PAIRS:
-            raise ConfigurationError(f"top_k = {self.top_k!r} needs entity_mode "
-                                     f"{TOP_K_PAIRS}, not {self.entity_mode}")
-        if self.d_output is None:
-            self.d_output = self.feature_dim
         if self.spatial_hidden is None:
             self.spatial_hidden = self.n_entities
         if not (self.use_input_embedding or self.use_adaptive_embedding):
             raise ConfigurationError("at least one embedding must be enabled")
-        for name in ("n_entities", "history", "horizon", "d_input", "d_adaptive",
-                     "d_output", "spatial_hidden"):
+        for name in ("n_entities", "history", "horizon", "d_input", "d_adaptive", "spatial_hidden"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
@@ -89,7 +77,7 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """The one parameter layout: ``(name, shape)`` for each parameter, in creation order."""
     H, E, d_h = config.history, config.n_entities, config.d_hidden
     sh, head_in = config.spatial_hidden, H * d_h
-    head_out = config.horizon * config.d_output
+    head_out = config.horizon * config.feature_dim
     shapes = []
     if config.use_input_embedding:
         shapes += [("W_in", (config.feature_dim, config.d_input)), ("b_in", (config.d_input,))]
@@ -162,13 +150,13 @@ def spatial_head(o_t: dm.Tensor, params: dict[str, dm.Tensor],
     # stage 2: flatten each entity's history and regress the horizon
     r = dm.transpose(r, (0, 2, 1, 3))  # [B,E,H,d_h]
     flat = dm.reshape(r, (B, E, H * d_h))
-    y = dm.linear(flat, params["W_out"], params["b_out"])  # [B,E,P*d_o]
-    y = dm.reshape(y, (B, E, config.horizon, config.d_output))
-    return dm.transpose(y, (0, 2, 1, 3))  # [B,P,E,d_o]
+    y = dm.linear(flat, params["W_out"], params["b_out"])  # [B,E,P*F]
+    y = dm.reshape(y, (B, E, config.horizon, config.feature_dim))
+    return dm.transpose(y, (0, 2, 1, 3))  # [B,P,E,F]
 
 
 def forward(x, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
-    """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,d_output]."""
+    """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,feature_dim]."""
     o_t, _ = temporal_attention(embed(x, params, config), params)
     return spatial_head(o_t, params, config)
 
@@ -202,7 +190,7 @@ def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
 
     Raises ConfigurationError if ``[E, F]`` is not ``(n_entities, feature_dim)``.
     """
-    flows = (flatten_pairs(series, config.top_k)[1] if config.entity_mode == TOP_K_PAIRS
+    flows = (flatten_pairs(series, config.n_entities)[1] if config.entity_mode == TOP_K_PAIRS
              else series.flows)
     if flows.shape[1:] != (config.n_entities, config.feature_dim):
         raise ConfigurationError(
@@ -216,26 +204,21 @@ def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
 
 
 def save_checkpoint(path, params: dict[str, dm.Tensor], config: ModelConfig) -> None:
-    """``UMODCKPT`` container: config and parameter names/shapes in the header."""
-    header = {"version": CHECKPOINT_VERSION, "config": asdict(config),
-              "params": [[name, list(p.shape)] for name, p in params.items()]}
+    """``UMODCKPT`` container: the config in the header, then the arrays of
+    ``param_shapes(config)``; raises CheckpointError for any other layout."""
+    layout, expected = [(name, p.shape) for name, p in params.items()], param_shapes(config)
+    if layout != expected:
+        raise CheckpointError(f"{path}: parameters {layout} are not the {expected} of its config")
+    header = {"version": CHECKPOINT_VERSION, "config": asdict(config)}
     write_container(path, CHECKPOINT_MAGIC, header, [p.data for p in params.values()])
 
 
 def load_checkpoint(path):
-    """Load (params, config); rejects corrupt files and parameters other than
-    ``param_shapes`` of the stored config."""
-    header, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                    lambda h: [shape for _, shape in h["params"]],
-                                    CheckpointError)
-    try:
-        config = ModelConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{path}: bad checkpoint config: {type(exc).__name__}: {exc}") from exc
-    stored = [(name, a.shape) for (name, _), a in zip(header["params"], arrays)]
-    expected = param_shapes(config)
-    if stored != expected:
-        raise CheckpointError(
-            f"{path}: parameters {stored} are not the {expected} of its config")
-    return {name: dm.Tensor(a) for (name, _), a in zip(stored, arrays)}, config
+    """Load (params, config); ``param_shapes`` of the stored config sizes the
+    payload, and a config that cannot be built is a bad header."""
+    header, arrays = read_container(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+        lambda h: [shape for _, shape in param_shapes(ModelConfig(**h["config"]))],
+        CheckpointError)
+    config = ModelConfig(**header["config"])
+    return {name: dm.Tensor(a) for (name, _), a in zip(param_shapes(config), arrays)}, config

@@ -32,8 +32,7 @@ def verdict(num, description):
 
 
 def tiny_config(**overrides):
-    kwargs = dict(n_entities=4, history=2, horizon=2, d_input=3, d_adaptive=5,
-                  d_output=4, seed=1)
+    kwargs = dict(n_entities=4, history=2, horizon=2, d_input=3, d_adaptive=5, seed=1)
     kwargs.update(overrides)
     return md.ModelConfig(**kwargs)
 

@@ -462,7 +462,19 @@ class TestTrain:
         cfg.write_text(SMALL_RUN.replace("[model]\n",
                                          "[model]\nentity_mode = top_k_pairs\n"))
         assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
-        assert capsys.readouterr().err.startswith("error: entity_mode top_k_pairs needs")
+        assert capsys.readouterr().err == \
+            "error: entity_mode top_k_pairs needs [model] top_k >= 1, got None\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_top_k_below_1_exits_1(self, tmp_path, capsys, top_k):
+        cfg = tmp_path / "pairs.ini"
+        cfg.write_text(SMALL_RUN.replace(
+            "[model]\n", f"[model]\nentity_mode = top_k_pairs\ntop_k = {top_k}\n"))
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: entity_mode top_k_pairs needs [model] top_k >= 1, got {top_k}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_every_key_round_trips(self, tmp_path):
         # every KEYS entry off its default (one embedding must stay on), written
@@ -594,11 +606,10 @@ class TestEval:
     def test_unknown_checkpoint_config_key_exits_1(self, run_config, tmp_path, capsys):
         assert cli.main(["train", str(run_config)]) == 0
         ckpt = tmp_path / "run" / "model.ckpt"
-        header, arrays = dt.read_container(
-            ckpt, md.CHECKPOINT_MAGIC, md.CHECKPOINT_VERSION,
-            lambda h: [shape for _, shape in h["params"]], md.CheckpointError)
-        header["config"]["dropout"] = 0.1
-        dt.write_container(ckpt, md.CHECKPOINT_MAGIC, header, arrays)
+        params, config = md.load_checkpoint(ckpt)
+        header = {"version": md.CHECKPOINT_VERSION,
+                  "config": {**dataclasses.asdict(config), "dropout": 0.1}}
+        dt.write_container(ckpt, md.CHECKPOINT_MAGIC, header, [p.data for p in params.values()])
         capsys.readouterr()
         assert cli.main(["eval", str(ckpt), str(run_config)]) == 1
         err = capsys.readouterr().err
@@ -614,6 +625,19 @@ class TestEval:
                          + struct.pack("<I", 0))
         assert cli.main(["eval", str(ckpt), str(run_config)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_version_2_checkpoint_exits_1(self, run_config, tmp_path, capsys):
+        # version 2 also stored d_output, top_k and the parameter layout
+        config = md.ModelConfig(n_entities=3, history=2, horizon=2)
+        params = md.init_params(config)
+        header = {"version": 2, "config": {**dataclasses.asdict(config), "d_output": 3,
+                                           "top_k": None},
+                  "params": [[name, list(p.shape)] for name, p in params.items()]}
+        ckpt, out = tmp_path / "v2.ckpt", tmp_path / "eval.csv"
+        dt.write_container(ckpt, md.CHECKPOINT_MAGIC, header, [p.data for p in params.values()])
+        assert cli.main(["eval", str(ckpt), str(run_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: unsupported version 2, expected 3\n"
+        assert not out.exists()
 
     def test_directory_as_checkpoint_exits_2(self, run_config, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
@@ -649,6 +673,34 @@ class TestDataSource:
             "series_operating_start_alone", "series_operating_end_alone"])
     def test_bad_source_exits_with_error_line(self, tmp_path, capsys, command, data,
                                               code, message):
+        argv, paths = self.source_run(tmp_path, command, data)
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message.format(**paths) in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("data, message", [
+        ("series = {series}\ntrips = nope.csv\nstart_time = 5\n",
+         "[data] series = {series} reads no [data] trips, start_time"),
+        ("series = {series}\n" + TRIPS_WITH_SPAN,
+         "[data] series = {series} reads no [data] trips, stations, start_time, end_time"),
+        ("stations = nope.txt\nend_time = 9\n[synthetic]\nstations = 2\ndays = 1\n"
+         "[train]\nmax_epochs = 1\n", "a synthetic source reads no [data] stations, end_time"),
+    ], ids=["series_beside_trip_keys", "series_beside_a_trip_log", "synthetic_beside_trip_keys"])
+    def test_unread_data_key_exits_1(self, tmp_path, capsys, command, data, message):
+        # resolved.ini would echo a key the run never read, and a stale series
+        # would silently win over an updated trip log
+        argv, paths = self.source_run(tmp_path, command, data)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @staticmethod
+    def source_run(tmp_path, command, data):
+        """The argv of ``umod <command>`` on an INI whose ``[data]`` is ``data``
+        formatted with the paths of a small trip log, station list and series."""
         trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
         trips.write_text("A,B,100\nA,X,200\n")
         stations.write_text("A\nB\n")
@@ -662,12 +714,8 @@ class TestDataSource:
         ckpt = tmp_path / "model.ckpt"
         model_config = md.ModelConfig(n_entities=2, history=2, horizon=2)
         md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
-        argv = {"train": ["train", str(cfg)], "eval": ["eval", str(ckpt), str(cfg)],
-                "sweep": ["sweep", "hp", str(cfg)]}[command]
-        assert cli.main(argv) == code
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert message.format(**paths) in err
+        return {"train": ["train", str(cfg)], "eval": ["eval", str(ckpt), str(cfg)],
+                "sweep": ["sweep", "hp", str(cfg)]}[command], paths
 
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -772,11 +820,14 @@ class TestConfigValues:
         assert not (tmp_path / "run").exists()
 
     def test_config_fields_without_a_key(self):
-        # the grid fields come from [data]; n_entities and d_output from the series
+        # the grid fields come from [data]; every other field has exactly one key
+        # ([model] top_k sets n_entities, which station rows take from the series)
         unmapped = {section: {f.name for f in dataclasses.fields(cls)} - set(keys.values())
                     for section, (cls, keys) in cli.KEYS.items()}
         assert unmapped == {"synthetic": {"granularity", "operating_window"},
-                            "model": {"n_entities", "d_output"}, "train": set()}
+                            "model": set(), "train": set()}
+        for _, keys in cli.KEYS.values():
+            assert len(set(keys.values())) == len(keys)
 
     @pytest.mark.parametrize("line, message", [
         ("batch_size = 0", "batch_size must be an integer >= 1, got 0"),
@@ -868,7 +919,7 @@ class TestConfigValues:
         run_dir = tmp_path / "run"
         assert cli.main([*command, str(cfg), "--output-dir", str(run_dir)]) == 1
         assert capsys.readouterr().err == \
-            "error: top_k = 5 needs entity_mode top_k_pairs, not station_rows\n"
+            "error: [model] top_k = 5 needs entity_mode top_k_pairs, not station_rows\n"
         assert not run_dir.exists()
 
     def test_eval_on_non_finite_statistics_exits_1(self, tmp_path, capsys):

@@ -54,8 +54,7 @@ def checkpoints(draw):
         n_entities=n, history=draw(st.integers(1, 3)), horizon=draw(st.integers(1, 2)),
         d_input=draw(st.integers(1, 3)), d_adaptive=draw(st.integers(1, 3)),
         use_input_embedding=use_input, use_adaptive_embedding=use_adaptive,
-        entity_mode=mode, top_k=n if mode == md.TOP_K_PAIRS else None,
-        seed=draw(st.integers(0, 2**32)))
+        entity_mode=mode, seed=draw(st.integers(0, 2**32)))
     params = md.init_params(config)
     for p in params.values():
         p.data[...] = draw(hnp.arrays(np.float64, p.shape, elements=VALUES))

@@ -257,6 +257,12 @@ class TestAttention:
         o, _ = dm.scaled_dot_attention(q, q, wide)
         assert o.shape == (1, 2, 4)
 
+    def test_one_axis_operand(self):
+        # transpose owns the check: a 1-d key has no last two axes to swap
+        t = dm.Tensor(np.zeros(3))
+        with pytest.raises(dm.DimensionError, match="transpose"):
+            dm.scaled_dot_attention(t, t, t)
+
 
 class TestElementwise:
     def test_relu_sign_cases(self):
@@ -308,6 +314,12 @@ class TestReshapeOps:
     def test_reshape_bad_extent(self):
         with pytest.raises(dm.DimensionError):
             dm.reshape(dm.Tensor(np.zeros((2, 3))), (4, 2))
+
+    @pytest.mark.parametrize("axes", [(0, 0), (1,), (0, 1, 2), (1, 2)],
+                             ids=["repeated", "too_few", "too_many", "out_of_range"])
+    def test_transpose_axes_not_a_permutation(self, axes):
+        with pytest.raises(dm.DimensionError, match="transpose"):
+            dm.transpose(dm.Tensor(np.zeros((2, 3))), axes)
 
 
 class TestFiniteDiffCheck:
@@ -535,12 +547,11 @@ def leaf_grads_hold(loss, leaves):
 
 def model_case(mode):
     from umod import model as md
-    pairs = mode == md.TOP_K_PAIRS
     cfg = md.ModelConfig(n_entities=5, history=3, horizon=2, d_input=3, d_adaptive=2,
-                         entity_mode=mode, top_k=5 if pairs else None, seed=3)
+                         entity_mode=mode, seed=3)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 3, 5, cfg.feature_dim))
-    y = rng.normal(size=(4, 2, 5, cfg.d_output))
+    y = rng.normal(size=(4, 2, 5, cfg.feature_dim))
     return cfg, md.init_params(cfg), x, y
 
 

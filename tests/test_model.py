@@ -13,8 +13,7 @@ from umod import training as tr
 
 
 def tiny_config(**overrides):
-    kwargs = dict(n_entities=4, history=2, horizon=2, d_input=3, d_adaptive=5,
-                  d_output=4, seed=1)
+    kwargs = dict(n_entities=4, history=2, horizon=2, d_input=3, d_adaptive=5, seed=1)
     kwargs.update(overrides)
     return md.ModelConfig(**kwargs)
 
@@ -29,7 +28,7 @@ class TestConfig:
         cfg = md.ModelConfig(n_entities=10, history=2, horizon=2)
         assert (cfg.d_input, cfg.d_adaptive) == (24, 80)
         assert cfg.d_hidden == 104
-        assert cfg.d_output == 10
+        assert cfg.feature_dim == 10
         assert cfg.spatial_hidden == 10
 
     def test_both_embeddings_disabled_rejected(self):
@@ -130,7 +129,7 @@ class TestTemporalAttention:
 
     def test_matches_scalar_loop_oracle(self):
         cfg = md.ModelConfig(n_entities=1, history=2, horizon=1, d_input=1,
-                             d_adaptive=1, d_output=1, seed=4)
+                             d_adaptive=1, seed=4)
         params = md.init_params(cfg)
         wq = params["W_Q"].data
         wk = params["W_K"].data
@@ -174,12 +173,12 @@ class TestSpatialHead:
         assert np.allclose(y.data, expect)
 
     def test_output_shape_contract(self):
-        for cfg in (tiny_config(), tiny_config(horizon=5, d_output=2),
+        for cfg in (tiny_config(), tiny_config(horizon=5, entity_mode=md.TOP_K_PAIRS),
                     md.ModelConfig(n_entities=3, history=4, horizon=1, seed=0)):
             params = md.init_params(cfg)
             x = np.zeros((3, cfg.history, cfg.n_entities, cfg.feature_dim))
             y = md.forward(x, params, cfg)
-            assert y.shape == (3, cfg.horizon, cfg.n_entities, cfg.d_output)
+            assert y.shape == (3, cfg.horizon, cfg.n_entities, cfg.feature_dim)
 
 
 class TestForward:
@@ -298,12 +297,18 @@ class TestFlattenPairs:
         series = self.make_series()
         pairs, view = md.flatten_pairs(series, 3)
         cfg = md.ModelConfig(n_entities=3, history=2, horizon=2, d_input=2,
-                             d_adaptive=2, entity_mode=md.TOP_K_PAIRS, top_k=3,
-                             seed=0)
+                             d_adaptive=2, entity_mode=md.TOP_K_PAIRS, seed=0)
         assert cfg.feature_dim == 1
         params = md.init_params(cfg)
         y = md.forward(view[:2][None, ...], params, cfg)
         assert y.shape == (1, 2, 3, 1)
+
+
+def read_header(path) -> dict:
+    """The JSON header of a ``write_container`` file."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + n])
 
 
 class TestCheckpoint:
@@ -342,25 +347,29 @@ class TestCheckpoint:
         with pytest.raises(md.CheckpointError):
             md.load_checkpoint(path)
 
+    def test_header_holds_only_the_config(self, tmp_path):
+        # param_shapes(config) is the one layout: the header keeps no copy of it
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, md.init_params(cfg), cfg)
+        assert read_header(path) == {"config": dataclasses.asdict(cfg), "version": 3}
+
     @staticmethod
     def rewrite(path, edit):
         """Apply ``edit`` to a saved checkpoint's header and write it back."""
-        header, arrays = dt.read_container(
-            path, md.CHECKPOINT_MAGIC, md.CHECKPOINT_VERSION,
-            lambda h: [shape for _, shape in h["params"]], md.CheckpointError)
+        params, header = md.load_checkpoint(path)[0], read_header(path)
         edit(header)
-        dt.write_container(path, md.CHECKPOINT_MAGIC, header, arrays)
+        dt.write_container(path, md.CHECKPOINT_MAGIC, header, [p.data for p in params.values()])
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda h: h["config"].update(dropout=0.1), "dropout"),
-        (lambda h: h["config"].update(history="2"), "config"),
-        (lambda h: h["config"].update(d_input=4), r"parameters .* are not the .* of its config"),
-        (lambda h: h["params"][3].__setitem__(0, "W_X"), "W_X"),
-        (lambda h: h["params"][0][1].reverse(), "parameters"),
-        (lambda h: h["config"].update(d_adaptive=10**9), "1000000000"),
+        (lambda h: h["config"].update(dropout=0.1), "bad header: TypeError: .*dropout"),
+        (lambda h: h["config"].update(history="2"), "bad header: ConfigurationError: history"),
+        (lambda h: h["config"].update(d_input=4), "payload ends at byte"),
+        (lambda h: h["config"].update(d_adaptive=10**9), "payload ends at byte"),
+        (lambda h: h["config"].update(d_adaptive=2**63), "bad header: ConfigurationError: "),
         (lambda h: h["config"].update(d_input=3.0), "integer"),
-    ], ids=["unknown_key", "ill_typed_field", "config_disagrees", "renamed",
-            "transposed", "huge_config", "float_width"])
+    ], ids=["unknown_key", "ill_typed_field", "config_disagrees", "huge_config",
+            "unsized_config", "float_width"])
     def test_header_must_match_its_config(self, tmp_path, edit, match):
         cfg = tiny_config()
         path = tmp_path / "model.ckpt"
@@ -368,3 +377,16 @@ class TestCheckpoint:
         self.rewrite(path, edit)
         with pytest.raises(md.CheckpointError, match=match):
             md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: {("W_X" if name == "W_K" else name): t for name, t in p.items()},
+        lambda p: dict(sorted(p.items(), key=lambda item: item[0] == "W_Q")),
+        lambda p: {name: dm.Tensor(t.data.T) if name == "W_in" else t for name, t in p.items()},
+    ], ids=["renamed", "reordered", "transposed"])
+    def test_save_rejects_another_layout(self, tmp_path, edit):
+        # the writer owns the layout check, so no file holds another layout
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(md.CheckpointError, match="are not the .* of its config"):
+            md.save_checkpoint(path, edit(md.init_params(cfg)), cfg)
+        assert not path.exists()

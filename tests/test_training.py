@@ -10,8 +10,7 @@ from umod import training as tr
 
 
 def tiny_config(**overrides):
-    kwargs = dict(n_entities=4, history=2, horizon=2, d_input=3, d_adaptive=5,
-                  d_output=4, seed=1)
+    kwargs = dict(n_entities=4, history=2, horizon=2, d_input=3, d_adaptive=5, seed=1)
     kwargs.update(overrides)
     return md.ModelConfig(**kwargs)
 
@@ -233,9 +232,7 @@ class TestEvaluatePredict:
 
     @pytest.mark.parametrize("mode", [md.STATION_ROWS, md.TOP_K_PAIRS])
     def test_no_grad_forward_is_bit_identical(self, mode):
-        pairs = mode == md.TOP_K_PAIRS
-        cfg = tiny_config(entity_mode=mode, top_k=4 if pairs else None,
-                          d_output=None)
+        cfg = tiny_config(entity_mode=mode)
         params = md.init_params(cfg)
         x = np.random.default_rng(6).normal(size=(3, 2, 4, cfg.feature_dim))
         taped = md.forward(x, params, cfg)
