@@ -170,6 +170,18 @@ def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.Mode
     return md.ModelConfig(**{"n_entities": series.n_stations, **values})
 
 
+def _check_checkpoint_model(cp: configparser.ConfigParser, model_config: md.ModelConfig,
+                            checkpoint: str) -> None:
+    """Raise for the first ``[model]`` key the INI sets that ``checkpoint``'s config
+    disagrees with, as ``[data]`` grid keys are checked against a series file."""
+    keys = {name: key for key, name in KEYS["model"][1].items()}
+    for name, value in _fields(cp, "model").items():
+        actual = getattr(model_config, name)
+        if value != actual:
+            raise dt.ConfigurationError(f"[model] {keys[name]} = {value} disagrees with "
+                                        f"{checkpoint}, which has {actual}")
+
+
 def _train_config(cp: configparser.ConfigParser) -> tr.TrainConfig:
     return tr.TrainConfig(**_fields(cp, "train"))
 
@@ -290,6 +302,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cp = _read_config(args.config)
     params, model_config = md.load_checkpoint(args.checkpoint)
+    _check_checkpoint_model(cp, model_config, args.checkpoint)
     series, stats, _ = _prepare(cp, model_config)
     flows, (train_s, val_s, test_s) = ev.entity_windows(series, model_config, stats)
     preds = tr.predict(model_config, params, test_s)

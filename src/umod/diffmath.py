@@ -10,7 +10,8 @@ operands have equal shapes, and ``linear`` adds its bias over the leading
 axes itself, so no adjoint has to undo an expansion.
 
 Conventions:
-  * relu'(0) == 0
+  * relu'(0) == 0, and relu gives +0.0 for every input that is not above 0,
+    -0.0 and NaN included
   * softmax is computed with max-subtraction, so huge logits stay finite
 """
 
@@ -46,6 +47,7 @@ class _Released(tuple):
 
 _RELEASED = _Released()
 _grad_enabled = True
+LEAF = 2 ** 16  # the most values one pairwise_sum leaf sums; at least numpy's block of 128
 
 
 @contextlib.contextmanager
@@ -197,11 +199,32 @@ def add(a, b) -> Tensor:
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0  # relu'(0) == 0 by convention
-    return Tensor(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    out = np.fmax(a.data, 0.0)  # 0.0 for NaN, without np.where's branch per entry
+    out += 0.0  # -0.0 becomes +0.0
+    return Tensor(out, [(a, lambda g: g * mask)])
 
 
 # ---------------------------------------------------------------------------
 # reductions
+
+
+def pairwise_sum(n: int, leaf, lo: int = 0):
+    """The sum of ``leaf(lo, m)`` over nodes ``[lo, lo + m)`` that tile ``[lo, lo + n)``.
+
+    The range splits as numpy's pairwise sum splits an array: halve, round
+    the first half down to a multiple of 8, and stop at nodes of at most
+    ``LEAF`` values. A leaf that returns ``np.sum`` of its slice of a
+    contiguous array therefore gives ``np.sum`` of the whole array, bit for
+    bit, while no temporary is larger than a leaf. Whatever the leaves return
+    is added with ``+``. This is a module function and not a closure that
+    calls itself, since such a closure is a reference cycle that keeps the
+    caller's arrays alive until the cycle collector runs.
+    """
+    if n <= LEAF:
+        return leaf(lo, n)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(half, leaf, lo) + pairwise_sum(n - half, leaf, lo + half)
 
 
 def mean_error(pred, target, squared: bool) -> Tensor:
@@ -224,7 +247,9 @@ def mean_error(pred, target, squared: bool) -> Tensor:
             out *= 2.0
             return out
 
-        return Tensor((d * d).mean(), [(pred, adjoint)])
+        flat = d.ravel(order="K")  # a view in d's memory order, which (d * d).mean() sums in
+        total = pairwise_sum(n, lambda lo, m: np.square(flat[lo:lo + m]).sum())
+        return Tensor(total / n, [(pred, adjoint)])
     # sign(d) is exact in float32, NaN included, at half the size of d
     sign = np.sign(d, out=np.empty(d.shape, np.float32))
     np.abs(d, out=d)

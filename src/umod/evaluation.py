@@ -46,28 +46,40 @@ class SweepResult:
 
 def compute_metrics(pred_norm: np.ndarray, target_norm: np.ndarray,
                     stats: NormStats) -> MetricsReport:
-    """MAE / RMSE / masked MAPE after inverting the normalization."""
+    """MAE / RMSE / masked MAPE after inverting the normalization.
+
+    The entries are inverted and scored one ``diffmath.pairwise_sum`` leaf at
+    a time, so no temporary is larger than a leaf, and the sums are
+    ``np.mean``'s bit for bit. The kept ``|r / t|`` are packed in order into
+    one buffer, whose prefix ``np.mean`` then averages.
+    """
     pred_norm = np.asarray(pred_norm, dtype=np.float64)
     target_norm = np.asarray(target_norm, dtype=np.float64)
     if pred_norm.shape != target_norm.shape:
         raise ConfigurationError(
             f"metrics: prediction {pred_norm.shape} vs target {target_norm.shape}"
         )
-    pred = stats.invert(pred_norm).ravel()
-    target = stats.invert(target_norm).ravel()
-    resid = np.subtract(pred, target, out=pred)
-    n = resid.size
-    scratch = np.abs(resid)  # reused for |r|, r * r and |target|
-    mae = float(scratch.mean())
-    rmse = float(math.sqrt(np.multiply(resid, resid, out=scratch).mean()))
-    kept = np.flatnonzero(np.abs(target, out=scratch) > MAPE_MASK_THRESHOLD)
-    used = kept.size
-    if used == 0:
-        mape = None
-    else:
-        mape = float(100.0 * np.abs(resid[kept] / target[kept]).mean())
-    return MetricsReport(mae=mae, rmse=rmse, mape_percent=mape,
-                         n_total=n, n_mape_used=used)
+    pred, target = pred_norm.ravel(), target_norm.ravel()
+    n = pred.size
+    ratios = np.empty(n)
+    used = 0
+
+    def leaf(lo, m):
+        nonlocal used
+        t = stats.invert(target[lo:lo + m])
+        r = stats.invert(pred[lo:lo + m])
+        r -= t
+        kept = np.flatnonzero(np.abs(t) > MAPE_MASK_THRESHOLD)  # gathers faster than a mask
+        quotient = r[kept] / t[kept]
+        np.abs(quotient, out=ratios[used:used + quotient.size])
+        used += quotient.size
+        a = np.abs(r)
+        return np.array([a.sum(), np.multiply(r, r, out=a).sum()])
+
+    abs_sum, square_sum = dm.pairwise_sum(n, leaf)
+    mape = None if used == 0 else float(100.0 * ratios[:used].mean())
+    return MetricsReport(mae=float(abs_sum / n), rmse=float(math.sqrt(square_sum / n)),
+                         mape_percent=mape, n_total=n, n_mape_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +100,16 @@ class HistoricalAverageBaseline:
     def __init__(self, flows: np.ndarray, n_train: int, bins_per_day: int,
                  stats: NormStats):
         flows = np.asarray(flows, dtype=np.float64)
-        self.profile = np.zeros((bins_per_day,) + flows.shape[1:])
-        for b in range(min(bins_per_day, n_train)):  # later bins have no rows
-            self.profile[b] = flows[b:n_train:bins_per_day].mean(axis=0)
+        days, extra = divmod(n_train, bins_per_day)
+        whole = flows[:days * bins_per_day].reshape((days, bins_per_day) + flows.shape[1:])
+        # each cell adds its days in order, as a per-bin mean(axis=0) adds its
+        # rows; numpy sums the rows of a lone cell pairwise instead, which
+        # gives the same bits on trip counts, since whole numbers add exactly
+        self.profile = whole.sum(axis=0)
+        self.profile[:extra] += flows[days * bins_per_day:n_train]
+        fitted = min(bins_per_day, n_train)  # later bins have no rows and stay +0.0
+        rows = days + (np.arange(fitted) < extra)
+        self.profile[:fitted] /= rows.reshape((fitted,) + (1,) * (flows.ndim - 1))
         self.bins_per_day = bins_per_day
         self.stats = stats
 

@@ -595,6 +595,35 @@ class TestEval:
                          "--out", str(out)]) == 0
         assert out.read_text() == (run_dir / "metrics.csv").read_text()
 
+    @pytest.mark.parametrize("model, key, ini, ckpt", [
+        ("history = 4\n", "history", "4", "2"),
+        ("history = 2\nuse_input_embedding = false\n", "use_input_embedding", "False",
+         "True"),
+        ("history = 2\nentity_mode = top_k_pairs\ntop_k = 2\n", "entity_mode",
+         "top_k_pairs", "station_rows"),
+        ("history = 2\ntop_k = 5\n", "top_k", "5", "3"),
+    ], ids=["history", "bool", "entity_mode", "top_k"])
+    def test_model_key_the_checkpoint_disagrees_with_exits_1(
+            self, run_config, tmp_path, capsys, model, key, ini, ckpt):
+        # [model] history = 2 of run_config becomes ``model``
+        assert cli.main(["train", str(run_config)]) == 0
+        other = tmp_path / "other.ini"
+        other.write_text(SMALL_RUN.replace("history = 2\n", model))
+        checkpoint, out = tmp_path / "run" / "model.ckpt", tmp_path / "eval.csv"
+        capsys.readouterr()
+        assert cli.main(["eval", str(checkpoint), str(other), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: [model] {key} = {ini} disagrees with "
+                                           f"{checkpoint}, which has {ckpt}\n")
+        assert not out.exists()
+
+    def test_model_keys_the_checkpoint_agrees_with_pass(self, pairs_config, tmp_path):
+        # the INI that trained the pair model sets every key it has the same
+        assert cli.main(["train", str(pairs_config)]) == 0
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", str(tmp_path / "run" / "model.ckpt"), str(pairs_config),
+                         "--out", str(out)]) == 0
+        assert out.read_text() == (tmp_path / "run" / "metrics.csv").read_text()
+
     def test_checkpoint_of_another_network_exits_1(self, run_config, tmp_path, capsys):
         assert cli.main(["train", str(run_config)]) == 0
         four = tmp_path / "four.ini"

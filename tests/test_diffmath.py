@@ -1,9 +1,11 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umod import diffmath as dm
 
@@ -111,6 +113,33 @@ class TestMeanError:
         want.backward()
         assert pred.grad.tobytes() == ref.grad.tobytes()
         assert pred.grad.strides == ref.grad.strides
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "transposed"])
+    @pytest.mark.parametrize("shape, leaf", [((16, 2, 288, 288), dm.LEAF), ((16, 2, 8, 8), 128)],
+                             ids=["n288", "n8_small_leaves"])
+    def test_squared_loss_over_many_leaves_is_the_mean(self, shape, leaf, strided):
+        rng = np.random.default_rng(shape[-1])
+        values, target = rng.normal(size=shape), rng.normal(size=shape)
+        if strided:
+            values = np.asfortranarray(values)
+        d = values - target
+        with mock.patch.object(dm, "LEAF", leaf):
+            out = dm.mean_error(dm.Tensor(values), target, squared=True)
+        assert d.size > 8 * leaf
+        assert out.data.tobytes() == (d * d).mean().tobytes()
+
+    def test_squared_loss_on_the_pair_view_is_the_mean(self):
+        from umod import model as md
+        cfg = md.ModelConfig(n_entities=40, history=3, horizon=2, d_input=3, d_adaptive=2,
+                             entity_mode=md.TOP_K_PAIRS, seed=3)
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(4, 3, 40, 1)), rng.normal(size=(4, 2, 40, 1))
+        pred = md.forward(x, md.init_params(cfg), cfg)
+        d = pred.data - y
+        with mock.patch.object(dm, "LEAF", 128):
+            out = dm.mean_error(pred, y, squared=True)
+        assert not pred.data.flags.c_contiguous and d.size > 2 * 128
+        assert out.data.tobytes() == (d * d).mean().tobytes()
 
     def test_nan_difference_gives_a_nan_gradient_entry(self):
         # the absolute branch keeps sign(d) narrower than d, and NaN stays NaN,
@@ -264,10 +293,61 @@ class TestAttention:
             dm.scaled_dot_attention(t, t, t)
 
 
+class TestPairwiseSum:
+    @staticmethod
+    def leaf_sums(values, calls=None):
+        def leaf(lo, m):
+            if calls is not None:
+                calls.append((lo, m))
+            return values[lo:lo + m].sum()
+        return leaf
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 129, dm.LEAF - 1, dm.LEAF, dm.LEAF + 1,
+                                   2 * dm.LEAF + 9, 3 * dm.LEAF + 8, 1_000_003])
+    def test_matches_np_sum_and_mean(self, n):
+        values = np.random.default_rng(n).normal(size=n) * 1e3
+        calls = []
+        total = dm.pairwise_sum(n, self.leaf_sums(values, calls))
+        assert total.tobytes() == values.sum().tobytes()
+        if n:
+            assert (total / n).tobytes() == values.mean().tobytes()
+        # the leaves tile the range in order, none longer than LEAF
+        assert [lo for lo, _ in calls] == list(np.cumsum([0] + [m for _, m in calls[:-1]]))
+        assert sum(m for _, m in calls) == n and max(m for _, m in calls) <= dm.LEAF
+
+    def test_random_lengths(self):
+        rng = np.random.default_rng(23)
+        for n in rng.integers(1, 5 * dm.LEAF, size=12):
+            values = rng.normal(size=n)
+            assert dm.pairwise_sum(n, self.leaf_sums(values)).tobytes() == \
+                values.sum().tobytes()
+
+    def test_leaves_may_return_vectors(self):
+        values = np.random.default_rng(4).normal(size=(2, 3 * dm.LEAF + 8))
+        total = dm.pairwise_sum(values.shape[1], lambda lo, m: values[:, lo:lo + m].sum(axis=1))
+        assert total.tobytes() == np.array([values[0].sum(), values[1].sum()]).tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.integers(0, 6000), st.integers(0, 2 ** 32 - 1))
+    def test_small_leaves_match_np_sum(self, n, seed):
+        values = np.random.default_rng(seed).normal(size=n) * 1e6
+        with mock.patch.object(dm, "LEAF", 128):
+            total = dm.pairwise_sum(n, self.leaf_sums(values))
+        assert total.tobytes() == values.sum().tobytes()
+
+
 class TestElementwise:
     def test_relu_sign_cases(self):
         out = dm.relu(dm.Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_relu_bytes_match_the_where_oracle(self):
+        # +0.0 wherever the input is not above 0, -0.0, -nan and negative
+        # subnormals included; positive subnormals and +inf pass through
+        values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                           2.5, -2.5])
+        out = dm.relu(dm.Tensor(values))
+        assert out.data.tobytes() == np.where(values > 0.0, values, 0.0).tobytes()
 
     def test_add(self):
         out = dm.add(dm.Tensor([1.0, 2.0]), dm.Tensor([3.0, 4.0]))

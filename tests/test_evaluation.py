@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from umod import cli
 from umod import data as dt
+from umod import diffmath as dm
 from umod import evaluation as ev
 from umod import model as md
 from umod import training as tr
@@ -408,7 +412,39 @@ class TestScoringMatchesEarlierCode:
             pred, target, stats)
         assert np.array_equal(pred, pred_before) and np.array_equal(target, target_before)
 
-    @pytest.mark.parametrize("size", [1, 9, 128, 129, 100_003])
+    @ORACLE
+    @given(metric_inputs())
+    def test_compute_metrics_over_small_leaves(self, inputs):
+        pred, target, stats = inputs
+        with mock.patch.object(dm, "LEAF", 128):
+            assert ev.compute_metrics(pred, target, stats) == compute_metrics_oracle(
+                pred, target, stats)
+
+    def test_compute_metrics_on_a_transposed_prediction(self):
+        rng = np.random.default_rng(5)
+        pred = rng.normal(size=(96, 96, 2, 4)).T  # [4, 2, 96, 96], more than one leaf
+        target = rng.normal(size=pred.shape)
+        target[..., ::5] = 0.0
+        stats = dt.NormStats(1.5, 4.0)
+        assert not pred.flags.c_contiguous and pred.size > dm.LEAF
+        assert ev.compute_metrics(pred, target, stats) == compute_metrics_oracle(
+            pred, target, stats)
+
+    def test_compute_metrics_lets_go_of_its_inputs(self):
+        # no reference cycle holds the caller's arrays once it drops them
+        rng = np.random.default_rng(6)
+        pred, target = rng.normal(size=3 * dm.LEAF + 8), rng.normal(size=3 * dm.LEAF + 8)
+        refs = [weakref.ref(pred), weakref.ref(target)]
+        gc.disable()
+        try:
+            ev.compute_metrics(pred, target, dt.NormStats(0.0, 2.0))
+            del pred, target
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("size", [1, 9, 128, 129, 100_003, 2 * dm.LEAF + 9,
+                                      3 * dm.LEAF + 8])
     def test_compute_metrics_across_pairwise_block_sizes(self, size):
         # numpy's mean sums in blocks; sizes around and far past a block
         rng = np.random.default_rng(size)
@@ -466,6 +502,20 @@ class TestScoringMatchesEarlierCode:
             assert np.array_equal(fitted.predict(samples), oracle.predict(samples))
         assert np.array_equal(ev.LastValueBaseline().predict(samples),
                               LastValueOracle().predict(samples))
+
+    @pytest.mark.parametrize("cells, integral", [((3, 2), False), ((1, 1), True)],
+                             ids=["fractional", "one_cell_counts"])
+    def test_historical_average_over_many_days(self, cells, integral):
+        # 60 whole days and a partial one; with one cell the earlier per-bin
+        # mean sums pairwise, which rounds alike only on whole numbers
+        bins_per_day, n_train = 34, 34 * 60 + 13
+        rng = np.random.default_rng(8)
+        flows = rng.random((n_train + 40,) + cells) * 300.0
+        flows = np.round(flows) if integral else flows
+        stats = dt.NormStats(10.0, 3.0)
+        fitted = ev.HistoricalAverageBaseline(flows, n_train, bins_per_day, stats)
+        oracle = HistoricalAverageOracle().fit(flows, n_train, bins_per_day, stats)
+        assert fitted.profile.tobytes() == oracle.profile.tobytes()
 
     def test_empty_sample_list_raises_as_before(self):
         flows = np.ones((6, 2, 1))

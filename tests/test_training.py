@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -41,6 +42,21 @@ class TestLoss:
     def test_shape_mismatch(self):
         with pytest.raises(dm.DimensionError):
             tr.loss(dm.Tensor([1.0]), np.array([1.0, 2.0]))
+
+    def test_mean_squared_holds_the_difference_and_one_leaf(self):
+        # the adjoint keeps d = pred - target; d * d is summed a leaf at a time
+        rng = np.random.default_rng(3)
+        shape = (4, 2, 288, 288)
+        pred, target = dm.Tensor(rng.normal(size=shape)), rng.normal(size=shape)
+        tracemalloc.start()
+        try:
+            out = tr.loss(pred, target, tr.MEAN_SQUARED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = pred.data - target
+        assert out.data.tobytes() == (d * d).mean().tobytes()
+        assert peak <= d.nbytes + 2 * dm.LEAF * d.itemsize
 
 
 def zero_moments(params):
