@@ -27,6 +27,11 @@ is set must equal the file's, and neither [data] series nor a synthetic
 source takes trips, stations, start_time or end_time. A value that does not
 parse as its field's type, an unknown section or key, and a malformed file
 are each a ConfigurationError naming the file or the section and key.
+
+train, sweep and eval read their INI through one resolver, ``_prepare``, so
+each accepts the same INIs and rejects the rest with the same error before it
+makes anything. eval takes its model from the checkpoint, and each [model]
+key the INI sets must agree with it.
 """
 
 from __future__ import annotations
@@ -170,22 +175,6 @@ def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.Mode
     return md.ModelConfig(**{"n_entities": series.n_stations, **values})
 
 
-def _check_checkpoint_model(cp: configparser.ConfigParser, model_config: md.ModelConfig,
-                            checkpoint: str) -> None:
-    """Raise for the first ``[model]`` key the INI sets that ``checkpoint``'s config
-    disagrees with, as ``[data]`` grid keys are checked against a series file."""
-    keys = {name: key for key, name in KEYS["model"][1].items()}
-    for name, value in _fields(cp, "model").items():
-        actual = getattr(model_config, name)
-        if value != actual:
-            raise dt.ConfigurationError(f"[model] {keys[name]} = {value} disagrees with "
-                                        f"{checkpoint}, which has {actual}")
-
-
-def _train_config(cp: configparser.ConfigParser) -> tr.TrainConfig:
-    return tr.TrainConfig(**_fields(cp, "train"))
-
-
 def _resolved(cp: configparser.ConfigParser, series: dt.ODSeries,
               model_config: md.ModelConfig,
               train_config: tr.TrainConfig) -> configparser.ConfigParser:
@@ -224,11 +213,15 @@ def _metrics_csv(lines: list[str]) -> str:
     return "\n".join(["label,mae,rmse,mape_percent,n_total,n_mape_used", *lines]) + "\n"
 
 
-def _prepare(cp, model_config=None):
-    """Series, normalizer and model config (the INI's unless given)."""
+def _prepare(cp):
+    """Series, normalizer, model and train configs, and resolved.ini of the INI ``cp``:
+    the one reading of a run config, which train, sweep and eval share."""
     series = _load_series_from_config(cp)
     stats = dt.fit_normalizer(series, dt.SPLIT[0])
-    return series, stats, model_config or _model_config(cp, series)
+    model_config = _model_config(cp, series)
+    train_config = tr.TrainConfig(**_fields(cp, "train"))
+    return (series, stats, model_config, train_config,
+            _resolved(cp, series, model_config, train_config))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +268,9 @@ def cmd_train(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    series, stats, model_config = _prepare(cp)
-    train_config = _train_config(cp)
+    series, stats, model_config, train_config, resolved = _prepare(cp)
     _, windows = ev.entity_windows(series, model_config, stats)
-    # a bad [synthetic] section and parameters too large to hold fail here,
-    # before the run directory is made
-    resolved = _resolved(cp, series, model_config, train_config)
+    # parameters too large to hold fail here, before the run directory is made
     params = md.init_params(model_config)
     os.makedirs(run_dir, exist_ok=True)
     dt.write_atomically(os.path.join(run_dir, "resolved.ini"), resolved.write)
@@ -302,8 +292,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cp = _read_config(args.config)
     params, model_config = md.load_checkpoint(args.checkpoint)
-    _check_checkpoint_model(cp, model_config, args.checkpoint)
-    series, stats, _ = _prepare(cp, model_config)
+    series, stats, ini_config, train_config, _ = _prepare(cp)
+    for key, name in KEYS["model"][1].items():  # each [model] key the INI sets
+        value, actual = getattr(ini_config, name), getattr(model_config, name)
+        if cp.get("model", key, fallback="") and value != actual:
+            raise dt.ConfigurationError(f"[model] {key} = {value} disagrees with "
+                                        f"{args.checkpoint}, which has {actual}")
     flows, (train_s, val_s, test_s) = ev.entity_windows(series, model_config, stats)
     preds = tr.predict(model_config, params, test_s)
     targets = np.stack([s.y for s in test_s])
@@ -311,8 +305,7 @@ def cmd_eval(args) -> int:
     for kind in (args.baseline or []):
         baseline = ev.fit_baseline(
             kind, series=series, flows=flows, stats=stats,
-            train_samples=train_s, val_samples=val_s,
-            train_config=_train_config(cp))
+            train_samples=train_s, val_samples=val_s, train_config=train_config)
         bp = baseline.predict(test_s)
         lines.append(_metrics_lines(kind, ev.compute_metrics(bp, targets, stats)))
     body = _metrics_csv(lines)
@@ -339,8 +332,7 @@ def cmd_sweep(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    series, stats, model_config = _prepare(cp)
-    train_config = _train_config(cp)
+    series, stats, model_config, train_config, _ = _prepare(cp)
     _check_makedirs(run_dir)  # before any row trains
     if args.kind == "hp":
         result = ev.run_hp_sweep(series, stats, model_config, train_config)

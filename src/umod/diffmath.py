@@ -369,26 +369,23 @@ def qkv_projection(x, W_Q, W_K, W_V):
     return tuple(Tensor(o, _weight_parents(x, W)) for o, W in zip(outs, weights))
 
 
-def linear(x, W, b=None) -> Tensor:
+def linear(x, W, b) -> Tensor:
     """``x @ W + b`` with a 2-d weight on the last axis of ``x``, as one tape node.
 
-    The optional bias has shape ``W.shape[1:]``; its adjoint sums the upstream
-    gradient over every leading axis.
+    The bias has shape ``W.shape[1:]``; its adjoint sums the upstream gradient
+    over every leading axis.
     """
-    x, W = _as_tensor(x), _as_tensor(W)
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.data.ndim < 2 or W.data.ndim != 2 or x.shape[-1] != W.shape[0]:
         raise DimensionError(
             f"linear: input {x.shape} does not match weight {W.shape}"
         )
+    if b.shape != W.shape[1:]:
+        raise DimensionError(f"linear: bias {b.shape} does not match weight {W.shape}")
     out = x.data @ W.data
-    parents = _weight_parents(x, W)
-    if b is not None:
-        b = _as_tensor(b)
-        if b.shape != W.shape[1:]:
-            raise DimensionError(f"linear: bias {b.shape} does not match weight {W.shape}")
-        out += b.data
-        parents.append((b, lambda g: g.sum(axis=tuple(range(g.ndim - 1)))))
-    return Tensor(out, parents)
+    out += b.data
+    return Tensor(out, [*_weight_parents(x, W),
+                        (b, lambda g: g.sum(axis=tuple(range(g.ndim - 1))))])
 
 
 def softmax_last(x, c: float) -> Tensor:

@@ -225,11 +225,11 @@ def run_ablations(series: ODSeries, stats: NormStats,
         raise ConfigurationError("ablation base config must enable both embeddings")
     configs = [model_config, replace(model_config, use_input_embedding=False),
                replace(model_config, use_adaptive_embedding=False)]
+    windows = entity_windows(series, model_config, stats)[1]  # the rows share the view
     result = SweepResult()
     for name, cfg in zip(ABLATION_ORDER, configs):
-        params, _, metrics = _train_and_score(
-            m.init_params(cfg), cfg, train_config, stats,
-            entity_windows(series, cfg, stats)[1])
+        params, _, metrics = _train_and_score(m.init_params(cfg), cfg, train_config,
+                                              stats, windows)
         result.rows.append(({"ablation": name}, metrics))
         if name == "full":
             result.full_params = params
@@ -245,11 +245,11 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
     width = "d_input" if axis == "input_dim" else "d_adaptive"
     configs = [replace(model_config, **{width: v}) for v in values]
+    windows = entity_windows(series, model_config, stats)[1]  # the rows share the view
     result = SweepResult()
     for v, cfg in zip(values, configs):
-        _, _, metrics = _train_and_score(
-            m.init_params(cfg), cfg, train_config, stats,
-            entity_windows(series, cfg, stats)[1])
+        _, _, metrics = _train_and_score(m.init_params(cfg), cfg, train_config, stats,
+                                         windows)
         result.rows.append(
             ({"axis": axis, "value": v, "d_input": cfg.d_input,
               "d_adaptive": cfg.d_adaptive}, metrics))

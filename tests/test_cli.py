@@ -408,12 +408,14 @@ class TestTrain:
         assert (run_dir / "metrics.csv").read_text().splitlines()[1] == \
             cli._metrics_lines("model", metrics)
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "ablate"], ["eval"]],
+                             ids=["train", "sweep", "eval"])
     @pytest.mark.parametrize("source, synthetic", [
         ("series", "stations = 0"), ("trips", "days = 0")])
     def test_bad_synthetic_section_beside_a_data_source_exits_1(self, tmp_path, capsys,
-                                                                source, synthetic):
-        # resolved.ini echoes [synthetic] under any source, so it is checked before
-        # the run directory is made
+                                                                source, synthetic, command):
+        # resolved.ini echoes [synthetic] under any source, so every command
+        # checks it before it makes anything
         series, trips, stations = (tmp_path / name for name in
                                    ("series.bin", "trips.csv", "stations.txt"))
         dt.dump_series(dt.synth_generate(dt.SyntheticSpec(
@@ -427,10 +429,15 @@ class TestTrain:
         cfg.write_text(f"[data]\n{data}[synthetic]\n{synthetic}\n"
                        "[model]\nd_input = 3\nd_adaptive = 4\n[train]\nmax_epochs = 1\n"
                        f"[run]\noutput_dir = {tmp_path / 'run1'}\n")
-        assert cli.main(["train", str(cfg)]) == 1
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "eval.csv"
+        model_config = md.ModelConfig(n_entities=3, d_input=3, d_adaptive=4)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        argv = [*command, str(cfg)] if command != ["eval"] else \
+            ["eval", str(ckpt), str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(
             "error: synthetic series needs n_stations >= 1, days >= 1")
-        assert not (tmp_path / "run1").exists()
+        assert not (tmp_path / "run1").exists() and not out.exists()
 
     def test_diverging_run_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -595,16 +602,18 @@ class TestEval:
                          "--out", str(out)]) == 0
         assert out.read_text() == (run_dir / "metrics.csv").read_text()
 
-    @pytest.mark.parametrize("model, key, ini, ckpt", [
-        ("history = 4\n", "history", "4", "2"),
-        ("history = 2\nuse_input_embedding = false\n", "use_input_embedding", "False",
-         "True"),
-        ("history = 2\nentity_mode = top_k_pairs\ntop_k = 2\n", "entity_mode",
-         "top_k_pairs", "station_rows"),
-        ("history = 2\ntop_k = 5\n", "top_k", "5", "3"),
+    @pytest.mark.parametrize("model, message", [
+        ("history = 4\n", "[model] history = 4 disagrees with {ckpt}, which has 2"),
+        ("history = 2\nuse_input_embedding = false\n",
+         "[model] use_input_embedding = False disagrees with {ckpt}, which has True"),
+        ("history = 2\nentity_mode = top_k_pairs\ntop_k = 2\n",
+         "[model] entity_mode = top_k_pairs disagrees with {ckpt}, which has station_rows"),
+        # the INI's own [model] rules come first, as under train and sweep
+        ("history = 2\ntop_k = 5\n",
+         "[model] top_k = 5 needs entity_mode top_k_pairs, not station_rows"),
     ], ids=["history", "bool", "entity_mode", "top_k"])
     def test_model_key_the_checkpoint_disagrees_with_exits_1(
-            self, run_config, tmp_path, capsys, model, key, ini, ckpt):
+            self, run_config, tmp_path, capsys, model, message):
         # [model] history = 2 of run_config becomes ``model``
         assert cli.main(["train", str(run_config)]) == 0
         other = tmp_path / "other.ini"
@@ -612,8 +621,7 @@ class TestEval:
         checkpoint, out = tmp_path / "run" / "model.ckpt", tmp_path / "eval.csv"
         capsys.readouterr()
         assert cli.main(["eval", str(checkpoint), str(other), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (f"error: [model] {key} = {ini} disagrees with "
-                                           f"{checkpoint}, which has {ckpt}\n")
+        assert capsys.readouterr().err == f"error: {message.format(ckpt=checkpoint)}\n"
         assert not out.exists()
 
     def test_model_keys_the_checkpoint_agrees_with_pass(self, pairs_config, tmp_path):
@@ -951,6 +959,30 @@ class TestConfigValues:
             "error: [model] top_k = 5 needs entity_mode top_k_pairs, not station_rows\n"
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "ablate"], ["eval"]],
+                             ids=["train", "sweep", "eval"])
+    @pytest.mark.parametrize("section, line, message", [
+        ("model", "top_k = 3", "[model] top_k = 3 needs entity_mode top_k_pairs, "
+                               "not station_rows"),
+        ("model", "entity_mode = top_k_pairs",
+         "entity_mode top_k_pairs needs [model] top_k >= 1, got None"),
+        ("train", "lr = 0", "lr must be > 0, got 0.0"),
+    ], ids=["top_k_of_the_station_count", "top_k_pairs_without_top_k", "train_value"])
+    def test_every_command_applies_the_same_rules(self, tmp_path, capsys, command,
+                                                  section, line, message):
+        # eval takes its model from the checkpoint, yet reads the INI as train
+        # does, [train] included without a plain_mlp baseline
+        cfg, ckpt, out = tmp_path / "run.ini", tmp_path / "model.ckpt", tmp_path / "eval.csv"
+        cfg.write_text(SMALL_RUN.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        model_config = md.ModelConfig(n_entities=3, d_input=3, d_adaptive=4)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        run_dir = tmp_path / "run"
+        argv = [*command, str(cfg), "--output-dir", str(run_dir)] if command != ["eval"] \
+            else ["eval", str(ckpt), str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not run_dir.exists() and not out.exists()
+
     def test_eval_on_non_finite_statistics_exits_1(self, tmp_path, capsys):
         ckpt, cfg = tmp_path / "model.ckpt", tmp_path / "run.ini"
         model_config = md.ModelConfig(n_entities=3, history=2, horizon=2, d_input=3,
@@ -1013,8 +1045,11 @@ class TestGeneratedConfigs:
     @example(base="series", key=("synthetic", "stations"), value="0")
     @example(base="synthetic", key=("model", "use_input_embedding"), value="0")
     @example(base="synthetic", key=("model", "top_k"), value="5")
+    @example(base="series", key=("train", "lr"), value="1e200")
     def test_synth_train_and_eval_exit_cleanly(self, base, key, value):
-        # and `umod sweep ablate`; a command that fails leaves no file or directory
+        # and `umod sweep ablate`; a command that fails leaves no file or directory,
+        # but for a train run whose loss diverged, which logs that epoch in its run
+        # directory
         cp = configparser.ConfigParser()
         cp.read_dict(BASES[base])
         model_config = md.ModelConfig(n_entities=3, history=1, horizon=1, d_input=2,
@@ -1030,17 +1065,24 @@ class TestGeneratedConfigs:
                 with open("run.ini", "w", encoding="utf-8") as fh:
                     cp.write(fh)
                 md.save_checkpoint("model.ckpt", md.init_params(model_config), model_config)
-                self.run_each(["synth", "run.ini", "out.bin"], ["train", "run.ini"],
-                              ["eval", "model.ckpt", "run.ini", "--baseline",
-                               "historical_average", "--baseline", "last_value",
-                               "--baseline", "plain_mlp"],
-                              ["sweep", "ablate", "run.ini"])
+                _, train, _, sweep = self.run_each(
+                    ["synth", "run.ini", "out.bin"], ["train", "run.ini"],
+                    ["eval", "model.ckpt", "run.ini", "--baseline", "historical_average",
+                     "--baseline", "last_value", "--baseline", "plain_mlp"],
+                    ["sweep", "ablate", "run.ini"])
             finally:
                 os.chdir(cwd)
+        # sweep reads the INI as train does; only its check of the embeddings is its own
+        (train_code, train_err, train_made), (sweep_code, sweep_err, _) = train, sweep
+        if train_code and not train_made and \
+                sweep_err != "error: ablation base config must enable both embeddings\n":
+            assert (sweep_code, sweep_err) == (train_code, train_err)
 
     @staticmethod
     def run_each(*commands):
-        """Run each command from the same files: what one makes is removed."""
+        """Run each command from the same files: what one makes is removed.
+        Returns the exit code, stderr and made names of each."""
+        results = []
         for argv in commands:
             before = set(os.listdir())
             code, err = run_quietly(argv)
@@ -1048,12 +1090,16 @@ class TestGeneratedConfigs:
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), \
                 (argv[0], err)
             made = set(os.listdir()) - before
-            assert not (code and made), (argv[0], err, made)
+            diverged = argv[0] == "train" and re.fullmatch(
+                r"error: non-finite (training|validation) loss at epoch \d+\n", err)
+            assert not (code and made) or (diverged and made == {"run"}), (argv[0], err, made)
             for name in made:
                 if os.path.isdir(name):
                     shutil.rmtree(name)
                 else:
                     os.remove(name)
+            results.append((code, err, made))
+        return results
 
 
 class TestSweep:
@@ -1096,6 +1142,21 @@ class TestSweep:
         table = (tmp_path / "run" / "hp_sweep.csv").read_text().strip().split("\n")
         assert table[0].startswith("H,P,mae")
         assert len(table) > 1
+
+    @pytest.mark.parametrize("kind, cuts", [("hp", len(ev.HP_GRID)), ("ablate", 1),
+                                            ("dims", 1)])
+    def test_rows_that_share_a_view_share_its_windows(self, run_config, monkeypatch,
+                                                      kind, cuts):
+        # ablation and width rows differ only in embeddings, so one cut serves them all
+        calls, split_and_window = [], ev.split_and_window
+
+        def spy(*args):
+            calls.append(args)
+            return split_and_window(*args)
+
+        monkeypatch.setattr(ev, "split_and_window", spy)
+        assert cli.main(["sweep", kind, str(run_config)]) == 0
+        assert len(calls) == cuts
 
     def test_sweep_with_no_row_exits_1(self, tmp_path, capsys):
         # two days of 12 hourly bins leave a 2-bin validation split: no (H, P) fits

@@ -40,7 +40,7 @@ class TestLinear:
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(dm.DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
-            dm.linear(dm.Tensor(np.zeros((2, 3))), np.zeros((4, 2)))
+            dm.linear(dm.Tensor(np.zeros((2, 3))), np.zeros((4, 2)), np.zeros(2))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -442,7 +442,7 @@ def test_every_op_passes_gradient_check(seed):
 
     def loss_fn(params):
         a_, b_, w_ = params
-        y = dm.linear(a_, w_)
+        y = dm.linear(a_, w_, np.zeros(3))
         y = dm.add(y, b_)
         y = dm.relu(y)
         y = dm.softmax_last(y, 0.7)
@@ -474,12 +474,12 @@ def test_matmul_weight_adjoints(shape, strided):
         return dm.transpose(t, swap) if strided else t
 
     def loss_fn(params):
-        return weighted_sum(dm.linear(left(params[0]), params[1]), g)
+        return weighted_sum(dm.linear(left(params[0]), params[1], np.zeros(5)), g)
 
     assert dm.finite_diff_check(loss_fn, [x, w], eps=1e-6) < 1e-6
     a = left(x)
     assert a.data.flags.c_contiguous != strided
-    (_, grad_a), (_, grad_b) = dm.linear(a, w).parents
+    (_, grad_a), (_, grad_b), _ = dm.linear(a, w, np.zeros(5)).parents
     batch = tuple(range(len(shape) - 2))
     assert np.abs(grad_b(g) - (np.swapaxes(a.data, -1, -2) @ g).sum(axis=batch)).max() < 1e-12
     assert np.abs(grad_a(g) - g @ w.data.T).max() < 1e-12
@@ -505,7 +505,7 @@ class TestQKVProjection:
 
     @staticmethod
     def separate(x, ws):
-        return tuple(dm.linear(x, w) for w in ws)
+        return tuple(dm.linear(x, w, np.zeros(w.shape[1])) for w in ws)
 
     @pytest.mark.parametrize("H", [1, 2, 6])
     def test_bit_identical_to_three_matmuls(self, H):
@@ -614,7 +614,7 @@ def unreleased_leaf_grads(root):
 def small_graph():
     x = dm.Tensor(np.array([[1.0, -2.0]]))
     w = dm.Tensor(np.array([[0.5], [-0.25]]))
-    hidden = dm.relu(dm.linear(x, w))  # [[1.0]]
+    hidden = dm.relu(dm.linear(x, w, np.zeros(1)))  # [[1.0]]
     return x, w, hidden, dm.mean_error(hidden, np.zeros((1, 1)), squared=True)
 
 
