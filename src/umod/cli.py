@@ -220,6 +220,7 @@ def _prepare(cp):
     stats = dt.fit_normalizer(series, dt.SPLIT[0])
     model_config = _model_config(cp, series)
     train_config = tr.TrainConfig(**_fields(cp, "train"))
+    # _resolved is what checks a [synthetic] beside a data source, for every command
     return (series, stats, model_config, train_config,
             _resolved(cp, series, model_config, train_config))
 
