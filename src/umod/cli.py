@@ -239,26 +239,20 @@ def cmd_synth(args) -> int:
 
 def _ingest(trips_path, stations_path, start_time, end_time, granularity,
             window):
-    """The series binned from a trip log, the trips it holds, and the counts of
-    trips dropped out of the span and outside operating hours."""
-    stations = [name for _, name in dt.read_lines(stations_path)]
+    """The series binned from a trip log, and the counts of trips dropped out
+    of the span and outside operating hours."""
+    stations = dt.read_lines(stations_path)
     trips = dt.read_trips_with_lines(trips_path, stations)
-    series, out_of_span = dt.build_od_series(trips, stations, start_time, end_time,
-                                             granularity)
-    in_span_flow = trips[2].size - out_of_span  # each kept trip adds 1 to one cell
-    if window is not None:
-        series = dt.filter_operating_hours(series, window)
-    total_flow = int(series.flows.sum())
-    return series, total_flow, out_of_span, in_span_flow - total_flow
+    return dt.build_od_series(trips, stations, start_time, end_time, granularity, window)
 
 
 def cmd_ingest(args) -> int:
     window = tuple(args.window) if args.window else None
-    series, total_flow, out_of_span, outside_hours = _ingest(
+    series, out_of_span, outside_hours = _ingest(
         args.trips, args.stations, args.start, args.end, args.granularity, window)
     dt.dump_series(series, args.out)
     print(f"stations={series.n_stations} bins={series.n_bins} "
-          f"total_flow={total_flow} dropped={out_of_span + outside_hours} "
+          f"total_flow={series.flows.sum():.0f} dropped={out_of_span + outside_hours} "
           f"out_of_span={out_of_span} outside_hours={outside_hours}")
     return EXIT_OK
 

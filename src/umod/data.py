@@ -131,20 +131,23 @@ class SyntheticSpec:
 # ingestion
 
 
-def build_od_series(trips, stations, start_time: int, end_time: int,
-                    granularity: int) -> tuple[ODSeries, int]:
-    """Bin trips into an ODSeries.
+def build_od_series(trips, stations, start_time: int, end_time: int, granularity: int,
+                    window: tuple[int, int] | None) -> tuple[ODSeries, int, int]:
+    """Bin trips into an ODSeries on the grid of the bins inside ``window``.
 
     ``trips`` is ``(origin, destination, timestamp)``: station-index and
     timestamp arrays of one length, as ``read_trips_with_lines`` returns.
     Bins are half-open ``[start, start + granularity)``, so a boundary
-    timestamp lands in the later bin. Returns the series and the count of
-    trips dropped for falling outside ``[start_time, end_time)``.
+    timestamp lands in the later bin; ``filter_operating_hours`` picks the
+    bins that are kept, all of them when ``window`` is None. Returns the
+    series and the counts of trips dropped for falling outside
+    ``[start_time, end_time)`` and outside the window's hours.
     """
     _check_grid(granularity, None)
     if start_time >= end_time:
         raise ConfigurationError("start_time must precede end_time")
-    if not INT64_MIN < start_time < end_time <= INT64_MAX:
+    # its length too, so every offset into it and every bin start stays in int64
+    if not INT64_MIN < start_time < end_time <= INT64_MAX or end_time - start_time > INT64_MAX:
         raise ConfigurationError(f"span [{start_time}, {end_time}) is beyond int64 seconds")
     span = end_time - start_time
     if span % granularity != 0 or span < granularity:
@@ -162,14 +165,17 @@ def build_od_series(trips, stations, start_time: int, end_time: int,
     t_total = span // granularity
     # also keeps every flat cell index below int64, so none of them can wrap
     check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
-    keep = (timestamp >= start_time) & (timestamp < end_time)
-    t = (timestamp[keep] - start_time) // granularity
-    cells = (t * n + origin[keep]) * n + destination[keep]
+    kept_bin = filter_operating_hours(start_time, t_total, granularity, window)
+    in_span = (timestamp >= start_time) & (timestamp < end_time)
+    t = kept_bin[(timestamp[in_span] - start_time) // granularity]
+    in_hours = t >= 0
+    cells = (t[in_hours] * n + origin[in_span][in_hours]) * n + destination[in_span][in_hours]
+    t_kept = int(kept_bin.max()) + 1
     # unit weights count in float64 directly; counts below 2**53 stay exact
     flows = np.bincount(cells, weights=np.ones(cells.size),
-                        minlength=t_total * n * n).reshape(t_total, n, n)
-    series = ODSeries(list(stations), start_time, granularity, flows)
-    return series, int(keep.size - np.count_nonzero(keep))
+                        minlength=t_kept * n * n).reshape(t_kept, n, n)
+    series = ODSeries(list(stations), start_time, granularity, flows, operating_window=window)
+    return series, int(in_span.size - t.size), int(t.size - cells.size)
 
 
 def _read_text_lines(path) -> list[str]:
@@ -185,10 +191,9 @@ def _read_text_lines(path) -> list[str]:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_lines(path) -> list[tuple[int, str]]:
-    """``(line number, stripped line)`` for each non-blank line of UTF-8 text."""
-    return [(lineno, line) for lineno, line in
-            enumerate(map(str.strip, _read_text_lines(path)), start=1) if line]
+def read_lines(path) -> list[str]:
+    """The stripped non-blank lines of UTF-8 text."""
+    return [line for line in map(str.strip, _read_text_lines(path)) if line]
 
 
 def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,24 +241,24 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
 # filtering / normalization / windowing
 
 
-def filter_operating_hours(series: ODSeries, window: tuple[int, int]) -> ODSeries:
-    """Drop bins whose start hour falls outside ``[start_hour, end_hour)``.
+def filter_operating_hours(start_time: int, n_bins: int, granularity: int,
+                           window: tuple[int, int] | None) -> np.ndarray:
+    """Each of ``n_bins`` bins' index on the grid of the kept bins, or -1 for a
+    bin whose start hour falls outside ``[start_hour, end_hour)`` of ``window``.
 
-    Remaining bins are re-indexed consecutively and the window is recorded
-    on the returned series.
+    Kept bins are indexed consecutively; a ``window`` of None keeps every bin.
     """
+    _check_grid(granularity, window)
+    t = np.arange(n_bins)
+    if window is None:
+        return t
     start_h, end_h = window
-    if series.operating_window is not None:
-        raise ConfigurationError("series already carries an operating window")
-    _check_grid(series.granularity, window)
-    t = np.arange(series.n_bins)
-    second_of_day = (series.start_time + t * series.granularity) % SECONDS_PER_DAY
+    second_of_day = (start_time + t * granularity) % SECONDS_PER_DAY
     keep = (second_of_day >= start_h * 3600) & (second_of_day < end_h * 3600)
     if not keep.any():
         raise ConfigurationError(f"no bin of the series falls inside operating window "
                                  f"{start_h}-{end_h}h")
-    return ODSeries(series.stations, series.start_time, series.granularity,
-                    series.flows[keep], operating_window=(start_h, end_h))
+    return np.where(keep, np.cumsum(keep) - 1, -1)
 
 
 def _bins_per_day(granularity: int, window: tuple[int, int] | None) -> int:

@@ -26,23 +26,24 @@ def columns(*trips):
 class TestBuildSeries:
     def test_hand_counted_bin(self):
         trips = columns((0, 1, 10), (0, 1, 20), (1, 0, 30))
-        series, dropped = dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800)
+        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800, None)
         assert dropped == 0
         assert np.array_equal(series.flows[0], [[0, 2], [1, 0]])
 
     def test_empty_trip_list(self):
-        series, _ = dt.build_od_series(columns(), ["A", "B", "C"], 0, 3600, 1800)
+        series, _, _ = dt.build_od_series(columns(), ["A", "B", "C"], 0, 3600, 1800, None)
         assert series.flows.shape == (2, 3, 3)
         assert series.flows.sum() == 0
 
     def test_boundary_timestamp_goes_to_later_bin(self):
-        series, _ = dt.build_od_series(columns((0, 1, 1800)), ["A", "B"], 0, 3600, 1800)
+        series, _, _ = dt.build_od_series(columns((0, 1, 1800)), ["A", "B"], 0, 3600, 1800,
+                                           None)
         assert series.flows[0].sum() == 0
         assert series.flows[1, 0, 1] == 1
 
     def test_out_of_span_trips_are_dropped_and_counted(self):
         trips = columns((0, 1, -5), (0, 1, 3600), (0, 1, 100))
-        series, dropped = dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800)
+        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800, None)
         assert dropped == 2
         assert series.flows.sum() == 1
 
@@ -52,17 +53,19 @@ class TestBuildSeries:
                               (columns((0, -1, 0), (0, 1, 0)), 0)]:
             with pytest.raises(dt.IngestionError,
                                match=rf"out of range for 2 stations at record {record}"):
-                dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800)
+                dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800, None)
 
     def test_duplicate_station_rejected(self):
         with pytest.raises(dt.ConfigurationError, match="station 'A' is listed twice"):
-            dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], 0, 1800, 1800)
+            dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], 0, 1800, 1800, None)
 
-    @pytest.mark.parametrize("start, end", [(-2**63, 0), (0, 2**63), (-10**30, -10**30 + 60)])
+    @pytest.mark.parametrize("start, end", [(-2**63, 0), (0, 2**63), (-10**30, -10**30 + 60),
+                                            (-2**62, 2**62 + 52)])
     def test_span_beyond_int64_rejected(self, start, end):
-        # clamped timestamps would otherwise land inside the span
+        # clamped timestamps would otherwise land inside the span, and offsets into
+        # a span longer than 2**63 - 1 seconds would wrap
         with pytest.raises(dt.ConfigurationError, match="beyond int64 seconds"):
-            dt.build_od_series(columns((0, 1, -2**63)), ["A", "B"], start, end, 60)
+            dt.build_od_series(columns((0, 1, -2**63)), ["A", "B"], start, end, 60, None)
 
     @pytest.mark.parametrize("shape", [(2**60 - 1, 0), (2**60, 0), (2**62, 0), (0, 2**63 - 1),
                                        (0, 2**63), (2**59, 0, 8), (3, 0, 2**60 // 3)])
@@ -79,49 +82,80 @@ class TestBuildSeries:
     @pytest.mark.parametrize("granularity", [0, -1800])
     def test_granularity_below_one(self, granularity):
         with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):
-            dt.build_od_series(columns(), ["A", "B"], 0, 3600, granularity)
+            dt.build_od_series(columns(), ["A", "B"], 0, 3600, granularity, None)
 
     def test_conserves_in_span_trips(self):
         rng = np.random.default_rng(0)
         trips = (rng.integers(0, 3, 200), rng.integers(0, 3, 200), rng.integers(0, 7200, 200))
-        series, dropped = dt.build_od_series(trips, ["A", "B", "C"], 0, 7200, 1800)
+        series, dropped, _ = dt.build_od_series(trips, ["A", "B", "C"], 0, 7200, 1800, None)
         assert series.flows.sum() + dropped == 200
         assert dropped == 0
 
 
 class TestOperatingHours:
     def test_retains_34_half_hour_bins_per_day(self):
-        flows = np.zeros((48 * 3, 2, 2))
-        series = make_series(flows)
-        out = dt.filter_operating_hours(series, (6, 23))
-        assert out.n_bins == 34 * 3
-        assert out.bins_per_day == 34
-        assert out.operating_window == (6, 23)
+        series, _, _ = dt.build_od_series(columns(), ["A", "B"], 0, 3 * 86400, 1800, (6, 23))
+        assert series.n_bins == 34 * 3
+        assert series.bins_per_day == 34
+        assert series.operating_window == (6, 23)
 
     def test_full_day_window_is_identity(self):
-        flows = np.random.default_rng(1).integers(0, 5, (48, 2, 2)).astype(float)
-        out = dt.filter_operating_hours(make_series(flows), (0, 24))
-        assert np.array_equal(out.flows, flows)
+        rng = np.random.default_rng(1)
+        trips = (rng.integers(0, 2, 200), rng.integers(0, 2, 200), rng.integers(0, 86400, 200))
+        whole, *whole_drops = dt.build_od_series(trips, ["A", "B"], 0, 86400, 1800, None)
+        day, *day_drops = dt.build_od_series(trips, ["A", "B"], 0, 86400, 1800, (0, 24))
+        assert np.array_equal(day.flows, whole.flows)
+        assert day_drops == whole_drops == [0, 0]
 
     def test_late_night_trips_vanish(self):
-        # one day, all flow at 23:30
-        flows = np.zeros((48, 2, 2))
-        flows[47, 0, 1] = 5.0
-        out = dt.filter_operating_hours(make_series(flows), (6, 23))
-        assert out.flows.sum() == 0
+        # one day, five trips at 23:30
+        trips = columns(*[(0, 1, 84600)] * 5)
+        series, out_of_span, outside_hours = dt.build_od_series(
+            trips, ["A", "B"], 0, 86400, 1800, (6, 23))
+        assert series.flows.sum() == 0
+        assert (out_of_span, outside_hours) == (0, 5)
 
     def test_misaligned_window(self):
-        series = make_series(np.zeros((24, 2, 2)), granularity=7200)
-        with pytest.raises(dt.ConfigurationError):
-            dt.filter_operating_hours(series, (6, 23))  # 23h not on a 2h boundary
+        with pytest.raises(dt.ConfigurationError, match=r"window \(6, 23\) does not align"):
+            # 23h not on a 2h boundary
+            dt.build_od_series(columns(), ["A", "B"], 0, 2 * 86400, 7200, (6, 23))
 
     def test_length_law(self):
         days = 5
-        flows = np.zeros((48 * days, 2, 2))
         for window in [(6, 23), (7, 9), (0, 24)]:
-            out = dt.filter_operating_hours(make_series(flows), window)
+            series, _, _ = dt.build_od_series(columns(), ["A", "B"], 0, days * 86400, 1800,
+                                              window)
             per_day = (window[1] - window[0]) * 2
-            assert out.n_bins == per_day * days
+            assert series.n_bins == per_day * days
+
+    def test_span_starting_off_midnight(self):
+        # 1800-s bins from 00:15: a bin is kept when it starts inside 06:00-23:00,
+        # so the 05:45 and 23:15 bins go and the 06:15 and 22:45 bins stay
+        h = 3600  # trips at 06:05, 06:20, 23:10, 23:20, 06:15 on day 2 and 00:10
+        trips = columns((0, 1, 6 * h + 300), (0, 1, 6 * h + 1200), (1, 0, 23 * h + 600),
+                        (1, 0, 23 * h + 1200), (0, 1, 86400 + 6 * h + 900), (0, 1, 600))
+        series, out_of_span, outside_hours = dt.build_od_series(
+            trips, ["A", "B"], 900, 900 + 2 * 86400, 1800, (6, 23))
+        assert series.n_bins == 2 * 34
+        assert (out_of_span, outside_hours) == (1, 2)
+        expected = np.zeros((68, 2, 2))
+        expected[0, 0, 1] = expected[33, 1, 0] = expected[34, 0, 1] = 1
+        assert np.array_equal(series.flows, expected)
+
+    def test_never_holds_the_full_span(self):
+        # 2 days of 1800-s bins are 96 of N x N cells; the 06:00-23:00 window keeps 68
+        n, rng = 64, np.random.default_rng(2)
+        trips = (rng.integers(0, n, 2000), rng.integers(0, n, 2000),
+                 rng.integers(0, 2 * 86400, 2000))
+        tracemalloc.start()
+        try:
+            series, _, _ = dt.build_od_series(trips, [f"S{k}" for k in range(n)], 0,
+                                              2 * 86400, 1800, (6, 23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.n_bins == 68
+        assert peak < 96 * n * n * 8
 
 
 class TestNormalizer:
