@@ -145,22 +145,25 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
         grid = _grid(cp)
         series = dt.load_series(data["series"])
         ini = (grid.get("granularity"), *grid.get("operating_window", (None, None)))
-        found = (series.granularity, *(series.operating_window or (None, None)))
+        found = (series.grid.granularity, *(series.grid.window or (None, None)))
         for key, value, actual in zip(GRID, ini, found):
             if value is not None and value != actual:
                 raise dt.ConfigurationError(f"[data] {key} = {value} disagrees with "
                                             f"{data['series']}, which has {actual}")
-        return series
-    if data.get("trips"):
+    elif data.get("trips"):
         missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
         if missing:
             raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
         grid = _grid(cp)
-        return _ingest(data["trips"], data["stations"],
-                       _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
-                       grid.get("granularity", dt.SyntheticSpec.granularity),
-                       grid.get("operating_window"))[0]
-    return dt.synth_generate(_synthetic_spec(cp))
+        series = _ingest(data["trips"], data["stations"],
+                         _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
+                         grid.get("granularity", dt.SyntheticSpec.granularity),
+                         grid.get("operating_window"))[0]
+    else:
+        return dt.synth_generate(_synthetic_spec(cp))
+    if cp.has_section("synthetic"):  # resolved.ini echoes it beside a data source too
+        _synthetic_spec(cp)
+    return series
 
 
 def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.ModelConfig:
@@ -185,10 +188,10 @@ def _resolved(cp: configparser.ConfigParser, series: dt.ODSeries,
     for key in ("series", "trips", "stations", "start_time", "end_time"):
         if data.get(key):
             out["data"][key] = data[key]
-    out["data"]["granularity"] = str(series.granularity)
-    if series.operating_window:
-        out["data"]["operating_start"] = str(series.operating_window[0])
-        out["data"]["operating_end"] = str(series.operating_window[1])
+    out["data"]["granularity"] = str(series.grid.granularity)
+    if series.grid.window:
+        out["data"]["operating_start"] = str(series.grid.window[0])
+        out["data"]["operating_end"] = str(series.grid.window[1])
     configs = {"model": model_config, "train": train_config}
     if cp.has_section("synthetic") or not (data.get("series") or data.get("trips")):
         configs["synthetic"] = _synthetic_spec(cp)
@@ -214,15 +217,13 @@ def _metrics_csv(lines: list[str]) -> str:
 
 
 def _prepare(cp):
-    """Series, normalizer, model and train configs, and resolved.ini of the INI ``cp``:
-    the one reading of a run config, which train, sweep and eval share."""
+    """Series, normalizer, and model and train configs of the INI ``cp``: the
+    one reading of a run config, which train, sweep and eval share."""
     series = _load_series_from_config(cp)
     stats = dt.fit_normalizer(series, dt.SPLIT[0])
     model_config = _model_config(cp, series)
     train_config = tr.TrainConfig(**_fields(cp, "train"))
-    # _resolved is what checks a [synthetic] beside a data source, for every command
-    return (series, stats, model_config, train_config,
-            _resolved(cp, series, model_config, train_config))
+    return series, stats, model_config, train_config
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,7 @@ def _ingest(trips_path, stations_path, start_time, end_time, granularity,
     of the span and outside operating hours."""
     stations = dt.read_lines(stations_path)
     trips = dt.read_trips_with_lines(trips_path, stations)
-    return dt.build_od_series(trips, stations, start_time, end_time, granularity, window)
+    return dt.build_od_series(trips, stations, dt.Grid(start_time, granularity, window), end_time)
 
 
 def cmd_ingest(args) -> int:
@@ -263,12 +264,13 @@ def cmd_train(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    series, stats, model_config, train_config, resolved = _prepare(cp)
+    series, stats, model_config, train_config = _prepare(cp)
     _, windows = ev.entity_windows(series, model_config, stats)
     # parameters too large to hold fail here, before the run directory is made
     params = md.init_params(model_config)
     os.makedirs(run_dir, exist_ok=True)
-    dt.write_atomically(os.path.join(run_dir, "resolved.ini"), resolved.write)
+    dt.write_atomically(os.path.join(run_dir, "resolved.ini"),
+                        _resolved(cp, series, model_config, train_config).write)
     with open(os.path.join(run_dir, "epochs.log"), "w", encoding="utf-8") as log:
         def on_epoch(rec):
             log.write(f"{rec.epoch},{rec.train_loss:.10f},"
@@ -287,7 +289,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cp = _read_config(args.config)
     params, model_config = md.load_checkpoint(args.checkpoint)
-    series, stats, ini_config, train_config, _ = _prepare(cp)
+    series, stats, ini_config, train_config = _prepare(cp)
     for key, name in KEYS["model"][1].items():  # each [model] key the INI sets
         value, actual = getattr(ini_config, name), getattr(model_config, name)
         if cp.get("model", key, fallback="") and value != actual:
@@ -327,7 +329,7 @@ def cmd_sweep(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
-    series, stats, model_config, train_config, _ = _prepare(cp)
+    series, stats, model_config, train_config = _prepare(cp)
     _check_makedirs(run_dir)  # before any row trains
     if args.kind == "hp":
         result = ev.run_hp_sweep(series, stats, model_config, train_config)

@@ -35,21 +35,48 @@ class SeriesFormatError(ValueError):
     """Raised when a series container cannot be parsed."""
 
 
+@dataclass(frozen=True)
+class Grid:
+    """Bins of ``granularity`` seconds from ``start_time``, of which those that
+    start inside the whole hours ``window = (start_h, end_h)`` are kept, or all
+    when ``window`` is None. ConfigurationError unless ``granularity >= 1`` and
+    ``0 <= start_h < end_h <= 24`` fall on bin boundaries."""
+
+    start_time: int
+    granularity: int
+    window: tuple[int, int] | None
+
+    def __post_init__(self):
+        if self.granularity < 1:
+            raise ConfigurationError(f"granularity {self.granularity} must be >= 1 second")
+        if self.window is None:
+            return
+        start_h, end_h = self.window
+        if not (0 <= start_h < end_h <= 24):
+            raise ConfigurationError(f"bad operating window {self.window}")
+        if (start_h * 3600) % self.granularity or (end_h * 3600) % self.granularity:
+            raise ConfigurationError(
+                f"window {self.window} does not align with {self.granularity}s bins")
+
+    @property
+    def bins_per_day(self) -> int:
+        """Kept bins in one day; ConfigurationError unless the bins tile a day."""
+        if SECONDS_PER_DAY % self.granularity:
+            raise ConfigurationError(f"granularity {self.granularity} does not tile "
+                                     f"a day of {SECONDS_PER_DAY} seconds")
+        hours = 24 if self.window is None else self.window[1] - self.window[0]
+        return hours * 3600 // self.granularity
+
+
 @dataclass
 class ODSeries:
-    """Network-wide OD flow counts on a regular time grid.
-
-    ``flows[t, i, j]`` counts trips from station ``i`` to station ``j``
-    during bin ``t``. When ``operating_window`` is set the grid holds only
-    the in-window bins of each day, indexed consecutively. A grid that
-    ``_check_grid`` rejects raises ConfigurationError.
+    """OD flow counts on the kept bins of ``grid``, indexed consecutively:
+    ``flows[t, i, j]`` counts trips from station ``i`` to station ``j`` in bin ``t``.
     """
 
     stations: list[str]
-    start_time: int
-    granularity: int
+    grid: Grid
     flows: np.ndarray  # [T, N, N] float64
-    operating_window: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.flows = np.asarray(self.flows, dtype=np.float64)
@@ -63,7 +90,6 @@ class ODSeries:
         if len(set(self.stations)) != n:
             twice = next(s for k, s in enumerate(self.stations) if s in self.stations[:k])
             raise ConfigurationError(f"station {twice!r} is listed twice")
-        _check_grid(self.granularity, self.operating_window)
 
     @property
     def n_stations(self) -> int:
@@ -72,10 +98,6 @@ class ODSeries:
     @property
     def n_bins(self) -> int:
         return self.flows.shape[0]
-
-    @property
-    def bins_per_day(self) -> int:
-        return _bins_per_day(self.granularity, self.operating_window)
 
 
 @dataclass
@@ -119,31 +141,34 @@ class SyntheticSpec:
             raise ConfigurationError(
                 f"synthetic series needs n_stations >= 1, days >= 1 and noise_std >= 0, "
                 f"got {self.n_stations}, {self.days} and {self.noise_std}")
-        _check_grid(self.granularity, self.operating_window)
+        bins_per_day = self.grid.bins_per_day
         if self.seed < 0:
             raise ConfigurationError(f"synthetic seed must be >= 0, got {self.seed}")
         n = self.n_stations
-        t_total = self.days * _bins_per_day(self.granularity, self.operating_window)
+        t_total = self.days * bins_per_day
         check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
+
+    @property
+    def grid(self) -> Grid:
+        return Grid(0, self.granularity, self.operating_window)
 
 
 # ---------------------------------------------------------------------------
 # ingestion
 
 
-def build_od_series(trips, stations, start_time: int, end_time: int, granularity: int,
-                    window: tuple[int, int] | None) -> tuple[ODSeries, int, int]:
-    """Bin trips into an ODSeries on the grid of the bins inside ``window``.
+def build_od_series(trips, stations, grid: Grid, end_time: int) -> tuple[ODSeries, int, int]:
+    """Bin trips into an ODSeries on the kept bins of ``grid``.
 
     ``trips`` is ``(origin, destination, timestamp)``: station-index and
     timestamp arrays of one length, as ``read_trips_with_lines`` returns.
     Bins are half-open ``[start, start + granularity)``, so a boundary
     timestamp lands in the later bin; ``filter_operating_hours`` picks the
-    bins that are kept, all of them when ``window`` is None. Returns the
-    series and the counts of trips dropped for falling outside
-    ``[start_time, end_time)`` and outside the window's hours.
+    bins that are kept. Returns the series and the counts of trips dropped
+    for falling outside ``[grid.start_time, end_time)`` and outside the
+    window's hours.
     """
-    _check_grid(granularity, None)
+    start_time, granularity = grid.start_time, grid.granularity
     if start_time >= end_time:
         raise ConfigurationError("start_time must precede end_time")
     # its length too, so every offset into it and every bin start stays in int64
@@ -165,7 +190,7 @@ def build_od_series(trips, stations, start_time: int, end_time: int, granularity
     t_total = span // granularity
     # also keeps every flat cell index below int64, so none of them can wrap
     check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
-    kept_bin = filter_operating_hours(start_time, t_total, granularity, window)
+    kept_bin = filter_operating_hours(grid, t_total)
     in_span = (timestamp >= start_time) & (timestamp < end_time)
     t = kept_bin[(timestamp[in_span] - start_time) // granularity]
     in_hours = t >= 0
@@ -174,7 +199,7 @@ def build_od_series(trips, stations, start_time: int, end_time: int, granularity
     # unit weights count in float64 directly; counts below 2**53 stay exact
     flows = np.bincount(cells, weights=np.ones(cells.size),
                         minlength=t_kept * n * n).reshape(t_kept, n, n)
-    series = ODSeries(list(stations), start_time, granularity, flows, operating_window=window)
+    series = ODSeries(list(stations), grid, flows)
     return series, int(in_span.size - t.size), int(t.size - cells.size)
 
 
@@ -241,30 +266,22 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
 # filtering / normalization / windowing
 
 
-def filter_operating_hours(start_time: int, n_bins: int, granularity: int,
-                           window: tuple[int, int] | None) -> np.ndarray:
-    """Each of ``n_bins`` bins' index on the grid of the kept bins, or -1 for a
-    bin whose start hour falls outside ``[start_hour, end_hour)`` of ``window``.
+def filter_operating_hours(grid: Grid, n_bins: int) -> np.ndarray:
+    """The row of each of ``grid``'s first ``n_bins`` bins among its kept bins,
+    or -1 for a bin whose start hour falls outside the window.
 
-    Kept bins are indexed consecutively; a ``window`` of None keeps every bin.
+    Kept bins are indexed consecutively; a window of None keeps every bin.
     """
-    _check_grid(granularity, window)
     t = np.arange(n_bins)
-    if window is None:
+    if grid.window is None:
         return t
-    start_h, end_h = window
-    second_of_day = (start_time + t * granularity) % SECONDS_PER_DAY
+    start_h, end_h = grid.window
+    second_of_day = (grid.start_time + t * grid.granularity) % SECONDS_PER_DAY
     keep = (second_of_day >= start_h * 3600) & (second_of_day < end_h * 3600)
     if not keep.any():
         raise ConfigurationError(f"no bin of the series falls inside operating window "
                                  f"{start_h}-{end_h}h")
     return np.where(keep, np.cumsum(keep) - 1, -1)
-
-
-def _bins_per_day(granularity: int, window: tuple[int, int] | None) -> int:
-    """Bins in one day of the grid, or in its operating window when one is set."""
-    seconds = SECONDS_PER_DAY if window is None else (window[1] - window[0]) * 3600
-    return seconds // granularity
 
 
 def check_float64_shape(shape, what: str) -> None:
@@ -274,20 +291,6 @@ def check_float64_shape(shape, what: str) -> None:
     refused too). Smaller shapes can still fail when they are allocated."""
     if max(shape) > INT64_MAX or 8 * math.prod(max(d, 1) for d in shape) > INT64_MAX:
         raise ConfigurationError(f"{what} are more than a float64 array can hold")
-
-
-def _check_grid(granularity: int, window: tuple[int, int] | None) -> None:
-    """Require ``granularity >= 1`` second and, unless ``window`` is None, whole
-    hours ``0 <= start_h < end_h <= 24`` that fall on bin boundaries."""
-    if granularity < 1:
-        raise ConfigurationError(f"granularity {granularity} must be >= 1 second")
-    if window is None:
-        return
-    start_h, end_h = window
-    if not (0 <= start_h < end_h <= 24):
-        raise ConfigurationError(f"bad operating window {window}")
-    if (start_h * 3600) % granularity or (end_h * 3600) % granularity:
-        raise ConfigurationError(f"window {window} does not align with {granularity}s bins")
 
 
 def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormStats:
@@ -370,7 +373,7 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
     if the counts or their sum are not finite.
     """
     n = spec.n_stations
-    bpd = _bins_per_day(spec.granularity, spec.operating_window)
+    bpd = spec.grid.bins_per_day
     rng = np.random.default_rng(spec.seed)
     amps = rng.uniform(2.0, 12.0, size=(n, n))  # [N, N] base rates
     t_total = spec.days * bpd
@@ -387,10 +390,8 @@ def synth_generate(spec: SyntheticSpec) -> ODSeries:
                                  f"is not finite")
     return ODSeries(
         stations=[f"S{k:02d}" for k in range(n)],
-        start_time=0,
-        granularity=spec.granularity,
+        grid=spec.grid,
         flows=flows,
-        operating_window=spec.operating_window,
     )
 
 
@@ -508,12 +509,12 @@ def dump_series(series: ODSeries, path) -> None:
     header = {
         "version": SERIES_VERSION,
         "stations": series.stations,
-        "start_time": series.start_time,
-        "granularity": series.granularity,
+        "start_time": series.grid.start_time,
+        "granularity": series.grid.granularity,
         "dims": list(series.flows.shape),
         "cells": int(cells.size),
-        "operating_window": list(series.operating_window)
-        if series.operating_window else None,
+        "operating_window": list(series.grid.window)
+        if series.grid.window else None,
     }
     write_container(path, SERIES_MAGIC, header, [cells, flat[cells]])
 
@@ -562,8 +563,8 @@ def load_series(path) -> ODSeries:
                                    and all(type(v) is int for v in window))):
             raise TypeError(f"operating_window {window!r} is not null or two integers")
         flows = _dense_flows(path, header["dims"], cells, values)
-        return ODSeries(stations, header["start_time"], header["granularity"], flows,
-                        operating_window=tuple(window) if window else None)
+        grid = Grid(header["start_time"], header["granularity"], tuple(window) if window else None)
+        return ODSeries(stations, grid, flows)
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise SeriesFormatError(
             f"{path}: bad series header: {type(exc).__name__}: {exc}") from exc

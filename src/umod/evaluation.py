@@ -160,7 +160,7 @@ def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
     if kind == "historical_average":
         return HistoricalAverageBaseline(series.flows if flows is None else flows,
                                          split_lengths(series.n_bins)[0],
-                                         series.bins_per_day, stats)
+                                         series.grid.bins_per_day, stats)
     if kind == "plain_mlp":
         if train_samples is None or val_samples is None or train_config is None:
             raise ConfigurationError("plain_mlp needs train/val samples and a config")

@@ -119,14 +119,14 @@ def test_criterion_3_metric_oracle():
 def test_criterion_4_normalization():
     rng = np.random.default_rng(10)
     flows = rng.random((100, 3, 3)) * 50
-    series = dt.ODSeries([f"S{k}" for k in range(3)], 0, 1800, flows)
+    series = dt.ODSeries([f"S{k}" for k in range(3)], dt.Grid(0, 1800, None), flows)
     stats = dt.fit_normalizer(series, 0.7)
     x = rng.random((5, 3, 3)) * 200
     assert np.abs(stats.invert(stats.apply(x)) - x).max() < 1e-9
     perturbed = flows.copy()
     perturbed[85] *= 1e6  # test split only
     after = dt.fit_normalizer(
-        dt.ODSeries([f"S{k}" for k in range(3)], 0, 1800, perturbed), 0.7)
+        dt.ODSeries([f"S{k}" for k in range(3)], dt.Grid(0, 1800, None), perturbed), 0.7)
     assert after.mean == stats.mean and after.std == stats.std
 
 

@@ -160,7 +160,7 @@ def reference_ingest(trips_path, stations, start, end, granularity, window):
                 outside_hours += 1
             else:
                 flows[row[t], index[parts[0]], index[parts[1]]] += 1
-    series = dt.ODSeries(stations, start, granularity, flows, operating_window=window)
+    series = dt.ODSeries(stations, dt.Grid(start, granularity, window), flows)
     return series, out_of_span, outside_hours
 
 
@@ -207,7 +207,7 @@ class TestIngest:
             series, out_of_span, outside_hours = cli._ingest(
                 trips, names, start, end, granularity, window)
         assert np.array_equal(series.flows, expected[0].flows)
-        assert series.operating_window == expected[0].operating_window
+        assert series.grid == expected[0].grid
         assert (out_of_span, outside_hours) == expected[1:]
 
     def test_golden_series_bytes(self, tmp_path, capsys):
@@ -423,8 +423,8 @@ class TestTrain:
         ("series", "stations = 0"), ("trips", "days = 0")])
     def test_bad_synthetic_section_beside_a_data_source_exits_1(self, tmp_path, capsys,
                                                                 source, synthetic, command):
-        # resolved.ini echoes [synthetic] under any source, so every command
-        # checks it before it makes anything
+        # resolved.ini echoes [synthetic] under any source, so the reading of the
+        # INI that every command shares checks it before anything is made
         series, trips, stations = (tmp_path / name for name in
                                    ("series.bin", "trips.csv", "stations.txt"))
         dt.dump_series(dt.synth_generate(dt.SyntheticSpec(
@@ -590,6 +590,29 @@ class TestEval:
         lines = [l for l in body.strip().split("\n") if l]
         assert len(lines) == 3  # header, model, baseline
         assert lines[2].startswith("last_value,")
+
+    @pytest.mark.parametrize("granularity", [7000, 172800])
+    def test_historical_average_on_bins_that_do_not_tile_a_day_exits_1(
+            self, tmp_path, capsys, granularity):
+        # profile[t % bins_per_day] needs the same bins each day: 172800-s bins
+        # give no day at all, and at 7000 s bin 12 starts at 23:20, not at 00:00
+        trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
+        trips.write_text("A,B,100\nB,A,90000\n")
+        stations.write_text("A\nB\n")
+        series, cfg = tmp_path / "series.bin", tmp_path / "run.ini"
+        assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", str(40 * granularity),
+                         "--granularity", str(granularity), "--out", str(series)]) == 0
+        cfg.write_text(f"[data]\nseries = {series}\n")
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "eval.csv"
+        model_config = md.ModelConfig(n_entities=2, history=2, horizon=1)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), str(cfg), "--baseline", "historical_average",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: granularity {granularity} does not tile a day of 86400 seconds\n")
+        assert not out.exists()
 
     def test_baselines_on_pair_view(self, pairs_config, tmp_path, capsys):
         assert cli.main(["train", str(pairs_config)]) == 0

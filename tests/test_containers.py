@@ -38,10 +38,8 @@ def series(draw):
             [g for g in range(1, edges + 1) if edges % g == 0]))
     return dt.ODSeries(
         stations=draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)),
-        start_time=draw(st.integers(-2**40, 2**40)),
-        granularity=granularity,
-        flows=draw(hnp.arrays(np.float64, (t, n, n), elements=VALUES)),
-        operating_window=window)
+        grid=dt.Grid(draw(st.integers(-2**40, 2**40)), granularity, window),
+        flows=draw(hnp.arrays(np.float64, (t, n, n), elements=VALUES)))
 
 
 @st.composite
@@ -90,8 +88,7 @@ class TestRoundTrip:
         dt.dump_series(s, path)
         back = dt.load_series(path)
         assert back.flows.tobytes() == s.flows.tobytes()
-        assert (back.stations, back.start_time, back.granularity, back.operating_window) \
-            == (s.stations, s.start_time, s.granularity, s.operating_window)
+        assert (back.stations, back.grid) == (s.stations, s.grid)
         raw = path.read_bytes()
         dt.dump_series(back, path)
         assert path.read_bytes() == raw

@@ -14,8 +14,17 @@ from umod import data as dt
 
 def make_series(flows, granularity=1800, start_time=0, window=None):
     n = flows.shape[1]
-    return dt.ODSeries([f"S{k:02d}" for k in range(n)], start_time, granularity,
-                       flows, operating_window=window)
+    return dt.ODSeries([f"S{k:02d}" for k in range(n)],
+                       dt.Grid(start_time, granularity, window), flows)
+
+
+HALF_HOURS = dt.Grid(0, 1800, None)  # every 1800-s bin from 00:00
+# grid settings that SyntheticSpec and a series file's header refuse alike
+BAD_GRIDS = [
+    ("granularity", 0, "granularity 0 must be >= 1 second"),
+    ("operating_window", (8, 30), r"bad operating window \(8, 30\)"),
+    ("granularity", 7, "does not align with 7s bins"),
+]
 
 
 def columns(*trips):
@@ -26,24 +35,24 @@ def columns(*trips):
 class TestBuildSeries:
     def test_hand_counted_bin(self):
         trips = columns((0, 1, 10), (0, 1, 20), (1, 0, 30))
-        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], 0, 1800, 1800, None)
+        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 1800)
         assert dropped == 0
         assert np.array_equal(series.flows[0], [[0, 2], [1, 0]])
 
     def test_empty_trip_list(self):
-        series, _, _ = dt.build_od_series(columns(), ["A", "B", "C"], 0, 3600, 1800, None)
+        series, _, _ = dt.build_od_series(columns(), ["A", "B", "C"], HALF_HOURS, 3600)
         assert series.flows.shape == (2, 3, 3)
         assert series.flows.sum() == 0
 
     def test_boundary_timestamp_goes_to_later_bin(self):
-        series, _, _ = dt.build_od_series(columns((0, 1, 1800)), ["A", "B"], 0, 3600, 1800,
-                                           None)
+        series, _, _ = dt.build_od_series(columns((0, 1, 1800)), ["A", "B"], HALF_HOURS,
+                                           3600)
         assert series.flows[0].sum() == 0
         assert series.flows[1, 0, 1] == 1
 
     def test_out_of_span_trips_are_dropped_and_counted(self):
         trips = columns((0, 1, -5), (0, 1, 3600), (0, 1, 100))
-        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800, None)
+        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 3600)
         assert dropped == 2
         assert series.flows.sum() == 1
 
@@ -53,11 +62,11 @@ class TestBuildSeries:
                               (columns((0, -1, 0), (0, 1, 0)), 0)]:
             with pytest.raises(dt.IngestionError,
                                match=rf"out of range for 2 stations at record {record}"):
-                dt.build_od_series(trips, ["A", "B"], 0, 3600, 1800, None)
+                dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 3600)
 
     def test_duplicate_station_rejected(self):
         with pytest.raises(dt.ConfigurationError, match="station 'A' is listed twice"):
-            dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], 0, 1800, 1800, None)
+            dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], HALF_HOURS, 1800)
 
     @pytest.mark.parametrize("start, end", [(-2**63, 0), (0, 2**63), (-10**30, -10**30 + 60),
                                             (-2**62, 2**62 + 52)])
@@ -65,7 +74,8 @@ class TestBuildSeries:
         # clamped timestamps would otherwise land inside the span, and offsets into
         # a span longer than 2**63 - 1 seconds would wrap
         with pytest.raises(dt.ConfigurationError, match="beyond int64 seconds"):
-            dt.build_od_series(columns((0, 1, -2**63)), ["A", "B"], start, end, 60, None)
+            dt.build_od_series(columns((0, 1, -2**63)), ["A", "B"], dt.Grid(start, 60, None),
+                               end)
 
     @pytest.mark.parametrize("shape", [(2**60 - 1, 0), (2**60, 0), (2**62, 0), (0, 2**63 - 1),
                                        (0, 2**63), (2**59, 0, 8), (3, 0, 2**60 // 3)])
@@ -82,28 +92,29 @@ class TestBuildSeries:
     @pytest.mark.parametrize("granularity", [0, -1800])
     def test_granularity_below_one(self, granularity):
         with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):
-            dt.build_od_series(columns(), ["A", "B"], 0, 3600, granularity, None)
+            dt.build_od_series(columns(), ["A", "B"], dt.Grid(0, granularity, None), 3600)
 
     def test_conserves_in_span_trips(self):
         rng = np.random.default_rng(0)
         trips = (rng.integers(0, 3, 200), rng.integers(0, 3, 200), rng.integers(0, 7200, 200))
-        series, dropped, _ = dt.build_od_series(trips, ["A", "B", "C"], 0, 7200, 1800, None)
+        series, dropped, _ = dt.build_od_series(trips, ["A", "B", "C"], HALF_HOURS, 7200)
         assert series.flows.sum() + dropped == 200
         assert dropped == 0
 
 
 class TestOperatingHours:
     def test_retains_34_half_hour_bins_per_day(self):
-        series, _, _ = dt.build_od_series(columns(), ["A", "B"], 0, 3 * 86400, 1800, (6, 23))
+        series, _, _ = dt.build_od_series(columns(), ["A", "B"], dt.Grid(0, 1800, (6, 23)),
+                                           3 * 86400)
         assert series.n_bins == 34 * 3
-        assert series.bins_per_day == 34
-        assert series.operating_window == (6, 23)
+        assert series.grid.bins_per_day == 34
+        assert series.grid.window == (6, 23)
 
     def test_full_day_window_is_identity(self):
         rng = np.random.default_rng(1)
         trips = (rng.integers(0, 2, 200), rng.integers(0, 2, 200), rng.integers(0, 86400, 200))
-        whole, *whole_drops = dt.build_od_series(trips, ["A", "B"], 0, 86400, 1800, None)
-        day, *day_drops = dt.build_od_series(trips, ["A", "B"], 0, 86400, 1800, (0, 24))
+        whole, *whole_drops = dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 86400)
+        day, *day_drops = dt.build_od_series(trips, ["A", "B"], dt.Grid(0, 1800, (0, 24)), 86400)
         assert np.array_equal(day.flows, whole.flows)
         assert day_drops == whole_drops == [0, 0]
 
@@ -111,20 +122,33 @@ class TestOperatingHours:
         # one day, five trips at 23:30
         trips = columns(*[(0, 1, 84600)] * 5)
         series, out_of_span, outside_hours = dt.build_od_series(
-            trips, ["A", "B"], 0, 86400, 1800, (6, 23))
+            trips, ["A", "B"], dt.Grid(0, 1800, (6, 23)), 86400)
         assert series.flows.sum() == 0
         assert (out_of_span, outside_hours) == (0, 5)
 
     def test_misaligned_window(self):
         with pytest.raises(dt.ConfigurationError, match=r"window \(6, 23\) does not align"):
             # 23h not on a 2h boundary
-            dt.build_od_series(columns(), ["A", "B"], 0, 2 * 86400, 7200, (6, 23))
+            dt.build_od_series(columns(), ["A", "B"], dt.Grid(0, 7200, (6, 23)), 2 * 86400)
+
+    @pytest.mark.parametrize("granularity, window", [(7000, None), (172800, None),
+                                                     (25200, (0, 7))])
+    def test_bins_per_day_needs_bins_that_tile_a_day(self, granularity, window):
+        # each grid is valid, but no count of bins per day holds: 7000-s bins
+        # put 23:20 in bin 12, and 25200-s bins aligned with 00:00-07:00 start
+        # day 1 at 04:00
+        grid = dt.Grid(0, granularity, window)
+        message = f"granularity {granularity} does not tile a day of 86400 seconds"
+        with pytest.raises(dt.ConfigurationError, match=message):
+            grid.bins_per_day
+        with pytest.raises(dt.ConfigurationError, match=message):
+            dt.SyntheticSpec(granularity=granularity, operating_window=window)
 
     def test_length_law(self):
         days = 5
         for window in [(6, 23), (7, 9), (0, 24)]:
-            series, _, _ = dt.build_od_series(columns(), ["A", "B"], 0, days * 86400, 1800,
-                                              window)
+            series, _, _ = dt.build_od_series(columns(), ["A", "B"], dt.Grid(0, 1800, window),
+                                              days * 86400)
             per_day = (window[1] - window[0]) * 2
             assert series.n_bins == per_day * days
 
@@ -135,7 +159,7 @@ class TestOperatingHours:
         trips = columns((0, 1, 6 * h + 300), (0, 1, 6 * h + 1200), (1, 0, 23 * h + 600),
                         (1, 0, 23 * h + 1200), (0, 1, 86400 + 6 * h + 900), (0, 1, 600))
         series, out_of_span, outside_hours = dt.build_od_series(
-            trips, ["A", "B"], 900, 900 + 2 * 86400, 1800, (6, 23))
+            trips, ["A", "B"], dt.Grid(900, 1800, (6, 23)), 900 + 2 * 86400)
         assert series.n_bins == 2 * 34
         assert (out_of_span, outside_hours) == (1, 2)
         expected = np.zeros((68, 2, 2))
@@ -149,8 +173,8 @@ class TestOperatingHours:
                  rng.integers(0, 2 * 86400, 2000))
         tracemalloc.start()
         try:
-            series, _, _ = dt.build_od_series(trips, [f"S{k}" for k in range(n)], 0,
-                                              2 * 86400, 1800, (6, 23))
+            series, _, _ = dt.build_od_series(trips, [f"S{k}" for k in range(n)],
+                                              dt.Grid(0, 1800, (6, 23)), 2 * 86400)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -305,9 +329,7 @@ class TestSynthetic:
         ("days", 0, "days >= 1"),
         ("noise_std", -0.1, "noise_std >= 0"),
         ("noise_std", float("nan"), "noise_std >= 0"),
-        ("granularity", 0, "granularity 0 must be >= 1 second"),
-        ("operating_window", (8, 30), r"bad operating window \(8, 30\)"),
-        ("granularity", 7, "does not align with 7s bins"),
+        *BAD_GRIDS,
     ])
     def test_rejects_bad_settings(self, field, value, message):
         with pytest.raises(dt.ConfigurationError, match=message):
@@ -328,9 +350,7 @@ class TestSerialization:
         back = dt.load_series(path)
         assert np.array_equal(back.flows, series.flows)
         assert back.stations == series.stations
-        assert back.start_time == series.start_time
-        assert back.granularity == series.granularity
-        assert back.operating_window == series.operating_window
+        assert back.grid == series.grid
 
     def test_truncated_file(self, tmp_path):
         series = make_series(np.zeros((4, 2, 2)))
@@ -387,6 +407,18 @@ class TestSerialization:
         path = tmp_path / "series.bin"
         write_series_file(path, header, np.zeros((1, 3, 3)))
         with pytest.raises(dt.SeriesFormatError, match="station 'A' is listed twice"):
+            dt.load_series(path)
+
+    @pytest.mark.parametrize("field, value, message", BAD_GRIDS)
+    def test_invalid_grid_is_a_format_error(self, tmp_path, write_series_file, field, value,
+                                            message):
+        # well-typed keys that SyntheticSpec's own defaults spoil, one at a time
+        header = {"version": 2, "stations": ["A"], "start_time": 0, "granularity": 1800,
+                  "operating_window": [6, 23], "dims": [2, 1, 1], "cells": 1, field: value}
+        path = tmp_path / "series.bin"
+        write_series_file(path, header, np.array([0.0, 3.0]).reshape(2, 1, 1))
+        with pytest.raises(dt.SeriesFormatError,
+                           match="bad series header: ConfigurationError: .*" + message):
             dt.load_series(path)
 
     @pytest.mark.parametrize("cells", [

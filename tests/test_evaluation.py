@@ -128,7 +128,7 @@ def windows(series, h=2, p=2):
 
 class TestBaselines:
     def test_last_value_zero_error_on_constant_series(self):
-        series = dt.ODSeries(["A", "B"], 0, 3600, np.full((48, 2, 2), 4.0), (6, 18))
+        series = dt.ODSeries(["A", "B"], dt.Grid(0, 3600, (6, 18)), np.full((48, 2, 2), 4.0))
         stats, (train, val, test) = windows(series)
         preds = ev.fit_baseline("last_value", series=series, stats=stats).predict(test)
         targets = np.stack([s.y for s in test])
@@ -144,9 +144,11 @@ class TestBaselines:
         rep = ev.compute_metrics(preds, targets, stats)
         assert rep.mae < 1e-9
 
-    @pytest.mark.parametrize("start", [0, 8 * 3600, 12 * 3600 + 1800, 23 * 3600 + 1800],
-                             ids=["00:00", "08:00", "12:30", "23:30"])
-    def test_historical_average_follows_wall_clock(self, tmp_path, start):
+    @pytest.mark.parametrize("start, window", [
+        (0, (6, 23)), (8 * 3600, (6, 23)), (12 * 3600 + 1800, (6, 23)),
+        (23 * 3600 + 1800, (6, 23)), (12 * 3600 + 1800, None),
+    ], ids=["00:00", "08:00", "12:30", "23:30", "12:30_windowless"])
+    def test_historical_average_follows_wall_clock(self, tmp_path, start, window):
         # one trip log ingested from spans that start at different times of day:
         # profile[t % bins_per_day] is always the training mean of bin t's
         # wall-clock second of day
@@ -157,16 +159,17 @@ class TestBaselines:
         trips.write_text("".join(f"{o},{d},{t}\n" for (o, d), t in zip(names, stamps)))
         stations.write_text("A\nB\nC\n")
         granularity, end = 1800, start + 6 * 86400
-        series = cli._ingest(str(trips), str(stations), start, end, granularity, (6, 23))[0]
+        series = cli._ingest(str(trips), str(stations), start, end, granularity, window)[0]
         bin_starts = np.arange(start, end, granularity) % 86400
-        second_of_day = bin_starts[(bin_starts >= 6 * 3600) & (bin_starts < 23 * 3600)]
+        start_h, end_h = window or (0, 24)
+        second_of_day = bin_starts[(bin_starts >= start_h * 3600) & (bin_starts < end_h * 3600)]
         assert second_of_day.size == series.n_bins
         baseline = ev.fit_baseline("historical_average", series=series,
                                    stats=dt.fit_normalizer(series))
         n_train = dt.split_lengths(series.n_bins)[0]
         for t in range(series.n_bins):
             same = np.flatnonzero(second_of_day[:n_train] == second_of_day[t])
-            assert np.array_equal(baseline.profile[t % series.bins_per_day],
+            assert np.array_equal(baseline.profile[t % series.grid.bins_per_day],
                                   series.flows[same].mean(axis=0))
 
     def test_plain_mlp_output_shape(self):

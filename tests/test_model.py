@@ -248,7 +248,7 @@ class TestFlattenPairs:
         flows = np.zeros((10, 2, 2))
         flows[:, 0, 1] = 5.0
         flows[:, 1, 0] = 3.0
-        return dt.ODSeries(["A", "B"], 0, 1800, flows)
+        return dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), flows)
 
     def test_hand_ranking(self):
         pairs, view = md.flatten_pairs(self.make_series(), 2)
@@ -265,7 +265,7 @@ class TestFlattenPairs:
         flows = np.zeros((4, 2, 2))
         flows[:, 0, 1] = 2.0
         flows[:, 1, 0] = 2.0
-        series = dt.ODSeries(["A", "B"], 0, 1800, flows)
+        series = dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), flows)
         pairs, _ = md.flatten_pairs(series, 1)
         assert pairs == [(0, 1)]
 
@@ -275,7 +275,7 @@ class TestFlattenPairs:
 
     def test_empty_training_split_rejected(self):
         # a 1-bin series has no training bins: split_lengths(1) == (0, 0, 1)
-        series = dt.ODSeries(["A", "B"], 0, 1800, self.make_series().flows[:1])
+        series = dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), self.make_series().flows[:1])
         with pytest.raises(dt.ConfigurationError, match="training portion is empty"):
             md.flatten_pairs(series, 1)
 
@@ -283,7 +283,7 @@ class TestFlattenPairs:
     def test_matches_sorted_tuple_ranking(self, n):
         # few distinct flow values, so most means tie
         flows = np.random.default_rng(n).integers(0, 3, (7, n, n)).astype(float)
-        series = dt.ODSeries([f"S{k}" for k in range(n)], 0, 1800, flows)
+        series = dt.ODSeries([f"S{k}" for k in range(n)], dt.Grid(0, 1800, None), flows)
         means = flows[:int(7 * dt.SPLIT[0])].mean(axis=0)
         ranked = sorted(((i, j) for i in range(n) for j in range(n)),
                         key=lambda ij: (-means[ij], *ij))
