@@ -39,8 +39,9 @@ class SeriesFormatError(ValueError):
 class Grid:
     """Bins of ``granularity`` seconds from ``start_time``, of which those that
     start inside the whole hours ``window = (start_h, end_h)`` are kept, or all
-    when ``window`` is None. ConfigurationError unless ``granularity >= 1`` and
-    ``0 <= start_h < end_h <= 24`` fall on bin boundaries."""
+    when ``window`` is None. ConfigurationError unless ``granularity >= 1``,
+    ``0 <= start_h < end_h <= 24`` fall on bin boundaries, and a windowed
+    grid's bins tile a day."""
 
     start_time: int
     granularity: int
@@ -57,13 +58,17 @@ class Grid:
         if (start_h * 3600) % self.granularity or (end_h * 3600) % self.granularity:
             raise ConfigurationError(
                 f"window {self.window} does not align with {self.granularity}s bins")
+        self._check_tiles_day()  # else the kept bins fall at other hours on other days
+
+    def _check_tiles_day(self) -> None:
+        if SECONDS_PER_DAY % self.granularity:
+            raise ConfigurationError(f"granularity {self.granularity} does not tile "
+                                     f"a day of {SECONDS_PER_DAY} seconds")
 
     @property
     def bins_per_day(self) -> int:
         """Kept bins in one day; ConfigurationError unless the bins tile a day."""
-        if SECONDS_PER_DAY % self.granularity:
-            raise ConfigurationError(f"granularity {self.granularity} does not tile "
-                                     f"a day of {SECONDS_PER_DAY} seconds")
+        self._check_tiles_day()
         hours = 24 if self.window is None else self.window[1] - self.window[0]
         return hours * 3600 // self.granularity
 

@@ -153,7 +153,7 @@ def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
     """Build and fit one of the reference predictors on training data only.
 
     ``flows`` is the ``[T, E, F]`` entity view the samples were cut from
-    (``model.entity_flows``); it defaults to the station rows of ``series``.
+    (``entity_windows``); it defaults to the station rows of ``series``.
     """
     if kind == "last_value":
         return LastValueBaseline()
@@ -173,9 +173,30 @@ def fit_baseline(kind: str, *, series: ODSeries, stats: NormStats, flows=None,
 
 
 def entity_windows(series: ODSeries, model_config: m.ModelConfig, stats: NormStats):
-    """``model_config``'s entity view of ``series`` and the (train, val, test)
-    windows cut from it on the chronological ``SPLIT``."""
-    flows = m.entity_flows(series, model_config)
+    """``model_config``'s ``[T, E, F]`` entity view of ``series`` and the (train,
+    val, test) windows cut from it on the chronological ``SPLIT``.
+
+    The view is the station rows, or in pair mode the K = ``n_entities`` OD
+    pairs of highest training-portion mean flow as ``[T, K, 1]``, ties toward
+    the lower (origin index, destination index). Raises ConfigurationError if
+    K exceeds N², the training portion is empty, or ``[E, F]`` is not
+    ``(n_entities, feature_dim)``.
+    """
+    flows, n, k = series.flows, series.n_stations, model_config.n_entities
+    if model_config.entity_mode == m.TOP_K_PAIRS:
+        if k > n * n:
+            raise ConfigurationError(f"K={k} out of range for {n}x{n} pairs")
+        n_train = split_lengths(series.n_bins)[0]
+        if n_train < 1:
+            raise ConfigurationError("training portion is empty")
+        means = flows[:n_train].mean(axis=0)  # [N, N]
+        # a stable sort of the row-major means keeps ties in (i, j) order
+        rows, cols = np.divmod(np.argsort(-means, axis=None, kind="stable")[:k], n)
+        flows = flows[:, rows, cols][:, :, None]  # [T, K, 1]
+    if flows.shape[1:] != (k, model_config.feature_dim):
+        raise ConfigurationError(
+            f"the series gives [E, F] = {list(flows.shape[1:])}, the model takes "
+            f"{[k, model_config.feature_dim]}")
     return flows, split_and_window(flows, stats, SPLIT, model_config.history,
                                    model_config.horizon)
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import diffmath as dm
-from .data import (ODSeries, ConfigurationError, check_float64_shape, read_container,
-                   split_lengths, write_container)
+from .data import ConfigurationError, check_float64_shape, read_container, write_container
 
 CHECKPOINT_MAGIC = b"UMODCKPT"
 CHECKPOINT_VERSION = 3
@@ -159,44 +158,6 @@ def forward(x, params: dict[str, dm.Tensor], config: ModelConfig) -> dm.Tensor:
     """Full forward pass: [B,H,E,feature_dim] -> [B,P,E,feature_dim]."""
     o_t, _ = temporal_attention(embed(x, params, config), params)
     return spatial_head(o_t, params, config)
-
-
-# ---------------------------------------------------------------------------
-# pair view
-
-
-def flatten_pairs(series: ODSeries, k: int):
-    """Pick the K busiest OD pairs by training-split mean flow.
-
-    Ties break toward the lower (origin index, destination index). Returns
-    the pair index list and a ``[T, K, 1]`` scalar-feature view of the series.
-    Raises ConfigurationError if the training split is empty.
-    """
-    n = series.n_stations
-    if not (1 <= k <= n * n):
-        raise ConfigurationError(f"K={k} out of range for {n}x{n} pairs")
-    n_train = split_lengths(series.n_bins)[0]
-    if n_train < 1:
-        raise ConfigurationError("training portion is empty")
-    means = series.flows[:n_train].mean(axis=0)  # [N, N]
-    # a stable sort of the row-major means keeps ties in (i, j) order
-    rows, cols = np.divmod(np.argsort(-means, axis=None, kind="stable")[:k], n)
-    view = series.flows[:, rows, cols][:, :, None]  # [T, K, 1]
-    return list(zip(rows.tolist(), cols.tolist())), view
-
-
-def entity_flows(series: ODSeries, config: ModelConfig) -> np.ndarray:
-    """The ``[T, E, F]`` view the model forecasts: station rows or top-K pairs.
-
-    Raises ConfigurationError if ``[E, F]`` is not ``(n_entities, feature_dim)``.
-    """
-    flows = (flatten_pairs(series, config.n_entities)[1] if config.entity_mode == TOP_K_PAIRS
-             else series.flows)
-    if flows.shape[1:] != (config.n_entities, config.feature_dim):
-        raise ConfigurationError(
-            f"the series gives [E, F] = {list(flows.shape[1:])}, the model takes "
-            f"{[config.n_entities, config.feature_dim]}")
-    return flows
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,25 @@ class TestIngest:
             "error: no bin of the series falls inside operating window 6-18h\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_window_on_bins_that_do_not_tile_a_day_exits_1(self, tmp_path, capsys, command):
+        # 25200-s bins aligned with 00:00-07:00 start day 1 at 04:00, so the kept
+        # bins of a week of hourly trips would be other hours on other days
+        trips, stations = self.write_inputs(
+            tmp_path, "".join(f"A,B,{h * 3600 + 60}\n" for h in range(168)))
+        out, run_dir, cfg = tmp_path / "o.bin", tmp_path / "run", tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrips = {trips}\nstations = {stations}\nstart_time = 0\n"
+                       "end_time = 604800\ngranularity = 25200\noperating_start = 0\n"
+                       f"operating_end = 7\n[run]\noutput_dir = {run_dir}\n")
+        argv = {"ingest": ["ingest", "--trips", str(trips), "--stations", str(stations),
+                           "--start", "0", "--end", "604800", "--granularity", "25200",
+                           "--window", "0", "7", "--out", str(out)],
+                "train": ["train", str(cfg)]}[command]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: granularity 25200 does not tile a day of 86400 seconds\n")
+        assert not out.exists() and not run_dir.exists()
+
     def test_timestamps_beyond_int64_drop_out_of_span(self, tmp_path, capsys):
         trips, stations = self.write_inputs(tmp_path, f"A,B,{10**30}\nB,A,{-10**23}\n"
                                                       "A,B,1_000\nB,A, +5\n")

@@ -26,14 +26,14 @@ VALUES = st.floats(width=64, allow_nan=True, allow_infinity=True)
 @st.composite
 def series(draw):
     """A valid grid: any granularity without a window, else one that divides
-    both of the window's edges."""
+    both of the window's edges and a day."""
     n, t = draw(st.integers(0, 3)), draw(st.integers(0, 4))
     window = draw(st.none() | st.integers(0, 23).flatmap(
         lambda start: st.tuples(st.just(start), st.integers(start + 1, 24))))
     if window is None:
         granularity = draw(st.integers(1, 86400))
     else:
-        edges = math.gcd(window[0] * 3600, window[1] * 3600)
+        edges = math.gcd(window[0] * 3600, window[1] * 3600, 86400)
         granularity = draw(st.sampled_from(
             [g for g in range(1, edges + 1) if edges % g == 0]))
     return dt.ODSeries(

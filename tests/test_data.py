@@ -134,13 +134,13 @@ class TestOperatingHours:
     @pytest.mark.parametrize("granularity, window", [(7000, None), (172800, None),
                                                      (25200, (0, 7))])
     def test_bins_per_day_needs_bins_that_tile_a_day(self, granularity, window):
-        # each grid is valid, but no count of bins per day holds: 7000-s bins
-        # put 23:20 in bin 12, and 25200-s bins aligned with 00:00-07:00 start
-        # day 1 at 04:00
-        grid = dt.Grid(0, granularity, window)
+        # no count of bins per day holds: 7000-s bins put 23:20 in bin 12, and
+        # 25200-s bins aligned with 00:00-07:00 start day 1 at 04:00; a
+        # windowless grid is valid until its days are counted, a windowed one
+        # is refused when built
         message = f"granularity {granularity} does not tile a day of 86400 seconds"
         with pytest.raises(dt.ConfigurationError, match=message):
-            grid.bins_per_day
+            dt.Grid(0, granularity, window).bins_per_day
         with pytest.raises(dt.ConfigurationError, match=message):
             dt.SyntheticSpec(granularity=granularity, operating_window=window)
 
@@ -419,6 +419,16 @@ class TestSerialization:
         write_series_file(path, header, np.array([0.0, 3.0]).reshape(2, 1, 1))
         with pytest.raises(dt.SeriesFormatError,
                            match="bad series header: ConfigurationError: .*" + message):
+            dt.load_series(path)
+
+    def test_window_on_bins_that_do_not_tile_a_day_is_a_format_error(
+            self, tmp_path, write_series_file):
+        header = {"version": 2, "stations": ["A"], "start_time": 0, "granularity": 25200,
+                  "operating_window": [0, 7], "dims": [2, 1, 1], "cells": 1}
+        path = tmp_path / "series.bin"
+        write_series_file(path, header, np.array([0.0, 3.0]).reshape(2, 1, 1))
+        with pytest.raises(dt.SeriesFormatError, match="bad series header: ConfigurationError: "
+                           "granularity 25200 does not tile a day of 86400 seconds"):
             dt.load_series(path)
 
     @pytest.mark.parametrize("cells", [

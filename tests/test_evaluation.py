@@ -209,6 +209,73 @@ class TestBaselines:
             ev.fit_baseline("arima", series=small_series(), stats=IDENTITY)
 
 
+def pair_view(series, k):
+    """The ``[T, K, 1]`` entity view that ``entity_windows`` builds in pair mode."""
+    cfg = md.ModelConfig(n_entities=k, history=1, horizon=1, d_input=2, d_adaptive=2,
+                         entity_mode=md.TOP_K_PAIRS, seed=0)
+    return ev.entity_windows(series, cfg, IDENTITY)[0]
+
+
+class TestPairView:
+    # 20 bins split 14 : 2 : 4, so every portion holds a window at H = P = 1
+    def make_series(self):
+        flows = np.zeros((20, 2, 2))
+        flows[:, 0, 1] = 5.0
+        flows[:, 1, 0] = 3.0
+        return dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), flows)
+
+    def test_hand_ranking(self):
+        view = pair_view(self.make_series(), 2)
+        assert view.shape == (20, 2, 1)
+        assert np.array_equal(view[:, 0, 0], np.full(20, 5.0))
+        assert np.array_equal(view[:, 1, 0], np.full(20, 3.0))
+
+    def test_all_pairs_conserve_flow(self):
+        series = self.make_series()
+        assert pair_view(series, 4).sum() == series.flows.sum()
+
+    def test_tie_breaks_to_lower_indices(self):
+        # tied on the 14 training bins; after them (1, 0) is busier, so the
+        # view shows which pair was picked, and that only training bins rank
+        flows = np.zeros((20, 2, 2))
+        flows[:, 0, 1] = 2.0
+        flows[:, 1, 0] = 2.0
+        flows[14:, 1, 0] = 7.0
+        series = dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), flows)
+        assert np.array_equal(pair_view(series, 1)[:, 0, 0], flows[:, 0, 1])
+
+    def test_k_out_of_range(self):
+        with pytest.raises(dt.ConfigurationError, match=r"K=5 out of range for 2x2 pairs"):
+            pair_view(self.make_series(), 5)
+
+    def test_empty_training_split_rejected(self):
+        # a 1-bin series has no training bins: split_lengths(1) == (0, 0, 1)
+        series = dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), self.make_series().flows[:1])
+        with pytest.raises(dt.ConfigurationError, match="training portion is empty"):
+            pair_view(series, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+    def test_matches_sorted_tuple_ranking(self, n):
+        # few distinct flow values, so most means tie
+        flows = np.random.default_rng(n).integers(0, 3, (20, n, n)).astype(float)
+        series = dt.ODSeries([f"S{k}" for k in range(n)], dt.Grid(0, 1800, None), flows)
+        means = flows[:int(20 * dt.SPLIT[0])].mean(axis=0)
+        ranked = sorted(((i, j) for i in range(n) for j in range(n)),
+                        key=lambda ij: (-means[ij], *ij))
+        for k in sorted({1, n, n * n // 2 + 1, n * n}):
+            rows, cols = np.array(ranked[:k]).T
+            assert np.array_equal(pair_view(series, k)[:, :, 0], flows[:, rows, cols])
+
+    def test_pair_mode_forward_shapes(self):
+        cfg = md.ModelConfig(n_entities=3, history=1, horizon=1, d_input=2,
+                             d_adaptive=2, entity_mode=md.TOP_K_PAIRS, seed=0)
+        assert cfg.feature_dim == 1
+        view, (train_s, _, _) = ev.entity_windows(self.make_series(), cfg, IDENTITY)
+        assert view.shape == (20, 3, 1)
+        y = md.forward(train_s[0].x[None, ...], md.init_params(cfg), cfg)
+        assert y.shape == (1, 1, 3, 1)
+
+
 def fast_model_config(series, **overrides):
     kwargs = dict(n_entities=series.n_stations, history=2, horizon=2,
                   d_input=3, d_adaptive=4, seed=0)

@@ -7,7 +7,9 @@ few is referenced from the package itself, so code that nothing in
 ``src/umod`` uses is deleted rather than kept for tests. A method or property
 counts as referenced only through an attribute of something other than a
 module, and one named like an ``np.ndarray`` attribute must be listed, because
-reads off arrays would hide whether it is used. Every field of a ``@dataclass``
+reads off arrays would hide whether it is used. The network module takes from
+``data`` only its error, shape check and container codec, so it reads no
+series and no split. Every field of a ``@dataclass``
 is read as an attribute (``obj.field``) somewhere in the package, so no field
 is kept that nothing reads.
 """
@@ -62,6 +64,16 @@ def test_imports_only_numpy_stdlib_and_umod(path):
 
 def test_diffmath_imports_no_layer_above_it():
     assert not imported_modules(SRC / "diffmath.py") & NOT_UNDER_DIFFMATH
+
+
+def test_model_reads_no_series_and_no_split():
+    # the network takes arrays: which entities a series gives, and where its
+    # split falls, is evaluation's choice (``evaluation.entity_windows``)
+    names = {alias.name for node in ast.walk(ast.parse((SRC / "model.py").read_text("utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.level and node.module == "data"
+             for alias in node.names}
+    assert names == {"ConfigurationError", "check_float64_shape", "read_container",
+                     "write_container"}
 
 
 def module_aliases(tree: ast.Module) -> set[str]:

@@ -243,67 +243,6 @@ class TestForward:
         assert x.grad is None or not np.any(x.grad)
 
 
-class TestFlattenPairs:
-    def make_series(self):
-        flows = np.zeros((10, 2, 2))
-        flows[:, 0, 1] = 5.0
-        flows[:, 1, 0] = 3.0
-        return dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), flows)
-
-    def test_hand_ranking(self):
-        pairs, view = md.flatten_pairs(self.make_series(), 2)
-        assert pairs == [(0, 1), (1, 0)]
-        assert view.shape == (10, 2, 1)
-        assert np.array_equal(view[:, 0, 0], np.full(10, 5.0))
-
-    def test_all_pairs_conserve_flow(self):
-        series = self.make_series()
-        _, view = md.flatten_pairs(series, 4)
-        assert view.sum() == series.flows.sum()
-
-    def test_tie_breaks_to_lower_indices(self):
-        flows = np.zeros((4, 2, 2))
-        flows[:, 0, 1] = 2.0
-        flows[:, 1, 0] = 2.0
-        series = dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), flows)
-        pairs, _ = md.flatten_pairs(series, 1)
-        assert pairs == [(0, 1)]
-
-    def test_k_out_of_range(self):
-        with pytest.raises(dt.ConfigurationError):
-            md.flatten_pairs(self.make_series(), 5)
-
-    def test_empty_training_split_rejected(self):
-        # a 1-bin series has no training bins: split_lengths(1) == (0, 0, 1)
-        series = dt.ODSeries(["A", "B"], dt.Grid(0, 1800, None), self.make_series().flows[:1])
-        with pytest.raises(dt.ConfigurationError, match="training portion is empty"):
-            md.flatten_pairs(series, 1)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
-    def test_matches_sorted_tuple_ranking(self, n):
-        # few distinct flow values, so most means tie
-        flows = np.random.default_rng(n).integers(0, 3, (7, n, n)).astype(float)
-        series = dt.ODSeries([f"S{k}" for k in range(n)], dt.Grid(0, 1800, None), flows)
-        means = flows[:int(7 * dt.SPLIT[0])].mean(axis=0)
-        ranked = sorted(((i, j) for i in range(n) for j in range(n)),
-                        key=lambda ij: (-means[ij], *ij))
-        for k in sorted({1, n, n * n // 2 + 1, n * n}):
-            pairs, view = md.flatten_pairs(series, k)
-            assert pairs == ranked[:k]
-            rows, cols = np.array(ranked[:k]).T
-            assert np.array_equal(view[:, :, 0], flows[:, rows, cols])
-
-    def test_pair_mode_forward_shapes(self):
-        series = self.make_series()
-        pairs, view = md.flatten_pairs(series, 3)
-        cfg = md.ModelConfig(n_entities=3, history=2, horizon=2, d_input=2,
-                             d_adaptive=2, entity_mode=md.TOP_K_PAIRS, seed=0)
-        assert cfg.feature_dim == 1
-        params = md.init_params(cfg)
-        y = md.forward(view[:2][None, ...], params, cfg)
-        assert y.shape == (1, 2, 3, 1)
-
-
 def read_header(path) -> dict:
     """The JSON header of a ``write_container`` file."""
     raw = path.read_bytes()
