@@ -248,12 +248,15 @@ def _ingest(trips_path, stations_path, start_time, end_time, granularity,
 
 
 def cmd_ingest(args) -> int:
-    window = tuple(args.window) if args.window else None
-    series, out_of_span, outside_hours = _ingest(
-        args.trips, args.stations, args.start, args.end, args.granularity, window)
+    stations = dt.read_lines(args.stations)
+    trips = dt.read_trips_with_lines(args.trips, stations)
+    grid = dt.Grid(args.start, args.granularity, tuple(args.window) if args.window else None)
+    series, out_of_span, outside_hours = dt.build_od_series(trips, stations, grid, args.end)
     dt.dump_series(series, args.out)
+    # each kept trip adds exactly 1.0 to the series, so this count is its sum
+    kept = len(trips[0]) - out_of_span - outside_hours
     print(f"stations={series.n_stations} bins={series.n_bins} "
-          f"total_flow={series.flows.sum():.0f} dropped={out_of_span + outside_hours} "
+          f"total_flow={kept} dropped={out_of_span + outside_hours} "
           f"out_of_span={out_of_span} outside_hours={outside_hours}")
     return EXIT_OK
 

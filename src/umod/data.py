@@ -21,6 +21,7 @@ SERIES_VERSION = 2
 SECONDS_PER_DAY = 86400
 SPLIT = (0.7, 0.1, 0.2)  # chronological train : val : test fractions
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+TRIP_BLOCK = 1 << 16  # bytes of trip log read and parsed at a time
 
 
 class IngestionError(ValueError):
@@ -208,22 +209,13 @@ def build_od_series(trips, stations, grid: Grid, end_time: int) -> tuple[ODSerie
     return series, int(in_span.size - t.size), int(t.size - cells.size)
 
 
-def _read_text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, a leading byte-order mark dropped.
-
-    Universal newlines have turned ``\\r\\n`` and ``\\r`` into ``\\n``, so
-    line ``k`` of the file is item ``k - 1``.
-    """
+def read_lines(path) -> list[str]:
+    """The stripped non-blank lines of UTF-8 text, a leading byte-order mark dropped."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read().split("\n")
+            return [line for line in map(str.strip, fh.read().split("\n")) if line]
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def read_lines(path) -> list[str]:
-    """The stripped non-blank lines of UTF-8 text."""
-    return [line for line in map(str.strip, _read_text_lines(path)) if line]
 
 
 def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,38 +225,130 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     on line 1; blank lines are skipped and fields may carry whitespace.
     Origins and destinations become indices into ``stations``; timestamps
     beyond the int64 range are clamped to it, so they fall outside any span.
-    Raises IngestionError naming the line of the first malformed record or
-    unknown station.
+    Raises IngestionError for the first defect in file order: a malformed
+    record or unknown station, named with its line, or a byte that is not
+    UTF-8, reported when no line before its own has a defect.
+
+    The log is read ``TRIP_BLOCK`` bytes at a time. A block whose lines are
+    all ``name,name,digits`` (known names as they are, 1 to 18 digits) is
+    parsed in numpy. Line 1 is a block of its own, so that a header does not
+    hold back the lines after it, and any other block goes line by line
+    through ``_parse_line``, which gives the same columns.
     """
     # a stripped field never equals a name with outer whitespace
     index = {name: k for k, name in enumerate(stations) if name == name.strip()}
+    keys = {name.encode("utf-8"): k for name, k in index.items()}
+    blocks, lineno = [np.empty((3, 0), np.int64)], 1
+    with open(path, "rb") as fh:
+        for body in _line_blocks(fh):
+            columns = _parse_block(body, keys)
+            if columns is None:
+                try:
+                    columns = _parse_lines(body, lineno, index)
+                except UnicodeDecodeError as exc:
+                    _parse_lines(body[:body.rfind(b"\n", 0, exc.start) + 1], lineno, index)
+                    raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+            blocks.append(columns)
+            lineno += body.count(b"\n")
+    return tuple(np.concatenate(blocks, axis=1))
+
+
+def _line_blocks(fh):
+    """The whole lines of the binary file ``fh`` as blocks of bytes: line 1 on
+    its own, then what each read of ``TRIP_BLOCK`` or more bytes completes. As in
+    text mode with ``utf-8-sig``, a leading byte-order mark is dropped and
+    ``\\r\\n`` and ``\\r`` become ``\\n``; every block ends with ``\\n``."""
+    rest, head = b"", True
+    while True:
+        # at least the carried bytes again, so a line longer than a block is
+        # read in doubling reads and each of its bytes is copied O(1) times
+        chunk = fh.read(max(TRIP_BLOCK, len(rest)))
+        data = rest + chunk
+        rest = b"\r" if chunk and data.endswith(b"\r") else b""  # maybe half of a \r\n
+        data = data[:len(data) - len(rest)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not chunk and data and not data.endswith(b"\n"):
+            data += b"\n"  # the end of the file ends the last line
+        if head and b"\n" in data:
+            cut = data.index(b"\n") + 1
+            yield data[:cut].removeprefix(b"\xef\xbb\xbf")  # a byte-order mark
+            data, head = data[cut:], False
+        cut = 0 if head else data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        rest = data[cut:] + rest
+        if not chunk:
+            return
+
+
+def _parse_block(body: bytes, keys) -> np.ndarray | None:
+    """The ``[3, n]`` columns of the ``n`` lines of ``body`` if each is
+    ``origin,destination,digits`` with names that are keys of ``keys`` and
+    1 to 18 ASCII digits, else None. Such a block is UTF-8."""
+    b = np.frombuffer(body, np.uint8)
+    newline = np.flatnonzero(b == ord("\n"))
+    comma = np.flatnonzero(b == ord(","))
+    n = newline.size
+    if comma.size != 2 * n:
+        return None
+    # with 2n commas, and only digits from every second one to the next newline,
+    # every line has exactly two
+    width = newline - comma[1::2] - 1
+    digits = int(width.max())
+    if width.min() < 1 or digits > 18:
+        return None
+    stamp = np.zeros(n, np.int64)  # exact: below 10**18 < 2**63
+    for j in range(digits, 0, -1):  # the j-th digit from the end, where a line has one
+        # newline - j >= -j > -b.size: a short first line's index wraps, masked
+        digit = np.where(width >= j, b[newline - j] - np.uint8(ord("0")), np.uint8(0))
+        if (digit > 9).any():
+            return None
+        stamp *= 10
+        stamp += digit
+    fields = body[:-1].replace(b"\n", b",").split(b",")
+    try:
+        return np.stack([np.fromiter(map(keys.__getitem__, fields[0::3]), np.int64, n),
+                         np.fromiter(map(keys.__getitem__, fields[1::3]), np.int64, n),
+                         stamp])
+    except KeyError:
+        return None
+
+
+def _parse_lines(body: bytes, lineno: int, index) -> np.ndarray:
+    """The ``[3, n]`` columns of the lines of ``body``, the first of which is
+    line ``lineno``, read with ``_parse_line``."""
     flat = []  # origin, destination, timestamp of each trip in turn
-    for lineno, raw in enumerate(_read_text_lines(path), start=1):
-        try:  # most lines: two bare known names and an in-range integer
-            o, d, s = raw.split(",")
-            stamp = int(s)
-            if INT64_MIN <= stamp <= INT64_MAX:
-                flat += (index[o], index[d], stamp)
-                continue
-        except (ValueError, KeyError):
-            pass
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            stamp = int(parts[-1])
-        except ValueError:
-            if lineno == 1:
-                continue  # optional header
-            stamp = None
-        if len(parts) != 3 or stamp is None:
-            raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
-        for name in parts[:2]:
-            if name not in index:
-                raise IngestionError(f"unknown station {name!r} at line {lineno}")
-        flat += (index[parts[0]], index[parts[1]], min(max(stamp, INT64_MIN), INT64_MAX))
-    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+    for lineno, raw in enumerate(body.decode("utf-8").split("\n")[:-1], start=lineno):
+        _parse_line(raw, lineno, index, flat)
+    return np.array(flat, dtype=np.int64).reshape(-1, 3).T
+
+
+def _parse_line(raw: str, lineno: int, index, flat: list) -> None:
+    """Append the trip on line ``lineno`` of the log to ``flat``; a blank
+    line, or a header on line 1, appends nothing."""
+    try:  # most lines: two bare known names and an in-range integer
+        o, d, s = raw.split(",")
+        stamp = int(s)
+        if INT64_MIN <= stamp <= INT64_MAX:
+            flat += (index[o], index[d], stamp)
+            return
+    except (ValueError, KeyError):
+        pass
+    line = raw.strip()
+    if not line:
+        return
+    parts = [p.strip() for p in line.split(",")]
+    try:
+        stamp = int(parts[-1])
+    except ValueError:
+        if lineno == 1:
+            return  # optional header
+        stamp = None
+    if len(parts) != 3 or stamp is None:
+        raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
+    for name in parts[:2]:
+        if name not in index:
+            raise IngestionError(f"unknown station {name!r} at line {lineno}")
+    flat += (index[parts[0]], index[parts[1]], min(max(stamp, INT64_MIN), INT64_MAX))
 
 
 # ---------------------------------------------------------------------------

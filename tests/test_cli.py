@@ -210,6 +210,30 @@ class TestIngest:
         assert series.grid == expected[0].grid
         assert (out_of_span, outside_hours) == expected[1:]
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(trip_logs())
+    @example((GOLDEN_TRIPS, ["A", "B", "C"], 0, 172800, 3600, (6, 23)))
+    def test_total_flow_is_the_series_sum(self, log):
+        text, stations, start, end, granularity, window = log
+        with tempfile.TemporaryDirectory() as tmp:
+            trips, names = os.path.join(tmp, "trips.csv"), os.path.join(tmp, "stations.txt")
+            out = os.path.join(tmp, "series.bin")
+            with open(trips, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with open(names, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(stations) + "\n")
+            argv = ["ingest", "--trips", trips, "--stations", names, "--start", str(start),
+                    "--end", str(end), "--granularity", str(granularity), "--out", out]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv + (["--window", *map(str, window)] if window else []))
+            if code:  # a window that keeps no bin of the span
+                assert stderr.getvalue().startswith("error: no bin of the series falls")
+                return
+            flows = dt.load_series(out).flows
+        total = re.search(r" total_flow=(\d+) ", stdout.getvalue()).group(1)
+        assert int(total) == flows.sum()
+
     def test_golden_series_bytes(self, tmp_path, capsys):
         trips, stations = self.write_inputs(tmp_path, GOLDEN_TRIPS)
         stations.write_text("A\nB\nC\n")

@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import re
 import struct
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -643,3 +645,93 @@ class TestTripText:
             got = dt.read_trips_with_lines(path, stations)
         assert all(a.dtype == np.int64 and np.array_equal(a, b)
                    for a, b in zip(got, expected, strict=True))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(defective_trip_logs())
+    @example(f"A,B,10\r\n{HEADER}\r\nB,A,200\r\n")  # 7 bytes: a read ends in \r
+    @example(f"A,B,1\n{HEADER}\nB,A,2\n")  # a block ends right after line 1
+    @example(f"{HEADER}\nA,B,100\nB,A,200\nA,B,{10**30}\n{HEADER}\n")
+    @example("B,A,7\r\rA,B,1234567890\r")
+    @example(f"A,B,1\nA,B,{2**63}\nB,A,{10**19 - 1}\nA,B,{10**18 - 1}\n")
+    def test_matches_the_per_line_oracle_in_small_blocks(self, block, text):
+        # blocks end inside lines, between \r and \n and after line 1
+        with mock.patch.object(dt, "TRIP_BLOCK", block):
+            self.test_matches_the_per_line_oracle.hypothesis.inner_test(self, text)
+
+    def test_only_a_block_with_an_odd_line_goes_line_by_line(self, tmp_path):
+        stations = [f"M{k:03d}" for k in range(8)] + ["Zürich"]
+        rng = np.random.default_rng(0)
+        lines = [HEADER] + [f"{stations[o]},{stations[d]},{t}" for o, d, t in zip(
+            rng.integers(0, 9, 400), rng.integers(0, 9, 400), rng.integers(0, 2 * 10**9, 400))]
+        odd = [" M001,M002,5", "M001,M002,+5", "M001,M002,1_000", f"M001,M002,{10**19 - 1}",
+               "", "Zürich, M000 ,7"]
+        path = tmp_path / "trips.csv"
+
+        def line_by_line(lines):
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            with mock.patch.object(dt, "TRIP_BLOCK", 1024), \
+                    mock.patch.object(dt, "_parse_line", wraps=dt._parse_line) as spy:
+                got = dt.read_trips_with_lines(path, stations)
+            for a, b in zip(got, oracle_read_trips(path, stations), strict=True):
+                assert a.dtype == np.int64 and np.array_equal(a, b)
+            return [call.args[1] for call in spy.call_args_list]
+
+        assert line_by_line(lines) == [1]  # the header; Zürich takes the numpy path
+        mixed = lines[:200] + odd + lines[200:]
+        # the lines that each 1024-byte read completes form one block; line 1 is its own
+        blocks = -(-np.cumsum([len(line.encode("utf-8")) + 1 for line in mixed]) // 1024)
+        odd_block = blocks[200]
+        assert blocks[205] == odd_block and 2 < odd_block < blocks[-1]  # a middle block
+        assert line_by_line(mixed) == [1] + [lineno for lineno, k in
+                                             enumerate(blocks, start=1) if k == odd_block]
+
+    def test_a_line_longer_than_a_block_takes_doubling_reads(self):
+        class CountingReads(io.BytesIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return super().read(size)
+
+        fh = CountingReads(b"x" * 100_000 + b"\r\nA,B,1")
+        with mock.patch.object(dt, "TRIP_BLOCK", 16):
+            assert list(dt._line_blocks(fh)) == [b"x" * 100_000 + b"\n", b"A,B,1\n"]
+        assert fh.reads <= 16  # not one per 16 bytes, whose copies grow as its square
+
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    @pytest.mark.parametrize("text, error", [
+        (b"A,B,1\nA,B\n" + b"A,B,2\n" * 20 + b"\xff,B,3\n",
+         "malformed trip record at line 2: 'A,B'"),
+        (b"A,B,1\n" + b"A,B,2\n" * 20 + b"\xff,B,3\nX,B,4\n", "not UTF-8 text"),
+        (b"A,B,1\nA,B,\xff\nA,B\n", "not UTF-8 text"),
+        (b"A,B,1\nA,X,2\nA,B,\xff\n", "unknown station 'X' at line 2"),
+    ], ids=["malformed_before_later_block", "bad_byte_before_unknown", "bad_byte_first",
+            "unknown_on_the_line_before"])
+    def test_first_defect_in_file_order_wins(self, tmp_path, block, text, error):
+        path = tmp_path / "trips.csv"
+        path.write_bytes(text)
+        with mock.patch.object(dt, "TRIP_BLOCK", block), \
+                pytest.raises(dt.IngestionError, match=re.escape(error)):
+            dt.read_trips_with_lines(path, ["A", "B"])
+
+    def test_peak_memory_is_twice_the_columns(self, tmp_path):
+        # a log shaped like perfbench/gen_inputs.py's: a header, then 100k clean rows
+        rng = np.random.default_rng(1)
+        stations = [f"M{k:03d}" for k in range(80)]
+        o, d = rng.integers(0, 80, (2, 100_000))
+        stamps = rng.integers(1_700_000_000, 1_800_000_000, 100_000)
+        path = tmp_path / "trips.csv"
+        path.write_text(HEADER + "\n" + "".join(
+            f"M{a:03d},M{b:03d},{t}\n" for a, b, t in zip(o.tolist(), d.tolist(),
+                                                          stamps.tolist())))
+        tracemalloc.start()
+        try:
+            got = dt.read_trips_with_lines(path, stations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got[2], stamps)
+        columns = 3 * 8 * 100_000
+        # the blocks' columns and their concatenation, and a few blocks of parsing
+        assert peak <= 2 * columns + 16 * dt.TRIP_BLOCK
