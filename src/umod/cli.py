@@ -240,21 +240,21 @@ def cmd_synth(args) -> int:
 
 def _ingest(trips_path, stations_path, start_time, end_time, granularity,
             window):
-    """The series binned from a trip log, and the counts of trips dropped out
-    of the span and outside operating hours."""
+    """The series binned from a trip log, the count of trips it kept, and the
+    counts of trips dropped out of the span and outside operating hours."""
     stations = dt.read_lines(stations_path)
     trips = dt.read_trips_with_lines(trips_path, stations)
-    return dt.build_od_series(trips, stations, dt.Grid(start_time, granularity, window), end_time)
+    series, out_of_span, outside_hours = dt.build_od_series(
+        trips, stations, dt.Grid(start_time, granularity, window), end_time)
+    # each kept trip adds exactly 1.0 to the series, so this count is its sum
+    return series, len(trips[0]) - out_of_span - outside_hours, out_of_span, outside_hours
 
 
 def cmd_ingest(args) -> int:
-    stations = dt.read_lines(args.stations)
-    trips = dt.read_trips_with_lines(args.trips, stations)
-    grid = dt.Grid(args.start, args.granularity, tuple(args.window) if args.window else None)
-    series, out_of_span, outside_hours = dt.build_od_series(trips, stations, grid, args.end)
+    series, kept, out_of_span, outside_hours = _ingest(
+        args.trips, args.stations, args.start, args.end, args.granularity,
+        tuple(args.window) if args.window else None)
     dt.dump_series(series, args.out)
-    # each kept trip adds exactly 1.0 to the series, so this count is its sum
-    kept = len(trips[0]) - out_of_span - outside_hours
     print(f"stations={series.n_stations} bins={series.n_bins} "
           f"total_flow={kept} dropped={out_of_span + outside_hours} "
           f"out_of_span={out_of_span} outside_hours={outside_hours}")

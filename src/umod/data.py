@@ -21,7 +21,7 @@ SERIES_VERSION = 2
 SECONDS_PER_DAY = 86400
 SPLIT = (0.7, 0.1, 0.2)  # chronological train : val : test fractions
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
-TRIP_BLOCK = 1 << 16  # bytes of trip log read and parsed at a time
+TRIP_BLOCK = 1 << 16  # characters of trip log read and parsed at a time
 
 
 class IngestionError(ValueError):
@@ -229,18 +229,22 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     record or unknown station, named with its line, or a byte that is not
     UTF-8, reported when no line before its own has a defect.
 
-    The log is read ``TRIP_BLOCK`` bytes at a time. A block whose lines are
-    all ``name,name,digits`` (known names as they are, 1 to 18 digits) is
-    parsed in numpy. Line 1 is a block of its own, so that a header does not
-    hold back the lines after it, and any other block goes line by line
-    through ``_parse_line``, which gives the same columns.
+    The log is read in text mode (no byte-order mark, every line ending
+    ``\n``, a byte that is not UTF-8 kept as itself): line 1 on its own, so
+    that a header does not hold back the lines after it, then ``TRIP_BLOCK``
+    characters and one ``readline`` at a time. A block whose lines are all
+    ``name,name,digits`` (known names as they are, 1 to 18 digits) is parsed
+    in numpy, any other by ``_parse_line``, to the same columns.
     """
     # a stripped field never equals a name with outer whitespace
     index = {name: k for k, name in enumerate(stations) if name == name.strip()}
     keys = {name.encode("utf-8"): k for name, k in index.items()}
     blocks, lineno = [np.empty((3, 0), np.int64)], 1
-    with open(path, "rb") as fh:
-        for body in _line_blocks(fh):
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        size = 0  # line 1 on its own
+        while body := (fh.read(size) + fh.readline()).encode("utf-8", "surrogateescape"):
+            if not body.endswith(b"\n"):
+                body += b"\n"  # the end of the file ends the last line
             columns = _parse_block(body, keys)
             if columns is None:
                 try:
@@ -250,34 +254,8 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
                     raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
             blocks.append(columns)
             lineno += body.count(b"\n")
+            size = TRIP_BLOCK
     return tuple(np.concatenate(blocks, axis=1))
-
-
-def _line_blocks(fh):
-    """The whole lines of the binary file ``fh`` as blocks of bytes: line 1 on
-    its own, then what each read of ``TRIP_BLOCK`` or more bytes completes. As in
-    text mode with ``utf-8-sig``, a leading byte-order mark is dropped and
-    ``\\r\\n`` and ``\\r`` become ``\\n``; every block ends with ``\\n``."""
-    rest, head = b"", True
-    while True:
-        # at least the carried bytes again, so a line longer than a block is
-        # read in doubling reads and each of its bytes is copied O(1) times
-        chunk = fh.read(max(TRIP_BLOCK, len(rest)))
-        data = rest + chunk
-        rest = b"\r" if chunk and data.endswith(b"\r") else b""  # maybe half of a \r\n
-        data = data[:len(data) - len(rest)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not chunk and data and not data.endswith(b"\n"):
-            data += b"\n"  # the end of the file ends the last line
-        if head and b"\n" in data:
-            cut = data.index(b"\n") + 1
-            yield data[:cut].removeprefix(b"\xef\xbb\xbf")  # a byte-order mark
-            data, head = data[cut:], False
-        cut = 0 if head else data.rfind(b"\n") + 1
-        if cut:
-            yield data[:cut]
-        rest = data[cut:] + rest
-        if not chunk:
-            return
 
 
 def _parse_block(body: bytes, keys) -> np.ndarray | None:
@@ -388,10 +366,9 @@ def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormSt
     Raises ConfigurationError if either is not finite."""
     if not (0.0 < train_fraction <= 1.0):
         raise ConfigurationError(f"train_fraction {train_fraction} out of (0, 1]")
-    n_train = int(series.n_bins * train_fraction)
-    if n_train < 1:
+    chunk = series.flows[:int(series.n_bins * train_fraction)]
+    if chunk.size == 0:  # no bins, or no stations
         raise ConfigurationError("training portion is empty")
-    chunk = series.flows[:n_train]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(chunk.mean())
         std = float(chunk.std())  # population formula

@@ -204,11 +204,12 @@ class TestIngest:
                 with pytest.raises(dt.ConfigurationError, match=re.escape(str(exc))):
                     cli._ingest(trips, names, start, end, granularity, window)
                 return
-            series, out_of_span, outside_hours = cli._ingest(
+            series, kept, out_of_span, outside_hours = cli._ingest(
                 trips, names, start, end, granularity, window)
         assert np.array_equal(series.flows, expected[0].flows)
         assert series.grid == expected[0].grid
         assert (out_of_span, outside_hours) == expected[1:]
+        assert kept == series.flows.sum()
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(trip_logs())
@@ -515,6 +516,20 @@ class TestTrain:
             (tmp_path / "run" / "epochs.log").read_text().splitlines()[-1].split(","))
         assert epoch == "1"
         assert np.isfinite(float(train_loss)) and not np.isfinite(float(val_loss))
+
+    def test_series_of_no_stations_exits_1(self, tmp_path):
+        # one error line, with no numpy warning about an empty mean before it
+        trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
+        trips.write_text("origin,destination,timestamp\n")
+        stations.write_text("")
+        series = tmp_path / "series.bin"
+        assert run_quietly(["ingest", "--trips", str(trips), "--stations", str(stations),
+                            "--start", "0", "--end", "172800", "--granularity", "3600",
+                            "--out", str(series)]) == (0, "")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\nseries = {series}\n[run]\noutput_dir = {tmp_path / 'run'}\n")
+        assert run_quietly(["train", str(cfg)]) == (1, "error: training portion is empty\n")
+        assert not (tmp_path / "run").exists()
 
     def test_top_k_pairs_without_top_k_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "pairs.ini"

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import re
@@ -679,25 +678,26 @@ class TestTripText:
 
         assert line_by_line(lines) == [1]  # the header; Zürich takes the numpy path
         mixed = lines[:200] + odd + lines[200:]
-        # the lines that each 1024-byte read completes form one block; line 1 is its own
-        blocks = -(-np.cumsum([len(line.encode("utf-8")) + 1 for line in mixed]) // 1024)
+        # line 1 is block 0; each later block is 1024 characters and the rest of
+        # the line that holds the next character
+        blocks, block, start = [0], 1, 0
+        for end in np.cumsum([len(line) + 1 for line in mixed[1:]]):
+            blocks.append(block)
+            if end > start + 1024:
+                block, start = block + 1, end
         odd_block = blocks[200]
         assert blocks[205] == odd_block and 2 < odd_block < blocks[-1]  # a middle block
         assert line_by_line(mixed) == [1] + [lineno for lineno, k in
                                              enumerate(blocks, start=1) if k == odd_block]
 
-    def test_a_line_longer_than_a_block_takes_doubling_reads(self):
-        class CountingReads(io.BytesIO):
-            reads = 0
-
-            def read(self, size=-1):
-                self.reads += 1
-                return super().read(size)
-
-        fh = CountingReads(b"x" * 100_000 + b"\r\nA,B,1")
+    def test_a_line_longer_than_a_block_is_read_whole(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_bytes(b"A,B,1\n" + b" " * 100_000 + b"B , A,2\r\nA,B,3")
         with mock.patch.object(dt, "TRIP_BLOCK", 16):
-            assert list(dt._line_blocks(fh)) == [b"x" * 100_000 + b"\n", b"A,B,1\n"]
-        assert fh.reads <= 16  # not one per 16 bytes, whose copies grow as its square
+            got = dt.read_trips_with_lines(path, ["A", "B"])
+        for a, b in zip(got, oracle_read_trips(path, ["A", "B"]), strict=True):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+        assert got[2].tolist() == [1, 2, 3]
 
     @pytest.mark.parametrize("block", [7, 1 << 16])
     @pytest.mark.parametrize("text, error", [
@@ -715,16 +715,17 @@ class TestTripText:
                 pytest.raises(dt.IngestionError, match=re.escape(error)):
             dt.read_trips_with_lines(path, ["A", "B"])
 
-    def test_peak_memory_is_twice_the_columns(self, tmp_path):
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_peak_memory_is_twice_the_columns(self, tmp_path, end):
         # a log shaped like perfbench/gen_inputs.py's: a header, then 100k clean rows
         rng = np.random.default_rng(1)
         stations = [f"M{k:03d}" for k in range(80)]
         o, d = rng.integers(0, 80, (2, 100_000))
         stamps = rng.integers(1_700_000_000, 1_800_000_000, 100_000)
         path = tmp_path / "trips.csv"
-        path.write_text(HEADER + "\n" + "".join(
-            f"M{a:03d},M{b:03d},{t}\n" for a, b, t in zip(o.tolist(), d.tolist(),
-                                                          stamps.tolist())))
+        path.write_bytes((HEADER + end + "".join(
+            f"M{a:03d},M{b:03d},{t}{end}" for a, b, t in zip(o.tolist(), d.tolist(),
+                                                            stamps.tolist()))).encode())
         tracemalloc.start()
         try:
             got = dt.read_trips_with_lines(path, stations)
