@@ -243,6 +243,8 @@ def _ingest(trips_path, stations_path, start_time, end_time, granularity,
     """The series binned from a trip log, the count of trips it kept, and the
     counts of trips dropped out of the span and outside operating hours."""
     stations = dt.read_lines(stations_path)
+    if not stations:
+        raise dt.ConfigurationError(f"{stations_path}: no station names")
     trips = dt.read_trips_with_lines(trips_path, stations)
     series, out_of_span, outside_hours = dt.build_od_series(
         trips, stations, dt.Grid(start_time, granularity, window), end_time)

@@ -234,7 +234,8 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     that a header does not hold back the lines after it, then ``TRIP_BLOCK``
     characters and one ``readline`` at a time. A block whose lines are all
     ``name,name,digits`` (known names as they are, 1 to 18 digits) is parsed
-    in numpy, any other by ``_parse_line``, to the same columns.
+    in numpy, any other by ``_parse_lines``, the one copy of the per-line
+    rules, which decodes each line where it parses it, to the same columns.
     """
     # a stripped field never equals a name with outer whitespace
     index = {name: k for k, name in enumerate(stations) if name == name.strip()}
@@ -247,11 +248,7 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
                 body += b"\n"  # the end of the file ends the last line
             columns = _parse_block(body, keys)
             if columns is None:
-                try:
-                    columns = _parse_lines(body, lineno, index)
-                except UnicodeDecodeError as exc:
-                    _parse_lines(body[:body.rfind(b"\n", 0, exc.start) + 1], lineno, index)
-                    raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+                columns = _parse_lines(path, body, lineno, index)
             blocks.append(columns)
             lineno += body.count(b"\n")
             size = TRIP_BLOCK
@@ -291,42 +288,32 @@ def _parse_block(body: bytes, keys) -> np.ndarray | None:
         return None
 
 
-def _parse_lines(body: bytes, lineno: int, index) -> np.ndarray:
+def _parse_lines(path, body: bytes, lineno: int, index) -> np.ndarray:
     """The ``[3, n]`` columns of the lines of ``body``, the first of which is
-    line ``lineno``, read with ``_parse_line``."""
+    line ``lineno`` of ``path``, each decoded where it is parsed; a blank
+    line, or a header on line 1, gives no trip."""
     flat = []  # origin, destination, timestamp of each trip in turn
-    for lineno, raw in enumerate(body.decode("utf-8").split("\n")[:-1], start=lineno):
-        _parse_line(raw, lineno, index, flat)
+    for lineno, raw in enumerate(body.split(b"\n")[:-1], start=lineno):
+        try:  # with its newline, so a sequence cut by the line end reads as in the file
+            line = (raw + b"\n").decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            stamp = int(parts[-1])
+        except ValueError:
+            if lineno == 1:
+                continue  # optional header
+            stamp = None
+        if len(parts) != 3 or stamp is None:
+            raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
+        for name in parts[:2]:
+            if name not in index:
+                raise IngestionError(f"unknown station {name!r} at line {lineno}")
+        flat += (index[parts[0]], index[parts[1]], min(max(stamp, INT64_MIN), INT64_MAX))
     return np.array(flat, dtype=np.int64).reshape(-1, 3).T
-
-
-def _parse_line(raw: str, lineno: int, index, flat: list) -> None:
-    """Append the trip on line ``lineno`` of the log to ``flat``; a blank
-    line, or a header on line 1, appends nothing."""
-    try:  # most lines: two bare known names and an in-range integer
-        o, d, s = raw.split(",")
-        stamp = int(s)
-        if INT64_MIN <= stamp <= INT64_MAX:
-            flat += (index[o], index[d], stamp)
-            return
-    except (ValueError, KeyError):
-        pass
-    line = raw.strip()
-    if not line:
-        return
-    parts = [p.strip() for p in line.split(",")]
-    try:
-        stamp = int(parts[-1])
-    except ValueError:
-        if lineno == 1:
-            return  # optional header
-        stamp = None
-    if len(parts) != 3 or stamp is None:
-        raise IngestionError(f"malformed trip record at line {lineno}: {line!r}")
-    for name in parts[:2]:
-        if name not in index:
-            raise IngestionError(f"unknown station {name!r} at line {lineno}")
-    flat += (index[parts[0]], index[parts[1]], min(max(stamp, INT64_MIN), INT64_MAX))
 
 
 # ---------------------------------------------------------------------------

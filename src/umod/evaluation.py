@@ -264,7 +264,10 @@ def run_dim_sweep(series: ODSeries, stats: NormStats,
     values = list(values) if values is not None else list(DIM_VALUES)
     if axis not in ("input_dim", "adaptive_dim"):
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
-    width = "d_input" if axis == "input_dim" else "d_adaptive"
+    width, use = (("d_input", "use_input_embedding") if axis == "input_dim"
+                  else ("d_adaptive", "use_adaptive_embedding"))
+    if not getattr(model_config, use):  # every row would train the same model
+        raise ConfigurationError(f"{axis} sweep varies {width}, so it needs {use} = true")
     configs = [replace(model_config, **{width: v}) for v in values]
     windows = entity_windows(series, model_config, stats)[1]  # the rows share the view
     result = SweepResult()

@@ -517,15 +517,21 @@ class TestTrain:
         assert epoch == "1"
         assert np.isfinite(float(train_loss)) and not np.isfinite(float(val_loss))
 
-    def test_series_of_no_stations_exits_1(self, tmp_path):
-        # one error line, with no numpy warning about an empty mean before it
+    def test_series_of_no_stations_exits_1(self, tmp_path, write_series_file):
+        # ingest refuses an empty station list
         trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
         trips.write_text("origin,destination,timestamp\n")
         stations.write_text("")
         series = tmp_path / "series.bin"
         assert run_quietly(["ingest", "--trips", str(trips), "--stations", str(stations),
                             "--start", "0", "--end", "172800", "--granularity", "3600",
-                            "--out", str(series)]) == (0, "")
+                            "--out", str(series)]) == (1, f"error: {stations}: no station names\n")
+        assert not series.exists()
+        # training on a 0-station series file gives one error line, with no numpy
+        # warning about an empty mean before it
+        write_series_file(series, {
+            "version": 2, "stations": [], "start_time": 0, "granularity": 3600,
+            "dims": [48, 0, 0], "cells": 0, "operating_window": None}, np.zeros((48, 0, 0)))
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[data]\nseries = {series}\n[run]\noutput_dir = {tmp_path / 'run'}\n")
         assert run_quietly(["train", str(cfg)]) == (1, "error: training portion is empty\n")
@@ -1242,6 +1248,23 @@ class TestSweep:
         assert capsys.readouterr().err == \
             "error: ablation base config must enable both embeddings\n"
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("axis, key, width", [
+        ("input", "use_input_embedding", "d_input"),
+        ("adaptive", "use_adaptive_embedding", "d_adaptive")])
+    def test_dims_over_a_disabled_embedding_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                    axis, key, width):
+        # every row would train the same model: refused before any row trains
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN.replace("[model]\n", f"[model]\n{key} = false\n"))
+        run_dir = tmp_path / "run"
+        assert cli.main(["sweep", "dims", str(cfg), "--axis", axis,
+                         "--output-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {axis}_dim sweep varies {width}, so it needs {key} = true\n"
+        assert calls == [] and not run_dir.exists()
 
     def test_dims_axis_selection(self, run_config, tmp_path):
         assert cli.main(["sweep", "dims", str(run_config), "--axis",

@@ -670,11 +670,13 @@ class TestTripText:
         def line_by_line(lines):
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             with mock.patch.object(dt, "TRIP_BLOCK", 1024), \
-                    mock.patch.object(dt, "_parse_line", wraps=dt._parse_line) as spy:
+                    mock.patch.object(dt, "_parse_lines", wraps=dt._parse_lines) as spy:
                 got = dt.read_trips_with_lines(path, stations)
             for a, b in zip(got, oracle_read_trips(path, stations), strict=True):
                 assert a.dtype == np.int64 and np.array_equal(a, b)
-            return [call.args[1] for call in spy.call_args_list]
+            # the line numbers of the lines of each call's body
+            return [lineno for call in spy.call_args_list for lineno in
+                    range(call.args[2], call.args[2] + call.args[1].count(b"\n"))]
 
         assert line_by_line(lines) == [1]  # the header; Zürich takes the numpy path
         mixed = lines[:200] + odd + lines[200:]
@@ -706,13 +708,16 @@ class TestTripText:
         (b"A,B,1\n" + b"A,B,2\n" * 20 + b"\xff,B,3\nX,B,4\n", "not UTF-8 text"),
         (b"A,B,1\nA,B,\xff\nA,B\n", "not UTF-8 text"),
         (b"A,B,1\nA,X,2\nA,B,\xff\n", "unknown station 'X' at line 2"),
+        # a sequence cut by the line end is reported as a decode of the file reports it
+        (b"A,B,1\nA,B,2\xe2\n", "{path}: not UTF-8 text (invalid continuation byte)"),
+        (b"A,B,1\n\xff,B,2\n", "{path}: not UTF-8 text (invalid start byte)"),
     ], ids=["malformed_before_later_block", "bad_byte_before_unknown", "bad_byte_first",
-            "unknown_on_the_line_before"])
+            "unknown_on_the_line_before", "cut_sequence_reason", "bad_first_byte_reason"])
     def test_first_defect_in_file_order_wins(self, tmp_path, block, text, error):
         path = tmp_path / "trips.csv"
         path.write_bytes(text)
         with mock.patch.object(dt, "TRIP_BLOCK", block), \
-                pytest.raises(dt.IngestionError, match=re.escape(error)):
+                pytest.raises(dt.IngestionError, match=re.escape(error.format(path=path))):
             dt.read_trips_with_lines(path, ["A", "B"])
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

@@ -11,7 +11,9 @@ reads off arrays would hide whether it is used. The network module takes from
 ``data`` only its error, shape check and container codec, so it reads no
 series and no split. Every field of a ``@dataclass``
 is read as an attribute (``obj.field``) somewhere in the package, so no field
-is kept that nothing reads.
+is kept that nothing reads. Every private function, class and method is
+referenced by name somewhere in the package, so a refactor leaves no helper
+behind that nothing calls.
 """
 
 import ast
@@ -181,3 +183,36 @@ def test_the_guard_tells_members_from_functions_of_the_same_name():
         "training": "def predict(xs):\n    return xs\n",
     })
     assert flagged == {"tensors.Tensor.size", "baselines.Baseline.predict"}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each private function, class and method (dunders
+    aside) in ``sources`` whose name no ``ast.Name`` or ``ast.Attribute`` in
+    any of them holds."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    referenced = {n.id if isinstance(n, ast.Name) else n.attr
+                  for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, (ast.Name, ast.Attribute))}
+    return {f"{module}.{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in referenced}
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_private_names(sources) == set()
+
+
+def test_the_private_guard_flags_a_helper_nothing_calls():
+    # _parse_line is defined but uncalled; _Rows is read as an attribute, _split
+    # as a name in another module, and __init__ is a dunder
+    flagged = unreferenced_private_names({
+        "data": "class _Rows:\n    def __init__(self):\n        self.n = 0\n"
+                "def _split(raw):\n    return raw.split()\n"
+                "def _parse_line(raw):\n    return _split(raw)\n",
+        "cli": "from . import data as dt\n"
+               "def main(raw):\n    return dt._Rows(), dt._split(raw)\n",
+    })
+    assert flagged == {"data._parse_line"}
