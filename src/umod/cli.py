@@ -2,7 +2,9 @@
 
 Runs are driven by an INI config file; every resolved setting is echoed to
 the run directory so a run can be reproduced bit-exactly from its own
-artifacts. Command-line flags exist only as overrides.
+artifacts, with the same BLAS thread count: OpenBLAS may split a matrix
+product differently across threads, so ``model.ckpt`` bytes can differ
+between one and two threads. Command-line flags exist only as overrides.
 
 Config sections and keys (all optional unless noted):
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import errno
 import math
@@ -158,7 +161,7 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
         series = _ingest(data["trips"], data["stations"],
                          _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
                          grid.get("granularity", dt.SyntheticSpec.granularity),
-                         grid.get("operating_window"))[0]
+                         grid.get("operating_window"))[0].dense()
     else:
         return dt.synth_generate(_synthetic_spec(cp))
     if cp.has_section("synthetic"):  # resolved.ini echoes it beside a data source too
@@ -240,8 +243,8 @@ def cmd_synth(args) -> int:
 
 def _ingest(trips_path, stations_path, start_time, end_time, granularity,
             window):
-    """The series binned from a trip log, the count of trips it kept, and the
-    counts of trips dropped out of the span and outside operating hours."""
+    """The sparse series binned from a trip log, the count of trips it kept,
+    and the counts of trips dropped out of the span and outside operating hours."""
     stations = dt.read_lines(stations_path)
     if not stations:
         raise dt.ConfigurationError(f"{stations_path}: no station names")
@@ -257,7 +260,7 @@ def cmd_ingest(args) -> int:
         args.trips, args.stations, args.start, args.end, args.granularity,
         tuple(args.window) if args.window else None)
     dt.dump_series(series, args.out)
-    print(f"stations={series.n_stations} bins={series.n_bins} "
+    print(f"stations={len(series.stations)} bins={series.dims[0]} "
           f"total_flow={kept} dropped={out_of_span + outside_hours} "
           f"out_of_span={out_of_span} outside_hours={outside_hours}")
     return EXIT_OK
@@ -274,6 +277,9 @@ def cmd_train(args) -> int:
     # parameters too large to hold fail here, before the run directory is made
     params = md.init_params(model_config)
     os.makedirs(run_dir, exist_ok=True)
+    for name in ("model.ckpt", "metrics.csv"):  # a failed rerun leaves none of an earlier run's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, name))
     dt.write_atomically(os.path.join(run_dir, "resolved.ini"),
                         _resolved(cp, series, model_config, train_config).write)
     with open(os.path.join(run_dir, "epochs.log"), "w", encoding="utf-8") as log:

@@ -1,6 +1,7 @@
 """OD flow series construction, filtering, normalization, and windowing.
 
-The pipeline turns a trip log into a ``[T, N, N]`` count tensor on a
+The pipeline turns a trip log into the nonzero cells of a ``[T, N, N]``
+count tensor (a ``SparseSeries``; training reads its dense ``ODSeries``) on a
 fixed time grid, drops bins outside metro operating hours, fits a single
 reversible z-score on the training portion, and slices the series into
 (history, horizon) window pairs split chronologically by ``SPLIT``.
@@ -93,9 +94,7 @@ class ODSeries:
             raise ConfigurationError(
                 f"flows {self.flows.shape} does not match {n} stations"
             )
-        if len(set(self.stations)) != n:
-            twice = next(s for k, s in enumerate(self.stations) if s in self.stations[:k])
-            raise ConfigurationError(f"station {twice!r} is listed twice")
+        _check_stations(self.stations)
 
     @property
     def n_stations(self) -> int:
@@ -104,6 +103,28 @@ class ODSeries:
     @property
     def n_bins(self) -> int:
         return self.flows.shape[0]
+
+
+@dataclass
+class SparseSeries:
+    """A series as the version-2 file holds it: its ``[T, N, N]`` flows of
+    shape ``dims`` are ``values`` at the increasing flat indices ``cells``,
+    +0.0 elsewhere."""
+
+    stations: list[str]
+    grid: Grid
+    dims: tuple[int, int, int]
+    cells: np.ndarray  # int64
+    values: np.ndarray  # float64
+
+    def dense(self) -> ODSeries:
+        return ODSeries(self.stations, self.grid, _scatter(self.dims, self.cells, self.values))
+
+
+def _check_stations(stations) -> None:
+    if len(set(stations)) != len(stations):
+        twice = next(s for k, s in enumerate(stations) if s in stations[:k])
+        raise ConfigurationError(f"station {twice!r} is listed twice")
 
 
 @dataclass
@@ -163,8 +184,9 @@ class SyntheticSpec:
 # ingestion
 
 
-def build_od_series(trips, stations, grid: Grid, end_time: int) -> tuple[ODSeries, int, int]:
-    """Bin trips into an ODSeries on the kept bins of ``grid``.
+def build_od_series(trips, stations, grid: Grid,
+                    end_time: int) -> tuple[SparseSeries, int, int]:
+    """Bin trips into a SparseSeries on the kept bins of ``grid``.
 
     ``trips`` is ``(origin, destination, timestamp)``: station-index and
     timestamp arrays of one length, as ``read_trips_with_lines`` returns.
@@ -174,6 +196,7 @@ def build_od_series(trips, stations, grid: Grid, end_time: int) -> tuple[ODSerie
     for falling outside ``[grid.start_time, end_time)`` and outside the
     window's hours.
     """
+    _check_stations(stations)
     start_time, granularity = grid.start_time, grid.granularity
     if start_time >= end_time:
         raise ConfigurationError("start_time must precede end_time")
@@ -201,12 +224,12 @@ def build_od_series(trips, stations, grid: Grid, end_time: int) -> tuple[ODSerie
     t = kept_bin[(timestamp[in_span] - start_time) // granularity]
     in_hours = t >= 0
     cells = (t[in_hours] * n + origin[in_span][in_hours]) * n + destination[in_span][in_hours]
-    t_kept = int(kept_bin.max()) + 1
-    # unit weights count in float64 directly; counts below 2**53 stay exact
-    flows = np.bincount(cells, weights=np.ones(cells.size),
-                        minlength=t_kept * n * n).reshape(t_kept, n, n)
-    series = ODSeries(list(stations), grid, flows)
-    return series, int(in_span.size - t.size), int(t.size - cells.size)
+    dropped = int(in_span.size - t.size), int(t.size - cells.size)
+    cells, counts = np.unique(cells, return_counts=True)
+    # counts below 2**53 are exact in float64
+    series = SparseSeries(list(stations), grid, (int(kept_bin.max()) + 1, n, n), cells,
+                          counts.astype(np.float64))
+    return series, *dropped
 
 
 def read_lines(path) -> list[str]:
@@ -225,7 +248,8 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     on line 1; blank lines are skipped and fields may carry whitespace.
     Origins and destinations become indices into ``stations``; timestamps
     beyond the int64 range are clamped to it, so they fall outside any span.
-    Raises IngestionError for the first defect in file order: a malformed
+    Raises ConfigurationError, before any line is read, for a station listed
+    twice, then IngestionError for the first defect in file order: a malformed
     record or unknown station, named with its line, or a byte that is not
     UTF-8, reported when no line before its own has a defect.
 
@@ -237,6 +261,7 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     in numpy, any other by ``_parse_lines``, the one copy of the per-line
     rules, which decodes each line where it parses it, to the same columns.
     """
+    _check_stations(stations)
     # a stripped field never equals a name with outer whitespace
     index = {name: k for k, name in enumerate(stations) if name == name.strip()}
     keys = {name.encode("utf-8"): k for name, k in index.items()}
@@ -553,23 +578,27 @@ def read_container(path, magic: bytes, version: int, shapes, error):
     return header, arrays
 
 
-def dump_series(series: ODSeries, path) -> None:
+def dump_series(series: ODSeries | SparseSeries, path) -> None:
     """Write the ``UMODODS1`` series container: metadata header, then the flat
-    indices of the cells whose bits are not +0.0, in increasing order, and their
-    values. Comparing bits keeps -0.0 and every NaN payload."""
-    flat = series.flows.reshape(-1)
-    cells = np.flatnonzero(flat.view(np.int64) != 0)
+    indices of the stored cells, in increasing order, and their values. A dense
+    series stores the cells whose bits are not +0.0, which keeps -0.0 and every
+    NaN payload."""
+    if isinstance(series, ODSeries):
+        flat = series.flows.reshape(-1)
+        cells = np.flatnonzero(flat.view(np.int64) != 0)
+        series = SparseSeries(series.stations, series.grid, series.flows.shape, cells,
+                              flat[cells])
     header = {
         "version": SERIES_VERSION,
         "stations": series.stations,
         "start_time": series.grid.start_time,
         "granularity": series.grid.granularity,
-        "dims": list(series.flows.shape),
-        "cells": int(cells.size),
+        "dims": list(series.dims),
+        "cells": int(series.cells.size),
         "operating_window": list(series.grid.window)
         if series.grid.window else None,
     }
-    write_container(path, SERIES_MAGIC, header, [cells, flat[cells]])
+    write_container(path, SERIES_MAGIC, header, [series.cells, series.values])
 
 
 def _series_shapes(header: dict) -> list[list[int]]:
@@ -584,7 +613,8 @@ def _series_shapes(header: dict) -> list[list[int]]:
 
 
 def _dense_flows(path, dims: list[int], cells, values) -> np.ndarray:
-    """The ``dims`` array holding ``values`` at the flat indices ``cells``, +0.0 elsewhere."""
+    """The dense ``dims`` array of a file's ``cells`` and ``values``, once the
+    indices are checked."""
     size = math.prod(dims)
     bad = ~((cells >= 0) & (cells < size) & (cells == np.floor(cells)))
     bad[1:] |= ~(cells[1:] > cells[:-1])
@@ -594,10 +624,16 @@ def _dense_flows(path, dims: list[int], cells, values) -> np.ndarray:
             f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
             f"numbers in [0, {size}), strictly increasing")
     try:
-        flows = np.zeros(dims)
+        return _scatter(dims, cells.astype(np.int64), values)
     except ValueError as exc:  # too large for numpy to index, let alone allocate
         raise SeriesFormatError(f"{path}: dims {dims}: {exc}") from exc
-    flows.reshape(-1)[cells.astype(np.int64)] = values
+
+
+def _scatter(dims, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The ``dims`` array holding ``values`` at the flat indices ``cells``, +0.0
+    elsewhere: the one place a stored series is made dense."""
+    flows = np.zeros(dims)
+    flows.reshape(-1)[cells] = values
     return flows
 
 

@@ -4,13 +4,16 @@ import contextlib
 import dataclasses
 import io
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +131,40 @@ GOLDEN_TRIPS = ("origin,destination,timestamp\nA,B,0\nB,C,3599\n\nC,A,3600\nA,A,
                 "C,C,-1\nA,B,+150000\n")
 
 
+# the benchmark's trip-log generator, loaded from its file
+_spec = importlib.util.spec_from_file_location(
+    "gen_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "gen_inputs.py")
+gen_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen_inputs)
+
+# sha256 of the series file `umod ingest` writes from each benchmark workload's
+# log at seeds 0 and 1, without and with --window 6 23
+BENCHMARK_INGESTS = {
+    ("train-n8", 0, False): "c91496648536dafcfc3005c2f806d495c92666c0364cace57f877896f6bd0ef1",
+    ("train-n8", 0, True): "b2fb27f3eff63fe193a7c3d701204ef098d81b72e8f7ad8012cbf4ada77b0673",
+    ("train-n8", 1, False): "d5ed3d763382574928c3a6ed8c072209b807d8b8afd1f77b285d88680be2878a",
+    ("train-n8", 1, True): "aa6adc14ca7ca1b4ffdc0e6e12e5e2f3361ab12650efb33d29abacfa2c6cad7c",
+    ("ingest-eval-n288", 0, False):
+        "b830048d143926643fa51e8395e4ec5f3081f5ce42bbe3f2312b9648aa614fa7",
+    ("ingest-eval-n288", 0, True):
+        "5627f3e0926faea43910c2d9fbd6d3605eceadbf5ad1988b828abfd9ac4e788c",
+    ("ingest-eval-n288", 1, False):
+        "d5e6f5894b8a24c7b8833c940645a3af0223f996dcb9aaca548e312fa972d65e",
+    ("ingest-eval-n288", 1, True):
+        "f77629e387a756524cb6ad30ce075c839463193ae7cba9b19f53ea910274b905",
+}
+BENCHMARK_LOGS = {  # workload: stations, days, rows, and the line printed without/with window
+    "train-n8": (8, 60, 20_000, (
+        "stations=8 bins=2880 total_flow=19000 dropped=1000 out_of_span=1000 outside_hours=0",
+        "stations=8 bins=2040 total_flow=17000 dropped=3000 out_of_span=1000 "
+        "outside_hours=2000")),
+    "ingest-eval-n288": (288, 2, 30_000, (
+        "stations=288 bins=96 total_flow=28500 dropped=1500 out_of_span=1500 outside_hours=0",
+        "stations=288 bins=68 total_flow=25500 dropped=4500 out_of_span=1500 "
+        "outside_hours=3000")),
+}
+
+
 def reference_ingest(trips_path, stations, start, end, granularity, window):
     """Ingest as a loop over the bins, keeping each that starts inside the
     window's hours, then a loop over the records.
@@ -206,6 +243,7 @@ class TestIngest:
                 return
             series, kept, out_of_span, outside_hours = cli._ingest(
                 trips, names, start, end, granularity, window)
+        series = series.dense()
         assert np.array_equal(series.flows, expected[0].flows)
         assert series.grid == expected[0].grid
         assert (out_of_span, outside_hours) == expected[1:]
@@ -247,6 +285,42 @@ class TestIngest:
             "aa4a249e89b024c4d382558030d385042b8f21f2304906e43ad1504088de4a75")
         assert capsys.readouterr().out == ("stations=3 bins=34 total_flow=4 dropped=7 "
                                            "out_of_span=2 outside_hours=5\n")
+
+    @pytest.mark.parametrize("workload, seed, window", sorted(BENCHMARK_INGESTS))
+    def test_benchmark_logs_give_pinned_bytes(self, tmp_path, capsys, workload, seed, window):
+        stations, days, rows, lines = BENCHMARK_LOGS[workload]
+        expected = gen_inputs.write_trip_log(tmp_path, stations, days, rows, seed)
+        out = tmp_path / "series.bin"
+        assert cli.main(["ingest", "--trips", str(tmp_path / "trips.csv"),
+                         "--stations", str(tmp_path / "stations.txt"),
+                         "--start", str(expected["start"]), "--end", str(expected["end"]),
+                         "--granularity", str(expected["granularity"]), "--out", str(out)]
+                        + (["--window", "6", "23"] if window else [])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            BENCHMARK_INGESTS[workload, seed, window])
+        assert capsys.readouterr() == (lines[window] + "\n", "")
+
+    def test_peak_memory_follows_the_trips_not_the_cells(self, tmp_path, capsys):
+        # 300 stations over 30 days of hourly bins: the dense series would be 518 MB
+        n, bins = 300, 30 * 24
+        rng = np.random.default_rng(4)
+        trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
+        stations.write_text("".join(f"S{k}\n" for k in range(n)))
+        trips.write_text("".join(f"S{o},S{d},{t}\n" for o, d, t in zip(
+            rng.integers(0, n, 2000), rng.integers(0, n, 2000),
+            rng.integers(0, bins * 3600, 2000))))
+        out = tmp_path / "series.bin"
+        tracemalloc.start()
+        try:
+            code = cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                             "--start", "0", "--end", str(bins * 3600),
+                             "--granularity", "3600", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"stations={n} bins={bins} total_flow=2000 ")
+        assert peak < 0.01 * bins * n * n * 8
 
     def write_inputs(self, tmp_path, trips_text):
         trips = tmp_path / "trips.csv"
@@ -382,6 +456,18 @@ class TestIngest:
             "", "error: granularity 25200 does not tile a day of 86400 seconds\n")
         assert not out.exists() and not run_dir.exists()
 
+    @pytest.mark.parametrize("trip", ["A,B,200\n", "A,X,200\n"], ids=["clean", "bad_line"])
+    def test_station_listed_twice_exits_1_before_the_log_is_read(self, tmp_path, capsys,
+                                                                trip):
+        # the station list is refused first, not the log's unknown station on line 2
+        trips, stations = self.write_inputs(tmp_path, "origin,destination,timestamp\n" + trip)
+        stations.write_text("A\nA\nB\n")
+        out = tmp_path / "o.bin"
+        assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", "3600", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: station 'A' is listed twice\n")
+        assert not out.exists()
+
     def test_timestamps_beyond_int64_drop_out_of_span(self, tmp_path, capsys):
         trips, stations = self.write_inputs(tmp_path, f"A,B,{10**30}\nB,A,{-10**23}\n"
                                                       "A,B,1_000\nB,A, +5\n")
@@ -503,6 +589,23 @@ class TestTrain:
         epoch, train_loss, val_loss, _ = last.split(",")
         assert epoch == "1"
         assert not np.isfinite(float(train_loss)) and not np.isfinite(float(val_loss))
+
+    def test_failed_rerun_leaves_no_earlier_model(self, tmp_path, capsys):
+        # a diverging rerun into a finished run's directory keeps only its own
+        # resolved.ini and epochs.log, so nothing scores the earlier model on its data
+        run_dir = tmp_path / "run"
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        good.write_text(SMALL_RUN)
+        bad.write_text(SMALL_RUN.replace("[train]\n", "[train]\nlr = 1e300\n")
+                       .replace("seed = 3", "seed = 7"))
+        assert cli.main(["train", str(good), "--output-dir", str(run_dir)]) == 0
+        assert cli.main(["train", str(bad), "--output-dir", str(run_dir)]) == 1
+        assert sorted(os.listdir(run_dir)) == ["epochs.log", "resolved.ini"]
+        capsys.readouterr()
+        assert cli.main(["eval", str(run_dir / "model.ckpt"),
+                         str(run_dir / "resolved.ini")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: file not found: {run_dir / 'model.ckpt'}\n")
 
     def test_run_diverging_at_validation_exits_1(self, tmp_path, capsys):
         # one step per epoch: the overflowing update shows first in the validation loss

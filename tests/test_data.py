@@ -33,27 +33,32 @@ def columns(*trips):
     return tuple(np.array(trips, dtype=np.int64).reshape(-1, 3).T)
 
 
+def binned(*args):
+    """``build_od_series(*args)`` with its sparse series made dense."""
+    series, *dropped = dt.build_od_series(*args)
+    return series.dense(), *dropped
+
+
 class TestBuildSeries:
     def test_hand_counted_bin(self):
         trips = columns((0, 1, 10), (0, 1, 20), (1, 0, 30))
-        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 1800)
+        series, dropped, _ = binned(trips, ["A", "B"], HALF_HOURS, 1800)
         assert dropped == 0
         assert np.array_equal(series.flows[0], [[0, 2], [1, 0]])
 
     def test_empty_trip_list(self):
-        series, _, _ = dt.build_od_series(columns(), ["A", "B", "C"], HALF_HOURS, 3600)
+        series, _, _ = binned(columns(), ["A", "B", "C"], HALF_HOURS, 3600)
         assert series.flows.shape == (2, 3, 3)
         assert series.flows.sum() == 0
 
     def test_boundary_timestamp_goes_to_later_bin(self):
-        series, _, _ = dt.build_od_series(columns((0, 1, 1800)), ["A", "B"], HALF_HOURS,
-                                           3600)
+        series, _, _ = binned(columns((0, 1, 1800)), ["A", "B"], HALF_HOURS, 3600)
         assert series.flows[0].sum() == 0
         assert series.flows[1, 0, 1] == 1
 
     def test_out_of_span_trips_are_dropped_and_counted(self):
         trips = columns((0, 1, -5), (0, 1, 3600), (0, 1, 100))
-        series, dropped, _ = dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 3600)
+        series, dropped, _ = binned(trips, ["A", "B"], HALF_HOURS, 3600)
         assert dropped == 2
         assert series.flows.sum() == 1
 
@@ -98,15 +103,14 @@ class TestBuildSeries:
     def test_conserves_in_span_trips(self):
         rng = np.random.default_rng(0)
         trips = (rng.integers(0, 3, 200), rng.integers(0, 3, 200), rng.integers(0, 7200, 200))
-        series, dropped, _ = dt.build_od_series(trips, ["A", "B", "C"], HALF_HOURS, 7200)
+        series, dropped, _ = binned(trips, ["A", "B", "C"], HALF_HOURS, 7200)
         assert series.flows.sum() + dropped == 200
         assert dropped == 0
 
 
 class TestOperatingHours:
     def test_retains_34_half_hour_bins_per_day(self):
-        series, _, _ = dt.build_od_series(columns(), ["A", "B"], dt.Grid(0, 1800, (6, 23)),
-                                           3 * 86400)
+        series, _, _ = binned(columns(), ["A", "B"], dt.Grid(0, 1800, (6, 23)), 3 * 86400)
         assert series.n_bins == 34 * 3
         assert series.grid.bins_per_day == 34
         assert series.grid.window == (6, 23)
@@ -114,15 +118,15 @@ class TestOperatingHours:
     def test_full_day_window_is_identity(self):
         rng = np.random.default_rng(1)
         trips = (rng.integers(0, 2, 200), rng.integers(0, 2, 200), rng.integers(0, 86400, 200))
-        whole, *whole_drops = dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 86400)
-        day, *day_drops = dt.build_od_series(trips, ["A", "B"], dt.Grid(0, 1800, (0, 24)), 86400)
+        whole, *whole_drops = binned(trips, ["A", "B"], HALF_HOURS, 86400)
+        day, *day_drops = binned(trips, ["A", "B"], dt.Grid(0, 1800, (0, 24)), 86400)
         assert np.array_equal(day.flows, whole.flows)
         assert day_drops == whole_drops == [0, 0]
 
     def test_late_night_trips_vanish(self):
         # one day, five trips at 23:30
         trips = columns(*[(0, 1, 84600)] * 5)
-        series, out_of_span, outside_hours = dt.build_od_series(
+        series, out_of_span, outside_hours = binned(
             trips, ["A", "B"], dt.Grid(0, 1800, (6, 23)), 86400)
         assert series.flows.sum() == 0
         assert (out_of_span, outside_hours) == (0, 5)
@@ -148,8 +152,8 @@ class TestOperatingHours:
     def test_length_law(self):
         days = 5
         for window in [(6, 23), (7, 9), (0, 24)]:
-            series, _, _ = dt.build_od_series(columns(), ["A", "B"], dt.Grid(0, 1800, window),
-                                              days * 86400)
+            series, _, _ = binned(columns(), ["A", "B"], dt.Grid(0, 1800, window),
+                                  days * 86400)
             per_day = (window[1] - window[0]) * 2
             assert series.n_bins == per_day * days
 
@@ -159,7 +163,7 @@ class TestOperatingHours:
         h = 3600  # trips at 06:05, 06:20, 23:10, 23:20, 06:15 on day 2 and 00:10
         trips = columns((0, 1, 6 * h + 300), (0, 1, 6 * h + 1200), (1, 0, 23 * h + 600),
                         (1, 0, 23 * h + 1200), (0, 1, 86400 + 6 * h + 900), (0, 1, 600))
-        series, out_of_span, outside_hours = dt.build_od_series(
+        series, out_of_span, outside_hours = binned(
             trips, ["A", "B"], dt.Grid(900, 1800, (6, 23)), 900 + 2 * 86400)
         assert series.n_bins == 2 * 34
         assert (out_of_span, outside_hours) == (1, 2)
@@ -179,7 +183,7 @@ class TestOperatingHours:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert series.n_bins == 68
+        assert series.dense().n_bins == 68
         assert peak < 96 * n * n * 8
 
 

@@ -159,7 +159,8 @@ class TestBaselines:
         trips.write_text("".join(f"{o},{d},{t}\n" for (o, d), t in zip(names, stamps)))
         stations.write_text("A\nB\nC\n")
         granularity, end = 1800, start + 6 * 86400
-        series = cli._ingest(str(trips), str(stations), start, end, granularity, window)[0]
+        series = cli._ingest(str(trips), str(stations), start, end, granularity,
+                             window)[0].dense()
         bin_starts = np.arange(start, end, granularity) % 86400
         start_h, end_h = window or (0, 24)
         second_of_day = bin_starts[(bin_starts >= start_h * 3600) & (bin_starts < end_h * 3600)]
