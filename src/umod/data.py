@@ -107,9 +107,10 @@ class ODSeries:
 
 @dataclass
 class SparseSeries:
-    """A series as the version-2 file holds it: its ``[T, N, N]`` flows of
-    shape ``dims`` are ``values`` at the increasing flat indices ``cells``,
-    +0.0 elsewhere."""
+    """A series as the version-2 file holds it, made by ingest and by
+    ``load_series``: its ``[T, N, N]`` flows of shape ``dims`` are ``values`` at
+    the increasing flat indices ``cells``, +0.0 elsewhere. ``dense()`` is the
+    one place that stored cells are made dense."""
 
     stations: list[str]
     grid: Grid
@@ -118,7 +119,9 @@ class SparseSeries:
     values: np.ndarray  # float64
 
     def dense(self) -> ODSeries:
-        return ODSeries(self.stations, self.grid, _scatter(self.dims, self.cells, self.values))
+        flows = np.zeros(self.dims)
+        flows.reshape(-1)[self.cells] = self.values
+        return ODSeries(self.stations, self.grid, flows)
 
 
 def _check_stations(stations) -> None:
@@ -220,6 +223,10 @@ def build_od_series(trips, stations, grid: Grid,
     # also keeps every flat cell index below int64, so none of them can wrap
     check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
     kept_bin = filter_operating_hours(grid, t_total)
+    t_kept = int(kept_bin.max()) + 1
+    if t_kept * n * n > 2**53:  # the series file stores each flat index as a float64
+        raise ConfigurationError(f"{t_kept} kept bins of {n} x {n} cells are {t_kept * n * n} "
+                                 f"cells, more than the 2**53 a series file indexes exactly")
     in_span = (timestamp >= start_time) & (timestamp < end_time)
     t = kept_bin[(timestamp[in_span] - start_time) // granularity]
     in_hours = t >= 0
@@ -227,7 +234,7 @@ def build_od_series(trips, stations, grid: Grid,
     dropped = int(in_span.size - t.size), int(t.size - cells.size)
     cells, counts = np.unique(cells, return_counts=True)
     # counts below 2**53 are exact in float64
-    series = SparseSeries(list(stations), grid, (int(kept_bin.max()) + 1, n, n), cells,
+    series = SparseSeries(list(stations), grid, (t_kept, n, n), cells,
                           counts.astype(np.float64))
     return series, *dropped
 
@@ -607,38 +614,15 @@ def _series_shapes(header: dict) -> list[list[int]]:
     if not (type(dims) is list and len(dims) == 3
             and all(type(d) is int and d >= 0 for d in dims)):
         raise ValueError(f"dims {dims!r} is not three counts")
+    check_float64_shape(dims, f"dims {dims}")
     if type(cells) is not int or cells < 0:
         raise ValueError(f"cells {cells!r} is not a count")
     return [[cells], [cells]]
 
 
-def _dense_flows(path, dims: list[int], cells, values) -> np.ndarray:
-    """The dense ``dims`` array of a file's ``cells`` and ``values``, once the
-    indices are checked."""
-    size = math.prod(dims)
-    bad = ~((cells >= 0) & (cells < size) & (cells == np.floor(cells)))
-    bad[1:] |= ~(cells[1:] > cells[:-1])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SeriesFormatError(
-            f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
-            f"numbers in [0, {size}), strictly increasing")
-    try:
-        return _scatter(dims, cells.astype(np.int64), values)
-    except ValueError as exc:  # too large for numpy to index, let alone allocate
-        raise SeriesFormatError(f"{path}: dims {dims}: {exc}") from exc
-
-
-def _scatter(dims, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The ``dims`` array holding ``values`` at the flat indices ``cells``, +0.0
-    elsewhere: the one place a stored series is made dense."""
-    flows = np.zeros(dims)
-    flows.reshape(-1)[cells] = values
-    return flows
-
-
 def load_series(path) -> ODSeries:
-    """Read a ``UMODODS1`` file back into the dense ``[T, N, N]`` series."""
+    """Read a ``UMODODS1`` file back into the dense ``[T, N, N]`` series: its
+    checked header and cells make a ``SparseSeries``, which ``dense()`` fills in."""
     header, (cells, values) = read_container(path, SERIES_MAGIC, SERIES_VERSION,
                                              _series_shapes, SeriesFormatError)
     try:
@@ -651,9 +635,17 @@ def load_series(path) -> ODSeries:
         if not (window is None or (type(window) is list and len(window) == 2
                                    and all(type(v) is int for v in window))):
             raise TypeError(f"operating_window {window!r} is not null or two integers")
-        flows = _dense_flows(path, header["dims"], cells, values)
+        dims = header["dims"]
+        size = math.prod(dims)
+        bad = ~((cells >= 0) & (cells < size) & (cells == np.floor(cells)))
+        bad[1:] |= ~(cells[1:] > cells[:-1])
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SeriesFormatError(
+                f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
+                f"numbers in [0, {size}), strictly increasing")
         grid = Grid(header["start_time"], header["granularity"], tuple(window) if window else None)
-        return ODSeries(stations, grid, flows)
+        return SparseSeries(stations, grid, tuple(dims), cells.astype(np.int64), values).dense()
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise SeriesFormatError(
             f"{path}: bad series header: {type(exc).__name__}: {exc}") from exc

@@ -299,6 +299,14 @@ class TestIngest:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             BENCHMARK_INGESTS[workload, seed, window])
         assert capsys.readouterr() == (lines[window] + "\n", "")
+        # the file decodes to the series a fresh ingest of the same log makes
+        loaded = dt.load_series(out)
+        ingested = cli._ingest(tmp_path / "trips.csv", tmp_path / "stations.txt",
+                               expected["start"], expected["end"], expected["granularity"],
+                               (6, 23) if window else None)[0].dense()
+        assert (loaded.stations, loaded.grid) == (ingested.stations, ingested.grid)
+        assert loaded.flows.shape == ingested.flows.shape
+        assert loaded.flows.tobytes() == ingested.flows.tobytes()
 
     def test_peak_memory_follows_the_trips_not_the_cells(self, tmp_path, capsys):
         # 300 stations over 30 days of hourly bins: the dense series would be 518 MB
@@ -343,6 +351,28 @@ class TestIngest:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("end, trip, code", [
+        (2**19, "S131071,S131071,524287", 0),  # 2**53 cells, the last at 2**53 - 1
+        (2**19 + 1, "S0,S1,524288", 1),  # whose cell 2**53 + 1 would read back as S0->S0
+    ], ids=["2**53_cells", "past_2**53_cells"])
+    def test_more_than_2_53_kept_cells_are_refused(self, tmp_path, capsys, end, trip, code):
+        trips, stations = self.write_inputs(tmp_path, trip + "\n")
+        stations.write_text("".join(f"S{k}\n" for k in range(2**17)))
+        out = tmp_path / "series.bin"
+        assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                         "--start", "0", "--end", str(end), "--granularity", "1",
+                         "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"error: {end} kept bins of 131072 x 131072 cells are "
+                           f"{end * 2**34} cells, more than the 2**53 a series file "
+                           f"indexes exactly\n")
+            assert not out.exists()
+            return
+        _, (cells, values) = dt.read_container(out, dt.SERIES_MAGIC, dt.SERIES_VERSION,
+                                               dt._series_shapes, dt.SeriesFormatError)
+        assert (cells.tolist(), values.tolist()) == ([2**53 - 1], [1.0])
 
     def test_three_line_demo(self, tmp_path, capsys):
         trips, stations = self.write_inputs(
@@ -719,6 +749,16 @@ class TestTrain:
         assert ck1 == ck2
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == \
                (tmp_path / "r2" / "metrics.csv").read_bytes()
+        # a rerun into r1, which holds the first run, gives the bytes of one into an empty r2
+        assert cli.main(["train", str(cfg), "--output-dir", str(tmp_path / "r1")]) == 0
+        for name in ("resolved.ini", "model.ckpt", "metrics.csv"):
+            assert (tmp_path / "r1" / name).read_bytes() == \
+                   (tmp_path / "r2" / name).read_bytes(), name
+
+        def epochs(d):  # without the seconds column
+            text = (tmp_path / d / "epochs.log").read_text()
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+        assert epochs("r1") == epochs("r2") != []
 
 
 class TestEval:
@@ -932,6 +972,46 @@ class TestDataSource:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_series_file_and_trip_log_give_the_same_outputs(self, tmp_path):
+        log = gen_inputs.write_trip_log(tmp_path, 8, 7, 3000, 0)
+        trips, stations, series = (tmp_path / name
+                                   for name in ("trips.csv", "stations.txt", "series.bin"))
+        span = ["--start", str(log["start"]), "--end", str(log["end"]),
+                "--granularity", str(log["granularity"])]
+        assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations), *span,
+                         "--window", "6", "23", "--out", str(series)]) == 0
+        sources = {"series": f"series = {series}\n",
+                   "trips": f"trips = {trips}\nstations = {stations}\n"
+                            f"start_time = {log['start']}\nend_time = {log['end']}\n"
+                            f"granularity = {log['granularity']}\n"
+                            "operating_start = 6\noperating_end = 23\n"}
+        for name, data in sources.items():
+            cfg, run = tmp_path / f"{name}.ini", tmp_path / name
+            cfg.write_text(f"[data]\n{data}[train]\nmax_epochs = 1\n")
+            assert cli.main(["train", str(cfg), "--output-dir", str(run)]) == 0
+            assert cli.main(["eval", str(run / "model.ckpt"), str(cfg),
+                             "--baseline", "historical_average", "--baseline", "last_value",
+                             "--out", str(run / "eval.csv")]) == 0
+        for name in ("model.ckpt", "metrics.csv", "eval.csv"):
+            assert (tmp_path / "series" / name).read_bytes() == \
+                   (tmp_path / "trips" / name).read_bytes(), name
+
+    def test_each_source_densifies_once_through_sparse_series(self, tmp_path, monkeypatch):
+        calls, dense = [], dt.SparseSeries.dense
+        monkeypatch.setattr(dt.SparseSeries, "dense",
+                            lambda series: calls.append(series) or dense(series))
+        series = tmp_path / "series.bin"
+        dt.dump_series(dt.synth_generate(dt.SyntheticSpec(n_stations=2, days=1)), series)
+        dt.load_series(series)
+        assert len(calls) == 1
+        trips, stations = tmp_path / "trips.csv", tmp_path / "stations.txt"
+        trips.write_text("A,B,100\nB,A,200\n")
+        stations.write_text("A\nB\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\n" + TRIPS_WITH_SPAN.format(trips=trips, stations=stations))
+        cli._load_series_from_config(cli._read_config(cfg))
+        assert len(calls) == 2
 
     @staticmethod
     def source_run(tmp_path, command, data):

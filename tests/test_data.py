@@ -95,6 +95,22 @@ class TestBuildSeries:
         else:
             dt.check_float64_shape(shape, "cells")
 
+    @pytest.mark.parametrize("bins", [2**19, 2**19 + 1])
+    def test_more_than_2_53_kept_cells_are_refused(self, bins):
+        # the series file stores each flat cell index as a float64, exact up to 2**53
+        n = 2**17
+        trips, stations = columns((n - 1, n - 1, bins - 1)), [f"S{k}" for k in range(n)]
+        if bins * n * n > 2**53:
+            with pytest.raises(dt.ConfigurationError, match=re.escape(
+                    f"{bins} kept bins of {n} x {n} cells are {bins * n * n} cells, "
+                    f"more than the 2**53 a series file indexes exactly")):
+                dt.build_od_series(trips, stations, dt.Grid(0, 1, None), bins)
+            return
+        series, _, _ = dt.build_od_series(trips, stations, dt.Grid(0, 1, None), bins)
+        assert series.dims == (2**19, n, n)
+        assert series.cells.tolist() == [2**53 - 1]
+        assert float(series.cells[0]) == 2**53 - 1
+
     @pytest.mark.parametrize("granularity", [0, -1800])
     def test_granularity_below_one(self, granularity):
         with pytest.raises(dt.ConfigurationError, match="must be >= 1 second"):
@@ -458,7 +474,8 @@ class TestSerialization:
         ("dims", [1.0, 2, 2], "dims [1.0, 2, 2] is not three counts"),
         ("dims", [True, 2, 2], "dims [True, 2, 2] is not three counts"),
         ("dims", {"T": 1}, "dims {'T': 1} is not three counts"),
-        ("dims", [2**62, 2, 2], "dims [4611686018427387904, 2, 2]: array is too big"),
+        ("dims", [2**62, 2, 2],
+         "dims [4611686018427387904, 2, 2] are more than a float64 array can hold"),
         ("cells", -1, "cells -1 is not a count"),
         ("cells", True, "cells True is not a count"),
         ("cells", [1], "cells [1] is not a count"),
