@@ -207,7 +207,7 @@ def build_od_series(trips, stations, grid: Grid,
     if not INT64_MIN < start_time < end_time <= INT64_MAX or end_time - start_time > INT64_MAX:
         raise ConfigurationError(f"span [{start_time}, {end_time}) is beyond int64 seconds")
     span = end_time - start_time
-    if span % granularity != 0 or span < granularity:
+    if span % granularity != 0:
         raise ConfigurationError(
             f"granularity {granularity} does not tile the span of {span} seconds"
         )
@@ -383,8 +383,6 @@ def fit_normalizer(series: ODSeries, train_fraction: float = SPLIT[0]) -> NormSt
     """Fit global mean/std over the first ``floor(frac * T)`` bins.
 
     Raises ConfigurationError if either is not finite."""
-    if not (0.0 < train_fraction <= 1.0):
-        raise ConfigurationError(f"train_fraction {train_fraction} out of (0, 1]")
     chunk = series.flows[:int(series.n_bins * train_fraction)]
     if chunk.size == 0:  # no bins, or no stations
         raise ConfigurationError("training portion is empty")
@@ -406,13 +404,8 @@ def split_and_window(flows: np.ndarray, stats: NormStats, ratios, H: int, P: int
     ``y`` is a view of one normalised array, which is read-only so that no
     window can change another; ``training.stack_batch`` copies a batch.
     """
-    if H < 1 or P < 1:
-        raise ConfigurationError("H and P must be >= 1")
     flows = np.asarray(flows, dtype=np.float64)
     t_total = flows.shape[0]
-    r_train, r_val, r_test = ratios
-    if abs(r_train + r_val + r_test - 1.0) > 1e-9:
-        raise ConfigurationError(f"split ratios {ratios} do not sum to 1")
     n_train, n_val, _ = split_lengths(t_total, ratios)
     bounds = [("train", 0, n_train), ("val", n_train, n_train + n_val),
               ("test", n_train + n_val, t_total)]
@@ -540,8 +533,8 @@ def write_container(path, magic: bytes, header: dict, arrays) -> None:
 def read_container(path, magic: bytes, version: int, shapes, error):
     """Read a file written by ``write_container``; returns (header, arrays).
 
-    ``shapes(header)`` lists the shape of each array the header promises; a
-    KeyError, TypeError or ValueError from it means a missing or ill-typed key.
+    ``shapes(header)`` lists each promised array's shape as counts; a KeyError,
+    TypeError or ValueError from it means a missing or ill-typed key.
     Every defect of the file raises ``error``, the caller's exception type.
     """
     def fail(msg: str) -> Exception:
@@ -570,8 +563,6 @@ def read_container(path, magic: bytes, version: int, shapes, error):
             dims = [list(shape) for shape in shapes(header)]
         except (KeyError, TypeError, ValueError) as exc:
             raise fail(f"bad header: {type(exc).__name__}: {exc}") from exc
-        if not all(type(d) is int and d >= 0 for shape in dims for d in shape):
-            raise fail(f"bad header: array shapes {dims} are not lists of counts")
         counts = [math.prod(shape) for shape in dims]
         expected = 12 + header_len + 8 * sum(counts)
         if size != expected:
@@ -644,8 +635,12 @@ def load_series(path) -> ODSeries:
             raise SeriesFormatError(
                 f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
                 f"numbers in [0, {size}), strictly increasing")
+        cells = cells.astype(np.int64)  # frees the float64 indices before dense() allocates
+        del bad
         grid = Grid(header["start_time"], header["granularity"], tuple(window) if window else None)
-        return SparseSeries(stations, grid, tuple(dims), cells.astype(np.int64), values).dense()
+        if dims[1:] != [len(stations)] * 2:
+            raise ConfigurationError(f"dims {dims} do not match {len(stations)} stations")
+        return SparseSeries(stations, grid, tuple(dims), cells, values).dense()
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise SeriesFormatError(
             f"{path}: bad series header: {type(exc).__name__}: {exc}") from exc

@@ -409,15 +409,23 @@ class TestIngest:
         assert "dropped=1" in out
         assert out.endswith(" dropped=1 out_of_span=0 outside_hours=1\n")
 
-    @pytest.mark.parametrize("granularity", ["0", "-3600"])
-    def test_granularity_below_one_exits_1(self, tmp_path, capsys, granularity):
+    @pytest.mark.parametrize("start, end, granularity, message", [
+        ("0", "3600", "0", "granularity 0 must be >= 1 second"),
+        ("0", "3600", "-3600", "granularity -3600 must be >= 1 second"),
+        ("100", "100", "1800", "start_time must precede end_time"),
+        ("200", "100", "1800", "start_time must precede end_time"),
+        ("0", "5000", "1800", "granularity 1800 does not tile the span of 5000 seconds"),
+    ], ids=["0", "-3600", "empty_span", "start_after_end",
+            "span_not_tiled"])
+    def test_granularity_below_one_exits_1(self, tmp_path, capsys, start, end, granularity,
+                                           message):
         trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
         code = cli.main(["ingest", "--trips", str(trips), "--stations",
-                         str(stations), "--start", "0", "--end", "3600",
+                         str(stations), "--start", start, "--end", end,
                          "--granularity", granularity, "--out", str(tmp_path / "o.bin")])
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: granularity {granularity} must be >= 1 second\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.bin").exists()
 
     def test_duplicate_station_exits_1(self, tmp_path, capsys):
         trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
@@ -1064,6 +1072,20 @@ class TestDataSource:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_series_dims_that_disagree_with_stations_exit_1(self, tmp_path, capsys,
+                                                            write_series_file, command):
+        # 10**6 bins of 300 x 300 cells would take 671 GiB to densify
+        series = tmp_path / "series.bin"
+        write_series_file(series, {
+            "version": 2, "stations": ["A", "B"], "start_time": 0, "granularity": 3600,
+            "dims": [1000000, 300, 300], "cells": 0, "operating_window": None}, np.zeros(0))
+        assert self.run_on_series(tmp_path, series, command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {series}: bad series header: ConfigurationError: "
+            f"dims [1000000, 300, 300] do not match 2 stations\n")
+        assert not (tmp_path / "run").exists()
+
     @staticmethod
     def run_on_series(tmp_path, series, command) -> int:
         """``umod <command>`` on an INI whose ``[data] series`` is ``series``."""
@@ -1508,7 +1530,13 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {afile}{failed}: {error}\n"
         assert calls == [] and sorted(tmp_path.iterdir()) == before
 
-    def test_sweep_requires_output_dir(self, tmp_path):
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "ablate"]],
+                             ids=["train", "sweep_ablate"])
+    def test_sweep_requires_output_dir(self, tmp_path, capsys, command):
         cfg = tmp_path / "run.ini"
         cfg.write_text(SMALL_RUN)
-        assert cli.main(["sweep", "ablate", str(cfg)]) == 2
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([*command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no output directory ([run] output_dir or --output-dir)\n")
+        assert sorted(tmp_path.iterdir()) == before

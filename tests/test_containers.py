@@ -9,6 +9,7 @@ draws the same examples.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ class TestDamagedFiles:
                 load(path)
             except error:
                 pass
+
+    def test_header_that_is_not_an_object_is_typed(self, tmp_path, fmt):
+        _, _, load, error = FORMATS[fmt]
+        magic = {"series": dt.SERIES_MAGIC, "checkpoint": md.CHECKPOINT_MAGIC}[fmt]
+        path = tmp_path / f"{fmt}.bin"
+        path.write_bytes(magic + struct.pack("<I", 3) + b"[2]")
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == f"{path}: header at byte 12 is not a JSON object"
 
 
 def arrays_then_disk_full():

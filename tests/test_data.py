@@ -480,6 +480,9 @@ class TestSerialization:
         ("cells", True, "cells True is not a count"),
         ("cells", [1], "cells [1] is not a count"),
         ("cells", 2, "payload ends at byte"),
+        # refused before the dense series is allocated: 671 GiB, and 72 MB
+        ("dims", [1000000, 300, 300], "dims [1000000, 300, 300] do not match 2 stations"),
+        ("dims", [100, 300, 300], "dims [100, 300, 300] do not match 2 stations"),
     ])
     def test_bad_dims_or_cell_count_is_a_format_error(self, tmp_path, field, value,
                                                       message):
@@ -490,6 +493,18 @@ class TestSerialization:
         dt.write_container(path, dt.SERIES_MAGIC, header, [[1.0], [4.0]])
         with pytest.raises(dt.SeriesFormatError, match=re.escape(message)):
             dt.load_series(path)
+
+    def test_peak_memory_is_under_three_and_a_half_dense_series(self, tmp_path):
+        # the float64 indices are freed before dense() allocates the flows
+        path = tmp_path / "series.bin"
+        dt.dump_series(dt.synth_generate(dt.SyntheticSpec(64, days=2, granularity=3600)), path)
+        tracemalloc.start()
+        try:
+            series = dt.load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * series.flows.nbytes
 
     @pytest.mark.parametrize("flows, cells", [
         (np.array([0.0, -0.0, 1.0, 0.0]).reshape(1, 2, 2), 2),
