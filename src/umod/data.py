@@ -264,21 +264,23 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     ``\n``, a byte that is not UTF-8 kept as itself): line 1 on its own, so
     that a header does not hold back the lines after it, then ``TRIP_BLOCK``
     characters and one ``readline`` at a time. A block whose lines are all
-    ``name,name,digits`` (known names as they are, 1 to 18 digits) is parsed
-    in numpy, any other by ``_parse_lines``, the one copy of the per-line
-    rules, which decodes each line where it parses it, to the same columns.
+    ``name,name,digits`` (known names as they are, of any length, 1 to 18
+    digits) is parsed in numpy, each name looked up by its UTF-8 bytes in the
+    stations' one ``_name_table``, and any other block by ``_parse_lines``,
+    the one copy of the per-line rules, which decodes each line where it
+    parses it, to the same columns.
     """
     _check_stations(stations)
     # a stripped field never equals a name with outer whitespace
     index = {name: k for k, name in enumerate(stations) if name == name.strip()}
-    keys = {name.encode("utf-8"): k for name, k in index.items()}
+    table = _name_table(index)
     blocks, lineno = [np.empty((3, 0), np.int64)], 1
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         size = 0  # line 1 on its own
         while body := (fh.read(size) + fh.readline()).encode("utf-8", "surrogateescape"):
             if not body.endswith(b"\n"):
                 body += b"\n"  # the end of the file ends the last line
-            columns = _parse_block(body, keys)
+            columns = _parse_block(body, table)
             if columns is None:
                 columns = _parse_lines(path, body, lineno, index)
             blocks.append(columns)
@@ -287,10 +289,56 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.concatenate(blocks, axis=1))
 
 
-def _parse_block(body: bytes, keys) -> np.ndarray | None:
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so each multiply permutes the uint64 values
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes
+
+
+def _name_hash(length: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each name of ``length`` bytes held in a column of
+    ``words``; its top bits pick the name's home slot. Zero words after a
+    name's bytes leave its hash as it is."""
+    h = np.zeros(length.shape, np.uint64)
+    for word in words[::-1]:  # from the last, so that trailing zero words keep h at 0
+        h = (h ^ word) * _MIX  # wraps
+    return (h ^ length.astype(np.uint64)) * _MIX
+
+
+def _name_table(index) -> tuple:
+    """The names of ``index`` as ``_parse_block`` looks them up: ``ids``, their
+    station indices; ``lengths``, their UTF-8 byte lengths; and ``words``,
+    whose column k holds name k's bytes as zero-padded little-endian 8-byte
+    words. ``lengths`` and ``words`` end with one more entry, of length -1,
+    which no field matches and which fills the empty slots of ``slots``, a
+    linear probing table: name k sits at its home slot, the top ``bits`` of
+    its ``_name_hash``, or at most ``reach`` slots after it."""
+    names = [name.encode("utf-8") for name in index]
+    n = len(names)
+    length = np.fromiter(map(len, names), np.int64, n)
+    width = max(1, -(-int(length.max(initial=0)) // 8))  # words per name
+    words = np.zeros((width, n + 1), np.uint64)
+    words[:, :n] = np.array(names, f"S{8 * width}").view("<u8").reshape(n, width).T
+    bits = max(1, (2 * n - 1).bit_length())  # at least 2n home slots
+    home = (_name_hash(length, words[:, :n]) >> np.uint64(64 - bits)).astype(np.int64)
+    # in order of home slot, each name takes the first free slot from its home
+    order = np.argsort(home, kind="stable")
+    rank = np.arange(n)
+    slot = np.maximum.accumulate(home[order] - rank) + rank
+    slots = np.full((1 << bits) + n, n)  # n more slots, so no probe wraps around
+    slots[slot] = order
+    reach = int((slot - home[order]).max(initial=0))
+    ids = np.fromiter(index.values(), np.int64, n)
+    return ids, np.append(length, -1), words, slots, bits, reach
+
+
+def _parse_block(body: bytes, table) -> np.ndarray | None:
     """The ``[3, n]`` columns of the ``n`` lines of ``body`` if each is
-    ``origin,destination,digits`` with names that are keys of ``keys`` and
-    1 to 18 ASCII digits, else None. Such a block is UTF-8."""
+    ``origin,destination,digits`` with names of ``table`` (a ``_name_table``)
+    and 1 to 18 ASCII digits, else None. Such a block is UTF-8.
+
+    Each name field is found from the comma and newline positions, read as
+    words through one gather from an unaligned 8-byte view of the zero-padded
+    block, masked to its length, and matched by its length and every word
+    with the names its hash probes; a field that none matches gives None."""
     b = np.frombuffer(body, np.uint8)
     newline = np.flatnonzero(b == ord("\n"))
     comma = np.flatnonzero(b == ord(","))
@@ -311,13 +359,28 @@ def _parse_block(body: bytes, keys) -> np.ndarray | None:
             return None
         stamp *= 10
         stamp += digit
-    fields = body[:-1].replace(b"\n", b",").split(b",")
-    try:
-        return np.stack([np.fromiter(map(keys.__getitem__, fields[0::3]), np.int64, n),
-                         np.fromiter(map(keys.__getitem__, fields[1::3]), np.int64, n),
-                         stamp])
-    except KeyError:
+    ids, lengths, words, slots, bits, reach = table
+    # field 2i, line i's origin, ends at comma 2i; field 2i + 1, its destination, at 2i + 1
+    start = np.empty(2 * n, np.int64)
+    start[0], start[1::2], start[2::2] = 0, comma[0::2] + 1, newline[:-1] + 1
+    length = comma - start
+    # only the words the longest field reaches, so a long name costs only its blocks
+    pad = 8 * max(1, min(len(words), -(-int(length.max()) // 8)))
+    view = np.ndarray(b.size + pad - 7, "<u8", body + bytes(pad), strides=(1,))
+    field = np.stack([view[start + j] & _MASKS[np.clip(length - j, 0, 8)]
+                      for j in range(0, pad, 8)])
+    words = words[:len(field)]
+    probe = _name_hash(length, field) >> np.uint64(64 - bits)
+    row = slots[probe]  # each field's home slot, then the next for those not matched
+    todo = np.flatnonzero((lengths[row] != length) | (words[:, row] != field).any(axis=0))
+    for k in range(1, reach + 1):
+        s = slots[probe[todo] + k]
+        hit = (lengths[s] == length[todo]) & (words[:, s] == field[:, todo]).all(axis=0)
+        row[todo[hit]] = s[hit]
+        todo = todo[~hit]
+    if todo.size:
         return None
+    return np.stack([ids[row[0::2]], ids[row[1::2]], stamp])
 
 
 def _parse_lines(path, body: bytes, lineno: int, index) -> np.ndarray:

@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,6 +308,18 @@ class TestIngest:
         assert (loaded.stations, loaded.grid) == (ingested.stations, ingested.grid)
         assert loaded.flows.shape == ingested.flows.shape
         assert loaded.flows.tobytes() == ingested.flows.tobytes()
+
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_LOGS))
+    def test_benchmark_logs_take_the_numpy_path(self, tmp_path, workload):
+        stations, days = BENCHMARK_LOGS[workload][:2]
+        gen_inputs.write_trip_log(tmp_path, stations, days, 5000, 0)
+        with mock.patch.object(dt, "_parse_lines", wraps=dt._parse_lines) as spy:
+            trips = dt.read_trips_with_lines(tmp_path / "trips.csv",
+                                             dt.read_lines(tmp_path / "stations.txt"))
+        assert trips[0].size == 5000
+        # only the header goes line by line
+        assert [call.args[1:3] for call in spy.call_args_list] == [
+            (b"origin,destination,timestamp\n", 1)]
 
     def test_peak_memory_follows_the_trips_not_the_cells(self, tmp_path, capsys):
         # 300 stations over 30 days of hourly bins: the dense series would be 518 MB

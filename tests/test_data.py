@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -570,6 +571,38 @@ def oracle_read_trips(path, stations):
     return tuple(np.array(trips, dtype=np.int64).reshape(-1, 3).T)
 
 
+def lines_read_one_by_one(path, stations, block=1024) -> list[int]:
+    """Read ``path`` ``block`` characters at a time, check its columns against
+    the oracle, and return the numbers of the lines ``_parse_lines`` parsed."""
+    with mock.patch.object(dt, "TRIP_BLOCK", block), \
+            mock.patch.object(dt, "_parse_lines", wraps=dt._parse_lines) as spy:
+        got = dt.read_trips_with_lines(path, stations)
+    for a, b in zip(got, oracle_read_trips(path, stations), strict=True):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+    # the line numbers of the lines of each call's body
+    return [lineno for call in spy.call_args_list for lineno in
+            range(call.args[2], call.args[2] + call.args[1].count(b"\n"))]
+
+
+# station sets, each with unknown names that share a prefix, a word or all but
+# one byte with a known name
+NAME_SHAPES = {
+    "lengths": (["a", "b" * 7, "c" * 8, "d" * 9, "e" * 16, "f" * 17, "g" * 40],
+                ["ab", "c" * 9, "d" * 8, "e" * 15, "f" * 16 + "g", "g" * 39, "g" * 41]),
+    "utf8": (["人民广场", "Zürich Hauptbahnhof", "Zürich"],
+             ["人民广", "人民广场站", "Zürich Hauptbahnho", "Zürich Hauptbahnhöf"]),
+    "prefix_family": (["M1", "M10", "M100"], ["M", "M11", "M101", "M1000"]),
+    "inner_space": (["People Square", "People", "Square"],
+                    ["People  Square", "PeopleSquare", "People Squar"]),
+    "trailing_nul": (["A", "A\x00"], ["A\x00\x00", "\x00A", "\x00"]),
+}
+
+
+def one_home(length, words):
+    """A ``_name_hash`` that sends every name to the same home slot."""
+    return np.zeros(length.shape, np.uint64)
+
+
 HEADER = "origin,destination,timestamp"
 BLANKS = ["", " ", "\t \t"]
 PADS = ["", " ", "\t", " \t ", "\xa0", "\x0c"]
@@ -705,14 +738,7 @@ class TestTripText:
 
         def line_by_line(lines):
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            with mock.patch.object(dt, "TRIP_BLOCK", 1024), \
-                    mock.patch.object(dt, "_parse_lines", wraps=dt._parse_lines) as spy:
-                got = dt.read_trips_with_lines(path, stations)
-            for a, b in zip(got, oracle_read_trips(path, stations), strict=True):
-                assert a.dtype == np.int64 and np.array_equal(a, b)
-            # the line numbers of the lines of each call's body
-            return [lineno for call in spy.call_args_list for lineno in
-                    range(call.args[2], call.args[2] + call.args[1].count(b"\n"))]
+            return lines_read_one_by_one(path, stations)
 
         assert line_by_line(lines) == [1]  # the header; Zürich takes the numpy path
         mixed = lines[:200] + odd + lines[200:]
@@ -727,6 +753,89 @@ class TestTripText:
         assert blocks[205] == odd_block and 2 < odd_block < blocks[-1]  # a middle block
         assert line_by_line(mixed) == [1] + [lineno for lineno, k in
                                              enumerate(blocks, start=1) if k == odd_block]
+
+    @pytest.mark.parametrize("stations, unknown", NAME_SHAPES.values(), ids=NAME_SHAPES)
+    def test_names_of_any_shape_take_the_numpy_path(self, tmp_path, stations, unknown):
+        rng = np.random.default_rng(0)
+        o, d = rng.integers(0, len(stations), (2, 300))
+        lines = [HEADER] + [f"{stations[a]},{stations[b]},{t}" for a, b, t in zip(
+            o.tolist(), d.tolist(), rng.integers(0, 2 * 10**9, 300).tolist())]
+        path = tmp_path / "trips.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert lines_read_one_by_one(path, stations) == [1]
+        for name in unknown:
+            for line in (f"{name},{stations[0]},5", f"{stations[0]},{name},5"):
+                path.write_text("".join(line + "\n" for line in lines[:150] + [line]
+                                        + lines[150:]), encoding="utf-8")
+                with pytest.raises(dt.IngestionError) as expected:
+                    oracle_read_trips(path, stations)
+                assert str(expected.value) == f"unknown station {name!r} at line 151"
+                with mock.patch.object(dt, "TRIP_BLOCK", 1024), \
+                        pytest.raises(dt.IngestionError) as got:
+                    dt.read_trips_with_lines(path, stations)
+                assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("stations, unknown", NAME_SHAPES.values(), ids=NAME_SHAPES)
+    def test_names_match_by_their_bytes_when_every_hash_collides(self, tmp_path, stations,
+                                                                 unknown):
+        with mock.patch.object(dt, "_name_hash", one_home):
+            # every name probes from slot 0, so the last is reached after all the others
+            assert dt._name_table({s: k for k, s in enumerate(stations)})[-1] == len(stations) - 1
+            self.test_names_of_any_shape_take_the_numpy_path(tmp_path, stations, unknown)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(defective_trip_logs())
+    @example(f"{HEADER}\nA,B,100\nC,A,200\nB,C,300\nA,X,400\n")
+    def test_defective_logs_match_the_oracle_when_every_hash_collides(self, block, text):
+        with mock.patch.object(dt, "_name_hash", one_home), \
+                mock.patch.object(dt, "TRIP_BLOCK", block):
+            self.test_matches_the_per_line_oracle.hypothesis.inner_test(self, text)
+
+    def test_a_block_reads_only_the_words_its_longest_field_reaches(self, tmp_path):
+        stations = [f"M{k:03d}" for k in range(8)] + ["L" * 1000]
+        lines = [HEADER] + [f"M00{k % 8},M00{k * 3 % 8},{k}" for k in range(400)]
+        lines[200] = f"M001,{stations[-1]},7"
+        path = tmp_path / "trips.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(dt, "_name_hash", wraps=dt._name_hash) as spy:
+            assert lines_read_one_by_one(path, stations) == [1]
+        # the table's 125 words a name, then 1 word a block, but 125 for the long name's
+        words = [len(call.args[1]) for call in spy.call_args_list]
+        assert words[0] == 125 and sorted(words[1:]) == [1] * (len(words) - 2) + [125]
+
+    def test_many_stations_cost_about_what_a_name_dict_costs(self, tmp_path):
+        stations = [f"S{k}" for k in range(2**17)]
+        path = tmp_path / "trips.csv"
+        path.write_text("S0,S1,5\nS131071,S7,9\n")
+
+        def read():
+            return dt.read_trips_with_lines(path, stations)
+
+        def name_dicts():  # what each call built before the name table
+            dt._check_stations(stations)
+            index = {name: k for k, name in enumerate(stations) if name == name.strip()}
+            return {name.encode("utf-8"): k for name, k in index.items()}
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def seconds(call):
+            start = time.perf_counter()
+            call()
+            return time.perf_counter() - start
+
+        for a, b in zip(read(), oracle_read_trips(path, stations), strict=True):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+        assert peak(read) <= 2 * peak(name_dicts)
+        # the fastest of three alternated calls each, so that a busy machine slows both
+        times = [(seconds(read), seconds(name_dicts)) for _ in range(3)]
+        assert min(r for r, _ in times) <= 3 * min(d for _, d in times)
 
     def test_a_line_longer_than_a_block_is_read_whole(self, tmp_path):
         path = tmp_path / "trips.csv"
