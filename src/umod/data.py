@@ -79,22 +79,11 @@ class Grid:
 class ODSeries:
     """OD flow counts on the kept bins of ``grid``, indexed consecutively:
     ``flows[t, i, j]`` counts trips from station ``i`` to station ``j`` in bin ``t``.
-    """
+    A plain record: its makers check it."""
 
     stations: list[str]
     grid: Grid
     flows: np.ndarray  # [T, N, N] float64
-
-    def __post_init__(self):
-        self.flows = np.asarray(self.flows, dtype=np.float64)
-        if self.flows.ndim != 3:
-            raise ConfigurationError(f"flows must be [T, N, N], got {self.flows.shape}")
-        n = len(self.stations)
-        if self.flows.shape[1] != n or self.flows.shape[2] != n:
-            raise ConfigurationError(
-                f"flows {self.flows.shape} does not match {n} stations"
-            )
-        _check_stations(self.stations)
 
     @property
     def n_stations(self) -> int:
@@ -108,9 +97,10 @@ class ODSeries:
 @dataclass
 class SparseSeries:
     """A series as the version-2 file holds it, made by ingest and by
-    ``load_series``: its ``[T, N, N]`` flows of shape ``dims`` are ``values`` at
-    the increasing flat indices ``cells``, +0.0 elsewhere. ``dense()`` is the
-    one place that stored cells are made dense."""
+    ``load_series``, which check its stations and ``dims``: its ``[T, N, N]``
+    flows of shape ``dims`` are ``values`` at the increasing flat indices
+    ``cells``, +0.0 elsewhere. ``dense()`` is the one place that stored cells
+    are made dense."""
 
     stations: list[str]
     grid: Grid
@@ -125,9 +115,11 @@ class SparseSeries:
 
 
 def _check_stations(stations) -> None:
-    if len(set(stations)) != len(stations):
-        twice = next(s for k, s in enumerate(stations) if s in stations[:k])
-        raise ConfigurationError(f"station {twice!r} is listed twice")
+    seen = set()
+    for name in stations:
+        if name in seen:
+            raise ConfigurationError(f"station {name!r} is listed twice")
+        seen.add(name)
 
 
 @dataclass
@@ -593,12 +585,14 @@ def write_container(path, magic: bytes, header: dict, arrays) -> None:
     write_atomically(path, write, binary=True)
 
 
-def read_container(path, magic: bytes, version: int, shapes, error):
-    """Read a file written by ``write_container``; returns (header, arrays).
+def read_container(path, magic: bytes, version: int, parse, error):
+    """Read a file written by ``write_container``; returns (value, arrays).
 
-    ``shapes(header)`` lists each promised array's shape as counts; a KeyError,
-    TypeError or ValueError from it means a missing or ill-typed key.
-    Every defect of the file raises ``error``, the caller's exception type.
+    ``parse(header)`` is the one reader of the header: it returns ``(value,
+    shapes)``, the caller's decoded header and each promised array's shape as
+    counts, and runs before any payload byte is read. A KeyError, TypeError or
+    ValueError from it (a ConfigurationError too) is a bad header. Every
+    defect of the file raises ``error``, the caller's exception type.
     """
     def fail(msg: str) -> Exception:
         return error(f"{path}: {msg}")
@@ -623,7 +617,8 @@ def read_container(path, magic: bytes, version: int, shapes, error):
         if header.get("version") != version:
             raise fail(f"unsupported version {header.get('version')!r}, expected {version}")
         try:
-            dims = [list(shape) for shape in shapes(header)]
+            value, shapes = parse(header)
+            dims = [list(shape) for shape in shapes]
         except (KeyError, TypeError, ValueError) as exc:
             raise fail(f"bad header: {type(exc).__name__}: {exc}") from exc
         counts = [math.prod(shape) for shape in dims]
@@ -636,7 +631,7 @@ def read_container(path, magic: bytes, version: int, shapes, error):
                 arrays.append(np.fromfile(fh, dtype="<f8", count=count).reshape(shape))
             except ValueError as exc:
                 raise fail(f"bad header: array shape {shape}: {exc}") from exc
-    return header, arrays
+    return value, arrays
 
 
 def dump_series(series: ODSeries | SparseSeries, path) -> None:
@@ -662,8 +657,9 @@ def dump_series(series: ODSeries | SparseSeries, path) -> None:
     write_container(path, SERIES_MAGIC, header, [series.cells, series.values])
 
 
-def _series_shapes(header: dict) -> list[list[int]]:
-    """The payload a version-2 header promises: ``cells`` indices, then their values."""
+def _parse_series_header(header: dict):
+    """A version-2 header's ``(stations, grid, dims)``, and the payload it
+    promises: ``cells`` indices, then their values."""
     dims, cells = header["dims"], header["cells"]
     if not (type(dims) is list and len(dims) == 3
             and all(type(d) is int and d >= 0 for d in dims)):
@@ -671,39 +667,36 @@ def _series_shapes(header: dict) -> list[list[int]]:
     check_float64_shape(dims, f"dims {dims}")
     if type(cells) is not int or cells < 0:
         raise ValueError(f"cells {cells!r} is not a count")
-    return [[cells], [cells]]
+    stations, window = header["stations"], header["operating_window"]
+    if not (type(stations) is list and all(type(s) is str for s in stations)):
+        raise TypeError(f"stations {stations!r} is not a list of names")
+    for key in ("start_time", "granularity"):
+        if type(header[key]) is not int:
+            raise TypeError(f"{key} {header[key]!r} is not an integer")
+    if not (window is None or (type(window) is list and len(window) == 2
+                               and all(type(v) is int for v in window))):
+        raise TypeError(f"operating_window {window!r} is not null or two integers")
+    grid = Grid(header["start_time"], header["granularity"], tuple(window) if window else None)
+    if dims[1:] != [len(stations)] * 2:
+        raise ConfigurationError(f"dims {dims} do not match {len(stations)} stations")
+    _check_stations(stations)
+    return (stations, grid, tuple(dims)), [[cells], [cells]]
 
 
 def load_series(path) -> ODSeries:
     """Read a ``UMODODS1`` file back into the dense ``[T, N, N]`` series: its
-    checked header and cells make a ``SparseSeries``, which ``dense()`` fills in."""
-    header, (cells, values) = read_container(path, SERIES_MAGIC, SERIES_VERSION,
-                                             _series_shapes, SeriesFormatError)
-    try:
-        stations, window = header["stations"], header["operating_window"]
-        if not (type(stations) is list and all(type(s) is str for s in stations)):
-            raise TypeError(f"stations {stations!r} is not a list of names")
-        for key in ("start_time", "granularity"):
-            if type(header[key]) is not int:
-                raise TypeError(f"{key} {header[key]!r} is not an integer")
-        if not (window is None or (type(window) is list and len(window) == 2
-                                   and all(type(v) is int for v in window))):
-            raise TypeError(f"operating_window {window!r} is not null or two integers")
-        dims = header["dims"]
-        size = math.prod(dims)
-        bad = ~((cells >= 0) & (cells < size) & (cells == np.floor(cells)))
-        bad[1:] |= ~(cells[1:] > cells[:-1])
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SeriesFormatError(
-                f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
-                f"numbers in [0, {size}), strictly increasing")
-        cells = cells.astype(np.int64)  # frees the float64 indices before dense() allocates
-        del bad
-        grid = Grid(header["start_time"], header["granularity"], tuple(window) if window else None)
-        if dims[1:] != [len(stations)] * 2:
-            raise ConfigurationError(f"dims {dims} do not match {len(stations)} stations")
-        return SparseSeries(stations, grid, tuple(dims), cells, values).dense()
-    except (KeyError, TypeError, ConfigurationError) as exc:
+    header, parsed before the payload is read, and its checked cells make a
+    ``SparseSeries``, which ``dense()`` fills in."""
+    (stations, grid, dims), (cells, values) = read_container(
+        path, SERIES_MAGIC, SERIES_VERSION, _parse_series_header, SeriesFormatError)
+    size = math.prod(dims)
+    bad = ~((cells >= 0) & (cells < size) & (cells == np.floor(cells)))
+    bad[1:] |= ~(cells[1:] > cells[:-1])
+    if bad.any():
+        k = int(np.argmax(bad))
         raise SeriesFormatError(
-            f"{path}: bad series header: {type(exc).__name__}: {exc}") from exc
+            f"{path}: cell {k} has index {float(cells[k])!r}; indices must be whole "
+            f"numbers in [0, {size}), strictly increasing")
+    cells = cells.astype(np.int64)  # frees the float64 indices before dense() allocates
+    del bad
+    return SparseSeries(stations, grid, dims, cells, values).dense()

@@ -177,9 +177,10 @@ def save_checkpoint(path, params: dict[str, dm.Tensor], config: ModelConfig) -> 
 def load_checkpoint(path):
     """Load (params, config); ``param_shapes`` of the stored config sizes the
     payload, and a config that cannot be built is a bad header."""
-    header, arrays = read_container(
-        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-        lambda h: [shape for _, shape in param_shapes(ModelConfig(**h["config"]))],
-        CheckpointError)
-    config = ModelConfig(**header["config"])
+    def parse(header):
+        config = ModelConfig(**header["config"])
+        return config, [shape for _, shape in param_shapes(config)]
+
+    config, arrays = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, parse,
+                                    CheckpointError)
     return {name: dm.Tensor(a) for (name, _), a in zip(param_shapes(config), arrays)}, config

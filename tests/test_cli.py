@@ -384,7 +384,7 @@ class TestIngest:
             assert not out.exists()
             return
         _, (cells, values) = dt.read_container(out, dt.SERIES_MAGIC, dt.SERIES_VERSION,
-                                               dt._series_shapes, dt.SeriesFormatError)
+                                               dt._parse_series_header, dt.SeriesFormatError)
         assert (cells.tolist(), values.tolist()) == ([2**53 - 1], [1.0])
 
     def test_three_line_demo(self, tmp_path, capsys):
@@ -1070,7 +1070,7 @@ class TestDataSource:
             "operating_window": window}, np.ones((24, 2, 2)))
         assert self.run_on_series(tmp_path, series, command) == 1
         assert capsys.readouterr().err == (
-            f"error: {series}: bad series header: ConfigurationError: {message}\n")
+            f"error: {series}: bad header: ConfigurationError: {message}\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -1095,7 +1095,7 @@ class TestDataSource:
             "dims": [1000000, 300, 300], "cells": 0, "operating_window": None}, np.zeros(0))
         assert self.run_on_series(tmp_path, series, command) == 1
         assert capsys.readouterr().err == (
-            f"error: {series}: bad series header: ConfigurationError: "
+            f"error: {series}: bad header: ConfigurationError: "
             f"dims [1000000, 300, 300] do not match 2 stations\n")
         assert not (tmp_path / "run").exists()
 

@@ -75,6 +75,26 @@ class TestBuildSeries:
         with pytest.raises(dt.ConfigurationError, match="station 'A' is listed twice"):
             dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], HALF_HOURS, 1800)
 
+    def test_a_late_repeat_among_many_stations_costs_about_a_name_dict(self):
+        # finding the repeat once scanned a growing prefix per name: 2 s at 2**14
+        stations = [f"S{k}" for k in range(2**17)] + ["S0"]
+
+        def check():
+            with pytest.raises(dt.ConfigurationError, match="^station 'S0' is listed twice$"):
+                dt._check_stations(stations)
+
+        def name_dicts():
+            return set(stations), {name: k for k, name in enumerate(stations)}
+
+        def seconds(call):
+            start = time.perf_counter()
+            call()
+            return time.perf_counter() - start
+
+        # the fastest of three alternated calls each, so that a busy machine slows both
+        times = [(seconds(check), seconds(name_dicts)) for _ in range(3)]
+        assert min(c for c, _ in times) <= 3 * min(d for _, d in times)
+
     @pytest.mark.parametrize("start, end", [(-2**63, 0), (0, 2**63), (-10**30, -10**30 + 60),
                                             (-2**62, 2**62 + 52)])
     def test_span_beyond_int64_rejected(self, start, end):
@@ -440,7 +460,7 @@ class TestSerialization:
         path = tmp_path / "series.bin"
         write_series_file(path, header, np.array([0.0, 3.0]).reshape(2, 1, 1))
         with pytest.raises(dt.SeriesFormatError,
-                           match="bad series header: ConfigurationError: .*" + message):
+                           match="bad header: ConfigurationError: .*" + message):
             dt.load_series(path)
 
     def test_window_on_bins_that_do_not_tile_a_day_is_a_format_error(
@@ -449,7 +469,7 @@ class TestSerialization:
                   "operating_window": [0, 7], "dims": [2, 1, 1], "cells": 1}
         path = tmp_path / "series.bin"
         write_series_file(path, header, np.array([0.0, 3.0]).reshape(2, 1, 1))
-        with pytest.raises(dt.SeriesFormatError, match="bad series header: ConfigurationError: "
+        with pytest.raises(dt.SeriesFormatError, match="bad header: ConfigurationError: "
                            "granularity 25200 does not tile a day of 86400 seconds"):
             dt.load_series(path)
 
@@ -529,6 +549,36 @@ class TestSerialization:
         (header_len,) = struct.unpack("<I", raw[8:12])
         assert json.loads(raw[12:12 + header_len])["cells"] == cells
         assert len(raw) == 12 + header_len + 16 * cells
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("granularity", 0, "ConfigurationError: granularity 0 must be >= 1 second"),
+        ("stations", ["A", "A"], "ConfigurationError: station 'A' is listed twice"),
+        ("stations", ["A", "B", "C"],
+         "ConfigurationError: dims [65536, 2, 2] do not match 3 stations"),
+        ("stations", "AB", "TypeError: stations 'AB' is not a list of names"),
+    ], ids=["zero_granularity", "station_twice", "dims_disagree", "stations_not_a_list"])
+    @pytest.mark.parametrize("truncated", [False, True], ids=["whole", "truncated"])
+    def test_bad_header_is_refused_before_the_payload_is_read(self, tmp_path, field, value,
+                                                              message, truncated):
+        # 2**18 cells: a 4 MiB payload, every index valid
+        cells = 2**18
+        header = {"version": 2, "stations": ["A", "B"], "start_time": 0,
+                  "granularity": 3600, "operating_window": None,
+                  "dims": [cells // 4, 2, 2], "cells": cells, field: value}
+        path = tmp_path / "series.bin"
+        dt.write_container(path, dt.SERIES_MAGIC, header,
+                           [np.arange(cells, dtype=np.float64), np.ones(cells)])
+        if truncated:  # the header's defect is reported, not the payload's
+            os.truncate(path, path.stat().st_size - 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(dt.SeriesFormatError) as excinfo:
+                dt.load_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == f"{path}: bad header: {message}"
+        assert peak < 0.01 * 16 * cells
 
     def test_version_mismatch(self, tmp_path):
         meta = json.dumps({"version": 99, "stations": [], "start_time": 0,

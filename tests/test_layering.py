@@ -13,7 +13,9 @@ series and no split. Every field of a ``@dataclass``
 is read as an attribute (``obj.field``) somewhere in the package, so no field
 is kept that nothing reads. Every private function, class and method is
 referenced by name somewhere in the package, so a refactor leaves no helper
-behind that nothing calls.
+behind that nothing calls. Binary files are opened and read only in the one
+container codec: ``"rb"``, ``"wb"`` and ``fromfile`` appear only inside
+``read_container`` and ``write_atomically``.
 """
 
 import ast
@@ -216,3 +218,43 @@ def test_the_private_guard_flags_a_helper_nothing_calls():
                "def main(raw):\n    return dt._Rows(), dt._split(raw)\n",
     })
     assert flagged == {"data._parse_line"}
+
+
+BINARY_IO = {"data.read_container", "data.write_atomically"}  # the one reader and writer
+
+
+def binary_io_sites(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each top-level function or class in ``sources`` that
+    holds a ``"rb"`` or ``"wb"`` string or the name ``fromfile`` (as a name, an
+    attribute or an import), or ``module`` for one outside them."""
+    sites = set()
+    for module, code in sources.items():
+        for top in ast.parse(code).body:
+            named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for n in ast.walk(top):
+                if ((isinstance(n, ast.Constant) and n.value in ("rb", "wb"))
+                        or (isinstance(n, ast.Name) and n.id == "fromfile")
+                        or (isinstance(n, ast.Attribute) and n.attr == "fromfile")
+                        or (isinstance(n, ast.alias) and n.name.endswith("fromfile"))):
+                    sites.add(f"{module}.{top.name}" if named else module)
+    return sites
+
+
+def test_one_binary_reader_and_one_binary_writer():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert binary_io_sites(sources) == BINARY_IO
+
+
+def test_the_binary_io_guard_flags_a_second_reader():
+    # a mode string in a nested function, a fromfile import and a module-level mode
+    flagged = binary_io_sites({
+        "data": "import numpy as np\n"
+                "def read_container(path):\n    with open(path, 'rb') as fh:\n"
+                "        return np.fromfile(fh)\n",
+        "model": "from numpy import fromfile\nMODE = 'wb'\n"
+                 "class Store:\n    def peek(self, path):\n"
+                 "        def head():\n            return open(path, mode='rb').read(8)\n"
+                 "        return head()\n"
+                 "def load(path):\n    return fromfile(path)\n",
+    })
+    assert flagged == {"data.read_container", "model", "model.Store", "model.load"}
