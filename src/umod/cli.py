@@ -245,12 +245,10 @@ def _ingest(trips_path, stations_path, start_time, end_time, granularity,
             window):
     """The sparse series binned from a trip log, the count of trips it kept,
     and the counts of trips dropped out of the span and outside operating hours."""
-    stations = dt.read_lines(stations_path)
-    if not stations:
-        raise dt.ConfigurationError(f"{stations_path}: no station names")
+    grid = dt.Grid(start_time, granularity, window)  # refused before any input is read
+    stations = dt.read_stations(stations_path)
     trips = dt.read_trips_with_lines(trips_path, stations)
-    series, out_of_span, outside_hours = dt.build_od_series(
-        trips, stations, dt.Grid(start_time, granularity, window), end_time)
+    series, out_of_span, outside_hours = dt.build_od_series(trips, stations, grid, end_time)
     # each kept trip adds exactly 1.0 to the series, so this count is its sum
     return series, len(trips[0]) - out_of_span - outside_hours, out_of_span, outside_hours
 

@@ -183,15 +183,14 @@ def build_od_series(trips, stations, grid: Grid,
                     end_time: int) -> tuple[SparseSeries, int, int]:
     """Bin trips into a SparseSeries on the kept bins of ``grid``.
 
-    ``trips`` is ``(origin, destination, timestamp)``: station-index and
-    timestamp arrays of one length, as ``read_trips_with_lines`` returns.
+    ``trips`` is ``(origin, destination, timestamp)``: the int64 columns that
+    ``read_trips_with_lines`` returns for ``stations``, so each index names one.
     Bins are half-open ``[start, start + granularity)``, so a boundary
     timestamp lands in the later bin; ``filter_operating_hours`` picks the
     bins that are kept. Returns the series and the counts of trips dropped
     for falling outside ``[grid.start_time, end_time)`` and outside the
     window's hours.
     """
-    _check_stations(stations)
     start_time, granularity = grid.start_time, grid.granularity
     if start_time >= end_time:
         raise ConfigurationError("start_time must precede end_time")
@@ -203,14 +202,8 @@ def build_od_series(trips, stations, grid: Grid,
         raise ConfigurationError(
             f"granularity {granularity} does not tile the span of {span} seconds"
         )
-    origin, destination, timestamp = (np.asarray(a, dtype=np.int64) for a in trips)
+    origin, destination, timestamp = trips
     n = len(stations)
-    # an index of n would otherwise land silently in the next bin
-    bad = np.flatnonzero((np.minimum(origin, destination) < 0)
-                         | (np.maximum(origin, destination) >= n))
-    if bad.size:
-        raise IngestionError(f"station index out of range for {n} stations "
-                             f"at record {bad[0]}")
     t_total = span // granularity
     # also keeps every flat cell index below int64, so none of them can wrap
     check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
@@ -231,13 +224,20 @@ def build_od_series(trips, stations, grid: Grid,
     return series, *dropped
 
 
-def read_lines(path) -> list[str]:
-    """The stripped non-blank lines of UTF-8 text, a leading byte-order mark dropped."""
+def read_stations(path) -> list[str]:
+    """The station names of a list file: its stripped non-blank lines of UTF-8
+    text, a leading byte-order mark dropped. Raises IngestionError for text
+    that is not UTF-8, then ConfigurationError for a list with no names or a
+    name listed twice."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            return [line for line in map(str.strip, fh.read().split("\n")) if line]
+            stations = [line for line in map(str.strip, fh.read().split("\n")) if line]
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not stations:
+        raise ConfigurationError(f"{path}: no station names")
+    _check_stations(stations)
+    return stations
 
 
 def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,12 +245,12 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Format: ``origin,destination,unix_timestamp`` per line, optional header
     on line 1; blank lines are skipped and fields may carry whitespace.
-    Origins and destinations become indices into ``stations``; timestamps
-    beyond the int64 range are clamped to it, so they fall outside any span.
-    Raises ConfigurationError, before any line is read, for a station listed
-    twice, then IngestionError for the first defect in file order: a malformed
-    record or unknown station, named with its line, or a byte that is not
-    UTF-8, reported when no line before its own has a defect.
+    Origins and destinations become indices into ``stations``, the list
+    ``read_stations`` returns; timestamps beyond the int64 range are clamped
+    to it, so they fall outside any span. Raises IngestionError for the first
+    defect in file order: a malformed record or unknown station, named with
+    its line, or a byte that is not UTF-8, reported when no line before its
+    own has a defect.
 
     The log is read in text mode (no byte-order mark, every line ending
     ``\n``, a byte that is not UTF-8 kept as itself): line 1 on its own, so
@@ -262,9 +262,7 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     the one copy of the per-line rules, which decodes each line where it
     parses it, to the same columns.
     """
-    _check_stations(stations)
-    # a stripped field never equals a name with outer whitespace
-    index = {name: k for k, name in enumerate(stations) if name == name.strip()}
+    index = {name: k for k, name in enumerate(stations)}
     table = _name_table(index)
     blocks, lineno = [np.empty((3, 0), np.int64)], 1
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:

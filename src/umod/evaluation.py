@@ -114,8 +114,6 @@ class HistoricalAverageBaseline:
         self.stats = stats
 
     def predict(self, samples) -> np.ndarray:
-        if not samples:
-            raise ValueError("no samples to predict")
         anchors = np.array([s.t_anchor for s in samples])
         steps = 1 + np.arange(samples[0].y.shape[0])
         bods = (anchors[:, None] + steps) % self.bins_per_day  # [S, P]
@@ -179,17 +177,14 @@ def entity_windows(series: ODSeries, model_config: m.ModelConfig, stats: NormSta
     The view is the station rows, or in pair mode the K = ``n_entities`` OD
     pairs of highest training-portion mean flow as ``[T, K, 1]``, ties toward
     the lower (origin index, destination index). Raises ConfigurationError if
-    K exceeds N², the training portion is empty, or ``[E, F]`` is not
-    ``(n_entities, feature_dim)``.
+    K exceeds N² or ``[E, F]`` is not ``(n_entities, feature_dim)``. ``stats``
+    is ``fit_normalizer``'s on ``series``, so the training portion has bins.
     """
     flows, n, k = series.flows, series.n_stations, model_config.n_entities
     if model_config.entity_mode == m.TOP_K_PAIRS:
         if k > n * n:
             raise ConfigurationError(f"K={k} out of range for {n}x{n} pairs")
-        n_train = split_lengths(series.n_bins)[0]
-        if n_train < 1:
-            raise ConfigurationError("training portion is empty")
-        means = flows[:n_train].mean(axis=0)  # [N, N]
+        means = flows[:split_lengths(series.n_bins)[0]].mean(axis=0)  # [N, N]
         # a stable sort of the row-major means keeps ties in (i, j) order
         rows, cols = np.divmod(np.argsort(-means, axis=None, kind="stable")[:k], n)
         flows = flows[:, rows, cols][:, :, None]  # [T, K, 1]
@@ -260,10 +255,9 @@ def run_ablations(series: ODSeries, stats: NormStats,
 def run_dim_sweep(series: ODSeries, stats: NormStats,
                   model_config: m.ModelConfig, train_config: tr.TrainConfig,
                   axis: str, values=None) -> SweepResult:
-    """Vary one embedding width while the other stays at its default."""
+    """Vary the ``axis`` ("input_dim" or "adaptive_dim") embedding width while
+    the other stays at its default."""
     values = list(values) if values is not None else list(DIM_VALUES)
-    if axis not in ("input_dim", "adaptive_dim"):
-        raise ConfigurationError(f"unknown sweep axis {axis!r}")
     width, use = (("d_input", "use_input_embedding") if axis == "input_dim"
                   else ("d_adaptive", "use_adaptive_embedding"))
     if not getattr(model_config, use):  # every row would train the same model

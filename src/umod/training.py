@@ -67,14 +67,12 @@ def loss(pred: dm.Tensor, target, kind: str = MEAN_ABSOLUTE) -> dm.Tensor:
 
 
 def adam_step(params: dict[str, dm.Tensor], moments, config: TrainConfig, t: int) -> None:
-    """One bias-corrected Adam update, reading gradients off the parameters.
+    """Adam update number ``t`` (from 1), bias-corrected, reading gradients off the parameters.
 
     ``moments`` holds one ``(first, second)`` array pair per parameter, in
     ``params`` order, and is updated in place. A gradient that is not finite
     raises before any state changes, naming the parameter by its key.
     """
-    if t < 1:
-        raise ValueError("step index must be >= 1")
     for name, p in params.items():
         if not np.isfinite(p.grad).all():
             raise dm.NumericError(f"non-finite gradient for {name}")
@@ -103,6 +101,7 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
           epoch_callback=None, forward=None) -> tuple[dict[str, dm.Tensor], TrainReport]:
     """Run the training loop and return the best-validation parameters.
 
+    Both sample lists hold a window, as each split of ``split_and_window`` does.
     The parameters are updated in place, and Adam starts from zero moments on
     every call. ``epoch_callback(record)`` fires after every epoch (used for
     logging); an epoch that raises ``NumericError`` fires it with the failing
@@ -111,8 +110,6 @@ def train(config: m.ModelConfig, params: dict[str, dm.Tensor],
     ``forward(x, params, config)`` is the network to fit; it defaults to
     ``model.forward``, and ``config`` is passed to it untouched.
     """
-    if not train_samples or not val_samples:
-        raise ValueError("need at least one training and one validation sample")
     forward = forward or m.forward
     plist = list(params.values())
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in plist]

@@ -315,7 +315,7 @@ class TestIngest:
         gen_inputs.write_trip_log(tmp_path, stations, days, 5000, 0)
         with mock.patch.object(dt, "_parse_lines", wraps=dt._parse_lines) as spy:
             trips = dt.read_trips_with_lines(tmp_path / "trips.csv",
-                                             dt.read_lines(tmp_path / "stations.txt"))
+                                             dt.read_stations(tmp_path / "stations.txt"))
         assert trips[0].size == 5000
         # only the header goes line by line
         assert [call.args[1:3] for call in spy.call_args_list] == [
@@ -536,6 +536,26 @@ class TestIngest:
         assert code == 1
         assert capsys.readouterr().err == "error: unknown station 'X' at line 2\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--granularity", "0"], "granularity 0 must be >= 1 second"),
+        (["--window", "6", "25"], "bad operating window (6, 25)"),
+    ], ids=["granularity", "window"])
+    def test_bad_grid_is_refused_before_any_input_is_read(self, tmp_path, capsys, flags,
+                                                          message):
+        # neither input exists, which would exit 2
+        assert cli.main(["ingest", "--trips", str(tmp_path / "nope.csv"),
+                         "--stations", str(tmp_path / "nope.txt"), "--start", "0",
+                         "--end", "3600", *flags, "--out", str(tmp_path / "o.bin")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_station_list_is_checked_once(self, tmp_path, capsys):
+        trips, stations = self.write_inputs(tmp_path, "A,B,100\n")
+        with mock.patch.object(dt, "_check_stations", wraps=dt._check_stations) as spy:
+            assert cli.main(["ingest", "--trips", str(trips), "--stations", str(stations),
+                             "--start", "0", "--end", "3600",
+                             "--out", str(tmp_path / "o.bin")]) == 0
+        assert spy.call_args_list == [mock.call(["A", "B"])]
+
     def test_missing_input_exits_2(self, tmp_path):
         _, stations = self.write_inputs(tmp_path, "")
         assert cli.main(["ingest", "--trips", str(tmp_path / "nope.csv"),
@@ -690,6 +710,20 @@ class TestTrain:
         cfg.write_text(f"[data]\nseries = {series}\n[run]\noutput_dir = {tmp_path / 'run'}\n")
         assert run_quietly(["train", str(cfg)]) == (1, "error: training portion is empty\n")
         assert not (tmp_path / "run").exists()
+
+    def test_pair_view_of_a_series_with_no_training_bin_exits_1(self, tmp_path,
+                                                                 write_series_file):
+        # one bin: split_lengths(1) == (0, 0, 1), and fit_normalizer refuses it
+        # before the pair ranking would average the empty training portion
+        series, run_dir = tmp_path / "series.bin", tmp_path / "run"
+        write_series_file(series, {
+            "version": 2, "stations": ["A", "B"], "start_time": 0, "granularity": 3600,
+            "dims": [1, 2, 2], "cells": 4, "operating_window": None}, np.ones((1, 2, 2)))
+        cfg = tmp_path / "pairs.ini"
+        cfg.write_text(f"[data]\nseries = {series}\n[model]\nentity_mode = top_k_pairs\n"
+                       f"top_k = 1\n[run]\noutput_dir = {run_dir}\n")
+        assert run_quietly(["train", str(cfg)]) == (1, "error: training portion is empty\n")
+        assert not run_dir.exists()
 
     def test_top_k_pairs_without_top_k_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "pairs.ini"

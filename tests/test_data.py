@@ -63,18 +63,6 @@ class TestBuildSeries:
         assert dropped == 2
         assert series.flows.sum() == 1
 
-    def test_unknown_station_names_id_and_position(self):
-        # an index of N would otherwise count in the next bin's origin 0
-        for trips, record in [(columns((0, 1, 0), (2, 1, 0)), 1),
-                              (columns((0, -1, 0), (0, 1, 0)), 0)]:
-            with pytest.raises(dt.IngestionError,
-                               match=rf"out of range for 2 stations at record {record}"):
-                dt.build_od_series(trips, ["A", "B"], HALF_HOURS, 3600)
-
-    def test_duplicate_station_rejected(self):
-        with pytest.raises(dt.ConfigurationError, match="station 'A' is listed twice"):
-            dt.build_od_series(columns((0, 2, 0)), ["A", "A", "B"], HALF_HOURS, 1800)
-
     def test_a_late_repeat_among_many_stations_costs_about_a_name_dict(self):
         # finding the repeat once scanned a growing prefix per name: 2 s at 2**14
         stations = [f"S{k}" for k in range(2**17)] + ["S0"]
@@ -694,6 +682,31 @@ def defective_trip_logs(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+class TestStationList:
+    def test_no_names(self, tmp_path):
+        path = tmp_path / "stations.txt"
+        path.write_text("\n  \n")
+        with pytest.raises(dt.ConfigurationError,
+                           match=f"^{re.escape(str(path))}: no station names$"):
+            dt.read_stations(path)
+
+    def test_name_listed_twice(self, tmp_path):
+        # names are compared once stripped
+        path = tmp_path / "stations.txt"
+        path.write_text("A\nB\n A\n")
+        with pytest.raises(dt.ConfigurationError, match="^station 'A' is listed twice$"):
+            dt.read_stations(path)
+
+    def test_padded_name_is_its_stripped_name(self, tmp_path):
+        # the trip reader strips its fields, and the list strips its names to match
+        stations, trips = tmp_path / "stations.txt", tmp_path / "trips.csv"
+        stations.write_text(" A \nB\n")
+        trips.write_text(" A,B,5\n")
+        names = dt.read_stations(stations)
+        assert names == ["A", "B"]
+        assert [c.tolist() for c in dt.read_trips_with_lines(trips, names)] == [[0], [1], [5]]
+
+
 class TestTripText:
     def test_reads_with_optional_header(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -725,12 +738,6 @@ class TestTripText:
         path.write_text(f"A,B,{10**30}\nB,A,{-10**23}\nA,B,{2**63 - 1}\n")
         assert dt.read_trips_with_lines(path, ["A", "B"])[2].tolist() == [
             2**63 - 1, -2**63, 2**63 - 1]
-
-    def test_station_names_with_outer_whitespace_never_match(self, tmp_path):
-        path = tmp_path / "trips.csv"
-        path.write_text(" A,B,100\n")
-        with pytest.raises(dt.IngestionError, match="unknown station 'A' at line 1"):
-            dt.read_trips_with_lines(path, [" A", "B"])
 
     def test_unknown_station_names_origin_before_destination(self, tmp_path):
         path = tmp_path / "trips.csv"

@@ -15,7 +15,9 @@ is kept that nothing reads. Every private function, class and method is
 referenced by name somewhere in the package, so a refactor leaves no helper
 behind that nothing calls. Binary files are opened and read only in the one
 container codec: ``"rb"``, ``"wb"`` and ``fromfile`` appear only inside
-``read_container`` and ``write_atomically``.
+``read_container`` and ``write_atomically``. A station list is checked for a
+repeated name only where one enters the program: ``_check_stations`` is
+referenced only inside ``read_stations`` and ``_parse_series_header``.
 """
 
 import ast
@@ -223,21 +225,26 @@ def test_the_private_guard_flags_a_helper_nothing_calls():
 BINARY_IO = {"data.read_container", "data.write_atomically"}  # the one reader and writer
 
 
-def binary_io_sites(sources: dict[str, str]) -> set[str]:
+def sites(sources: dict[str, str], hit) -> set[str]:
     """``module.name`` of each top-level function or class in ``sources`` that
-    holds a ``"rb"`` or ``"wb"`` string or the name ``fromfile`` (as a name, an
-    attribute or an import), or ``module`` for one outside them."""
-    sites = set()
+    holds an ast node for which ``hit`` is true, or ``module`` for one outside them."""
+    found = set()
     for module, code in sources.items():
         for top in ast.parse(code).body:
             named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            for n in ast.walk(top):
-                if ((isinstance(n, ast.Constant) and n.value in ("rb", "wb"))
-                        or (isinstance(n, ast.Name) and n.id == "fromfile")
-                        or (isinstance(n, ast.Attribute) and n.attr == "fromfile")
-                        or (isinstance(n, ast.alias) and n.name.endswith("fromfile"))):
-                    sites.add(f"{module}.{top.name}" if named else module)
-    return sites
+            if any(hit(n) for n in ast.walk(top)):
+                found.add(f"{module}.{top.name}" if named else module)
+    return found
+
+
+def binary_io_sites(sources: dict[str, str]) -> set[str]:
+    """The ``sites`` that hold a ``"rb"`` or ``"wb"`` string or the name
+    ``fromfile`` (as a name, an attribute or an import)."""
+    return sites(sources, lambda n: (
+        (isinstance(n, ast.Constant) and n.value in ("rb", "wb"))
+        or (isinstance(n, ast.Name) and n.id == "fromfile")
+        or (isinstance(n, ast.Attribute) and n.attr == "fromfile")
+        or (isinstance(n, ast.alias) and n.name.endswith("fromfile"))))
 
 
 def test_one_binary_reader_and_one_binary_writer():
@@ -258,3 +265,33 @@ def test_the_binary_io_guard_flags_a_second_reader():
                  "def load(path):\n    return fromfile(path)\n",
     })
     assert flagged == {"data.read_container", "model", "model.Store", "model.load"}
+
+
+CHECK_STATIONS = {"data.read_stations", "data._parse_series_header"}  # the two list readers
+
+
+def check_stations_sites(sources: dict[str, str]) -> set[str]:
+    """The ``sites`` that reference ``_check_stations`` (as a name, an
+    attribute or an import)."""
+    return sites(sources, lambda n: (
+        (isinstance(n, ast.Name) and n.id == "_check_stations")
+        or (isinstance(n, ast.Attribute) and n.attr == "_check_stations")
+        or (isinstance(n, ast.alias) and n.name == "_check_stations")))
+
+
+def test_station_lists_are_checked_where_they_are_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert check_stations_sites(sources) == CHECK_STATIONS
+
+
+def test_the_station_list_guard_flags_a_second_caller():
+    # a nested call, a call through the module and an import; the def is no reference
+    flagged = check_stations_sites({
+        "data": "def _check_stations(stations):\n    return stations\n"
+                "def read_stations(path):\n    return _check_stations([path])\n"
+                "def build(trips, stations):\n"
+                "    def check():\n        _check_stations(stations)\n    check()\n",
+        "cli": "from . import data as dt\nfrom .data import _check_stations\n"
+               "def ingest(stations):\n    dt._check_stations(stations)\n",
+    })
+    assert flagged == {"data.read_stations", "data.build", "cli", "cli.ingest"}

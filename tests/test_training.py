@@ -97,10 +97,6 @@ class TestAdam:
         assert p.data[0] == 1.0
         assert not any(m.any() for pair in moments for m in pair)
 
-    def test_bad_step_index(self):
-        with pytest.raises(ValueError):
-            tr.adam_step({}, [], tr.TrainConfig(), t=0)
-
 
 class TestTrainLoop:
     def run(self, val_losses=None, **tc_overrides):
@@ -188,12 +184,6 @@ class TestTrainLoop:
         tr.train(cfg, md.init_params(cfg), make_samples(6, seed=1), make_samples(2, seed=2),
                  tr.TrainConfig(max_epochs=2, patience=2, batch_size=4), forward=forward)
         assert alive == [[False, False]] * 4
-
-    def test_needs_samples(self):
-        cfg = tiny_config()
-        with pytest.raises(ValueError):
-            tr.train(cfg, md.init_params(cfg), [], make_samples(1),
-                     tr.TrainConfig())
 
     def test_overfits_tiny_batch(self):
         # gradient/optimizer sanity: 8 synthetic samples, loss drops by >= 90%
