@@ -31,9 +31,12 @@ parse as its field's type, an unknown section or key, and a malformed file
 are each a ConfigurationError naming the file or the section and key.
 
 train, sweep and eval read their INI through one resolver, ``_prepare``, so
-each accepts the same INIs and rejects the rest with the same error before it
-makes anything. eval takes its model from the checkpoint, and each [model]
-key the INI sets must agree with it.
+each accepts the same INIs and rejects the rest with the same error. Every
+setting is checked before a station list, trip log or series file is read or
+a series made, and train's and sweep's run directory first of all, but two:
+[model], whose shapes take the series' station count, after the series, and
+--out of ingest and eval, when it is written. eval takes its model from the
+checkpoint, and each [model] key the INI sets must agree with it.
 """
 
 from __future__ import annotations
@@ -144,8 +147,14 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
     if unread and (data.get("series") or not data.get("trips")):  # a trip log reads all four
         source = f"[data] series = {data['series']}" if data.get("series") else "a synthetic source"
         raise dt.ConfigurationError(f"{source} reads no [data] {', '.join(unread)}")
+    missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
+    if data.get("trips") and missing:
+        raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
+    grid = _grid(cp)
+    ends = (_value(cp, "data", "start_time"), _value(cp, "data", "end_time"))
+    if cp.has_section("synthetic") or not (data.get("series") or data.get("trips")):
+        spec = dt.SyntheticSpec(**_fields(cp, "synthetic"), **grid)  # resolved.ini echoes it
     if data.get("series"):
-        grid = _grid(cp)
         series = dt.load_series(data["series"])
         ini = (grid.get("granularity"), *grid.get("operating_window", (None, None)))
         found = (series.grid.granularity, *(series.grid.window or (None, None)))
@@ -153,20 +162,12 @@ def _load_series_from_config(cp: configparser.ConfigParser) -> dt.ODSeries:
             if value is not None and value != actual:
                 raise dt.ConfigurationError(f"[data] {key} = {value} disagrees with "
                                             f"{data['series']}, which has {actual}")
-    elif data.get("trips"):
-        missing = [k for k in ("stations", "start_time", "end_time") if not data.get(k)]
-        if missing:
-            raise dt.ConfigurationError(f"[data] trips needs {', '.join(missing)}")
-        grid = _grid(cp)
-        series = _ingest(data["trips"], data["stations"],
-                         _value(cp, "data", "start_time"), _value(cp, "data", "end_time"),
-                         grid.get("granularity", dt.SyntheticSpec.granularity),
-                         grid.get("operating_window"))[0].dense()
-    else:
-        return dt.synth_generate(_synthetic_spec(cp))
-    if cp.has_section("synthetic"):  # resolved.ini echoes it beside a data source too
-        _synthetic_spec(cp)
-    return series
+        return series
+    if data.get("trips"):
+        return _ingest(data["trips"], data["stations"], *ends,
+                       grid.get("granularity", dt.SyntheticSpec.granularity),
+                       grid.get("operating_window"))[0].dense()
+    return dt.synth_generate(spec)
 
 
 def _model_config(cp: configparser.ConfigParser, series: dt.ODSeries) -> md.ModelConfig:
@@ -222,10 +223,10 @@ def _metrics_csv(lines: list[str]) -> str:
 def _prepare(cp):
     """Series, normalizer, and model and train configs of the INI ``cp``: the
     one reading of a run config, which train, sweep and eval share."""
+    train_config = tr.TrainConfig(**_fields(cp, "train"))
     series = _load_series_from_config(cp)
     stats = dt.fit_normalizer(series, dt.SPLIT[0])
     model_config = _model_config(cp, series)
-    train_config = tr.TrainConfig(**_fields(cp, "train"))
     return series, stats, model_config, train_config
 
 
@@ -246,6 +247,15 @@ def _ingest(trips_path, stations_path, start_time, end_time, granularity,
     """The sparse series binned from a trip log, the count of trips it kept,
     and the counts of trips dropped out of the span and outside operating hours."""
     grid = dt.Grid(start_time, granularity, window)  # refused before any input is read
+    span = end_time - start_time
+    if start_time >= end_time:
+        raise dt.ConfigurationError("start_time must precede end_time")
+    # its length too, so every offset into it and every bin start stays in int64
+    if not dt.INT64_MIN < start_time < end_time <= dt.INT64_MAX or span > dt.INT64_MAX:
+        raise dt.ConfigurationError(f"span [{start_time}, {end_time}) is beyond int64 seconds")
+    if span % granularity:
+        raise dt.ConfigurationError(
+            f"granularity {granularity} does not tile the span of {span} seconds")
     stations = dt.read_stations(stations_path)
     trips = dt.read_trips_with_lines(trips_path, stations)
     series, out_of_span, outside_hours = dt.build_od_series(trips, stations, grid, end_time)
@@ -270,6 +280,7 @@ def cmd_train(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
+    _check_makedirs(run_dir)
     series, stats, model_config, train_config = _prepare(cp)
     _, windows = ev.entity_windows(series, model_config, stats)
     # parameters too large to hold fail here, before the run directory is made
@@ -338,8 +349,8 @@ def cmd_sweep(args) -> int:
     if not run_dir:
         return _fail("no output directory ([run] output_dir or --output-dir)",
                      EXIT_USAGE)
+    _check_makedirs(run_dir)
     series, stats, model_config, train_config = _prepare(cp)
-    _check_makedirs(run_dir)  # before any row trains
     if args.kind == "hp":
         result = ev.run_hp_sweep(series, stats, model_config, train_config)
         out_name = "hp_sweep.csv"

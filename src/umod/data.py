@@ -187,24 +187,14 @@ def build_od_series(trips, stations, grid: Grid,
     ``read_trips_with_lines`` returns for ``stations``, so each index names one.
     Bins are half-open ``[start, start + granularity)``, so a boundary
     timestamp lands in the later bin; ``filter_operating_hours`` picks the
-    bins that are kept. Returns the series and the counts of trips dropped
-    for falling outside ``[grid.start_time, end_time)`` and outside the
-    window's hours.
+    bins that are kept, in a span ``[grid.start_time, end_time)`` that its
+    caller has checked. Returns the series and the counts of trips dropped
+    for falling outside the span and outside the window's hours.
     """
     start_time, granularity = grid.start_time, grid.granularity
-    if start_time >= end_time:
-        raise ConfigurationError("start_time must precede end_time")
-    # its length too, so every offset into it and every bin start stays in int64
-    if not INT64_MIN < start_time < end_time <= INT64_MAX or end_time - start_time > INT64_MAX:
-        raise ConfigurationError(f"span [{start_time}, {end_time}) is beyond int64 seconds")
-    span = end_time - start_time
-    if span % granularity != 0:
-        raise ConfigurationError(
-            f"granularity {granularity} does not tile the span of {span} seconds"
-        )
     origin, destination, timestamp = trips
     n = len(stations)
-    t_total = span // granularity
+    t_total = (end_time - start_time) // granularity
     # also keeps every flat cell index below int64, so none of them can wrap
     check_float64_shape((t_total, n, n), f"{t_total} bins of {n} x {n} cells")
     kept_bin = filter_operating_hours(grid, t_total)
@@ -263,7 +253,7 @@ def read_trips_with_lines(path, stations) -> tuple[np.ndarray, np.ndarray, np.nd
     parses it, to the same columns.
     """
     index = {name: k for k, name in enumerate(stations)}
-    table = _name_table(index)
+    table = _name_table(stations)
     blocks, lineno = [np.empty((3, 0), np.int64)], 1
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         size = 0  # line 1 on its own
@@ -293,15 +283,14 @@ def _name_hash(length: np.ndarray, words: np.ndarray) -> np.ndarray:
     return (h ^ length.astype(np.uint64)) * _MIX
 
 
-def _name_table(index) -> tuple:
-    """The names of ``index`` as ``_parse_block`` looks them up: ``ids``, their
-    station indices; ``lengths``, their UTF-8 byte lengths; and ``words``,
-    whose column k holds name k's bytes as zero-padded little-endian 8-byte
-    words. ``lengths`` and ``words`` end with one more entry, of length -1,
-    which no field matches and which fills the empty slots of ``slots``, a
-    linear probing table: name k sits at its home slot, the top ``bits`` of
-    its ``_name_hash``, or at most ``reach`` slots after it."""
-    names = [name.encode("utf-8") for name in index]
+def _name_table(stations) -> tuple:
+    """The names of ``stations`` as ``_parse_block`` looks them up: ``lengths``,
+    their UTF-8 byte lengths, and ``words``, whose column k holds name k's bytes
+    as zero-padded little-endian 8-byte words, each with one more entry, of
+    length -1, which no field matches and which fills the empty slots of
+    ``slots``, a linear probing table of station indices: k sits at its home
+    slot, the top ``bits`` of name k's ``_name_hash``, or at most ``reach`` after it."""
+    names = [name.encode("utf-8") for name in stations]
     n = len(names)
     length = np.fromiter(map(len, names), np.int64, n)
     width = max(1, -(-int(length.max(initial=0)) // 8))  # words per name
@@ -316,8 +305,7 @@ def _name_table(index) -> tuple:
     slots = np.full((1 << bits) + n, n)  # n more slots, so no probe wraps around
     slots[slot] = order
     reach = int((slot - home[order]).max(initial=0))
-    ids = np.fromiter(index.values(), np.int64, n)
-    return ids, np.append(length, -1), words, slots, bits, reach
+    return np.append(length, -1), words, slots, bits, reach
 
 
 def _parse_block(body: bytes, table) -> np.ndarray | None:
@@ -349,7 +337,7 @@ def _parse_block(body: bytes, table) -> np.ndarray | None:
             return None
         stamp *= 10
         stamp += digit
-    ids, lengths, words, slots, bits, reach = table
+    lengths, words, slots, bits, reach = table
     # field 2i, line i's origin, ends at comma 2i; field 2i + 1, its destination, at 2i + 1
     start = np.empty(2 * n, np.int64)
     start[0], start[1::2], start[2::2] = 0, comma[0::2] + 1, newline[:-1] + 1
@@ -370,7 +358,7 @@ def _parse_block(body: bytes, table) -> np.ndarray | None:
         todo = todo[~hit]
     if todo.size:
         return None
-    return np.stack([ids[row[0::2]], ids[row[1::2]], stamp])
+    return np.stack([row[0::2], row[1::2], stamp])
 
 
 def _parse_lines(path, body: bytes, lineno: int, index) -> np.ndarray:

@@ -539,10 +539,19 @@ class TestIngest:
     @pytest.mark.parametrize("flags, message", [
         (["--granularity", "0"], "granularity 0 must be >= 1 second"),
         (["--window", "6", "25"], "bad operating window (6, 25)"),
-    ], ids=["granularity", "window"])
+        (["--start", "100", "--end", "100"], "start_time must precede end_time"),
+        (["--start", "200", "--end", "100"], "start_time must precede end_time"),
+        (["--end", "5000"], "granularity 1800 does not tile the span of 5000 seconds"),
+        # clamped timestamps would otherwise land inside the span, and offsets into
+        # a span longer than 2**63 - 1 seconds would wrap
+        *[([f"--start={start}", f"--end={end}"], f"span [{start}, {end}) is beyond int64 seconds")
+          for start, end in [(-2**63, 0), (0, 2**63), (-10**30, -10**30 + 60),
+                             (-2**62, 2**62 + 52)]],
+    ], ids=["granularity", "window", "empty_span", "start_after_end", "span_not_tiled",
+            "int64_min", "past_int64_max", "far_below_int64", "longer_than_int64"])
     def test_bad_grid_is_refused_before_any_input_is_read(self, tmp_path, capsys, flags,
                                                           message):
-        # neither input exists, which would exit 2
+        # neither input exists, which would exit 2; the later --start or --end counts
         assert cli.main(["ingest", "--trips", str(tmp_path / "nope.csv"),
                          "--stations", str(tmp_path / "nope.txt"), "--start", "0",
                          "--end", "3600", *flags, "--out", str(tmp_path / "o.bin")]) == 1
@@ -648,6 +657,53 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(
             "error: synthetic series needs n_stations >= 1, days >= 1")
         assert not (tmp_path / "run1").exists() and not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "ablate"], ["eval"]],
+                             ids=["train", "sweep", "eval"])
+    @pytest.mark.parametrize("section, line, message", [
+        ("train", "lr = -1", "lr must be > 0, got -1.0"),
+        ("synthetic", "stations = 0", "synthetic series needs n_stations >= 1, days >= 1 "
+                                      "and noise_std >= 0, got 0, 14 and 0.5"),
+    ], ids=["train", "synthetic"])
+    def test_bad_setting_is_refused_before_the_series_is_read(self, tmp_path, capsys,
+                                                              section, line, message,
+                                                              command):
+        # the series file does not exist, which would exit 2
+        cfg, ckpt, out = tmp_path / "run.ini", tmp_path / "model.ckpt", tmp_path / "eval.csv"
+        cfg.write_text(f"[data]\nseries = {tmp_path / 'nope.bin'}\n[{section}]\n{line}\n"
+                       f"[run]\noutput_dir = {tmp_path / 'run'}\n")
+        model_config = md.ModelConfig(n_entities=3)
+        md.save_checkpoint(ckpt, md.init_params(model_config), model_config)
+        argv = [*command, str(cfg)] if command != ["eval"] else \
+            ["eval", str(ckpt), str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "run").exists() and not out.exists()
+
+    def test_run_directory_below_a_file_is_refused_before_the_series_is_read(
+            self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\nseries = {tmp_path / 'nope.bin'}\n"
+                       f"[run]\noutput_dir = {afile / 'run'}\n")
+        assert cli.main(["train", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {afile / 'run'}: Not a directory\n")
+
+    def test_refused_setting_makes_no_series(self, tmp_path, capsys):
+        # a 25 MB synthetic series would be generated before [train] were read
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\ngranularity = 3600\n[synthetic]\nstations = 96\ndays = 20\n"
+                       f"[train]\nlr = -1\n[run]\noutput_dir = {tmp_path / 'run'}\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["train", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: lr must be > 0, got -1.0\n"
+        assert peak < 2**20
 
     def test_diverging_run_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -17,7 +17,9 @@ behind that nothing calls. Binary files are opened and read only in the one
 container codec: ``"rb"``, ``"wb"`` and ``fromfile`` appear only inside
 ``read_container`` and ``write_atomically``. A station list is checked for a
 repeated name only where one enters the program: ``_check_stations`` is
-referenced only inside ``read_stations`` and ``_parse_series_header``.
+referenced only inside ``read_stations`` and ``_parse_series_header``. An
+ingest span is checked only where its flags enter, before any input is read:
+its messages appear only inside ``cli._ingest``.
 """
 
 import ast
@@ -295,3 +297,31 @@ def test_the_station_list_guard_flags_a_second_caller():
                "def ingest(stations):\n    dt._check_stations(stations)\n",
     })
     assert flagged == {"data.read_stations", "data.build", "cli", "cli.ingest"}
+
+
+SPAN_MESSAGES = ("must precede end_time", "is beyond int64 seconds", "does not tile the span")
+
+
+def span_check_sites(sources: dict[str, str]) -> set[str]:
+    """The ``sites`` that hold a string, or a part of an f-string, with one of
+    ``SPAN_MESSAGES`` in it."""
+    return sites(sources, lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+                 and any(message in n.value for message in SPAN_MESSAGES))
+
+
+def test_the_span_is_checked_where_it_enters():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert span_check_sites(sources) == {"cli._ingest"}
+
+
+def test_the_span_guard_flags_a_second_site():
+    # a plain message, an f-string's part in a nested function and a module constant
+    flagged = span_check_sites({
+        "cli": "def _ingest(start, end):\n    if start >= end:\n"
+               "        raise ValueError('start_time must precede end_time')\n",
+        "data": "def build(start, end, g):\n    def check(span):\n        if span % g:\n"
+                "            raise ValueError(f'granularity {g} does not tile the span of '\n"
+                "                             f'{span} seconds')\n    check(end - start)\n"
+                "BEYOND = 'is beyond int64 seconds'\n",
+    })
+    assert flagged == {"cli._ingest", "data.build", "data"}
